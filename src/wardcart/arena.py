@@ -10,7 +10,7 @@ geometry when a map is loaded, so map files stay short and human-editable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator
 
@@ -151,6 +151,18 @@ class TrackMap:
     corridor_width: float
     pause_points: tuple[tuple[Vec2, str], ...]
     extra_digits: tuple[tuple[int, int], ...] = ()  # (host ward, shown digit)
+
+    def __hash__(self) -> int:
+        # computed once: the renderer looks its raster up by map every frame
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle leaves it out
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def node_pos(self, node_id: str) -> Vec2:
         for nid, pos in self.nodes:

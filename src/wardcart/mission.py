@@ -39,6 +39,14 @@ HALT_PHASES = frozenset({
     MissionPhase.FAULT,
 })
 
+# phases from which one mission_step can read sensors.detections: the
+# target is confirmed in AwaitTarget and junctions are checked in Outbound;
+# AwaitLoad and PausedAtPoint can enter Outbound within the same step
+DETECTION_PHASES = frozenset({
+    MissionPhase.AWAIT_TARGET, MissionPhase.AWAIT_LOAD, MissionPhase.OUTBOUND,
+    MissionPhase.PAUSED_AT_POINT,
+})
+
 
 class Role(Enum):
     SOLO = "solo"

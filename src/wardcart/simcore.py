@@ -21,9 +21,9 @@ from .arena import (PlacardEntry, RoutePlan, TrackMap,
                     nearest_centerline_distance, resolve_pause_point, route_to)
 from .comms import Link, Message
 from .controller import PidGains, PidState, pid_step, steer
-from .mission import (HALT, IntentKind, MissionConfig, MissionPhase,
-                      MissionState, Role, SensorBundle, TurnDirection,
-                      mission_step)
+from .mission import (DETECTION_PHASES, HALT, IntentKind, MissionConfig,
+                      MissionPhase, MissionState, Role, SensorBundle,
+                      TurnDirection, mission_step)
 from .prng import GENERATOR_IDS, derive_seed
 from .vehicle import (MotorCommand, VehicleParams, VehicleState, apply_motor,
                       set_leds, set_payload)
@@ -385,7 +385,13 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
     line = line_centroid(binary, config.control_roi, col_window=window)
     if cart.turn is None:
         cart.gate_x = line[0] if line is not None else None
-    detections = detect_in_binary(binary, cam, templates)
+    # the mission is not stepped during a latched turn and reads placards
+    # only in a few phases; rendering and the line fix above run every tick
+    # because the noise stream and the tracking gate depend on them
+    if cart.turn is None and cart.mission.phase in DETECTION_PHASES:
+        detections = detect_in_binary(binary, cam, templates)
+    else:
+        detections = []
     return SensorBundle(line=line, detections=detections,
                         loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)

@@ -1,4 +1,8 @@
-"""Synthetic ground-plane camera and the digit/line recognition pipeline."""
+"""Synthetic ground-plane camera and the digit/line recognition pipeline.
+
+The frame renderer is ``wardcart.vision.render.render``; the package does
+not re-export it, so ``wardcart.vision.render`` stays the submodule.
+"""
 
 from .camera import CameraModel
 from .glyphs import DigitTemplate, default_templates, glyph_grid
@@ -19,7 +23,7 @@ from .pipeline import (
     undistort,
     undistort_bits,
 )
-from .render import NoiseParams, render, write_pgm
+from .render import NoiseParams, write_pgm
 
 __all__ = [
     "NADIR_MIN_PIXELS",
@@ -40,7 +44,6 @@ __all__ = [
     "line_centroid",
     "match_digit",
     "normalize_mask",
-    "render",
     "undistort",
     "undistort_bits",
     "write_pgm",

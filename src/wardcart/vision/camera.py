@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,20 +107,15 @@ def undistorted_radius(r_d: np.ndarray, k1: float) -> np.ndarray:
     return r_u
 
 
-_GROUND_GRID_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def ground_grid(cam: CameraModel, k1: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel cart-frame ground hits for a camera rendering with distortion k1.
 
     Pixel (u, v) of the distorted image corresponds to the undistorted ray at
     radius r_u with r_d = r_u (1 + k1 r_u^2); the grid caches the ground
-    intersection of that ray. Cached per (camera geometry, k1).
+    intersection of that ray. Cached per (camera, k1); the arrays are shared
+    and read-only.
     """
-    key = (cam.mount_height, cam.pitch, cam.horizontal_fov, cam.resolution, k1)
-    hit = _GROUND_GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
     w, h = cam.resolution
     vv, uu = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
                          indexing="ij")
@@ -138,5 +134,5 @@ def ground_grid(cam: CameraModel, k1: float) -> tuple[np.ndarray, np.ndarray]:
     miss = np.isnan(gx) | np.isnan(gy)
     gx = np.where(miss, 1e9, gx).astype(np.float32)
     gy = np.where(miss, 1e9, gy).astype(np.float32)
-    _GROUND_GRID_CACHE[key] = (gx, gy)
+    gx.flags.writeable = gy.flags.writeable = False
     return gx, gy

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,19 +38,14 @@ _CAND_MIN_FILL, _CAND_MAX_FILL = 0.10, 0.95
 _RECTIFY_GRID = 48
 _SUPERSAMPLE = 3
 
-_RESAMPLE_IDX_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+# room for every crop size of a rectified blob
+@lru_cache(maxsize=_RECTIFY_GRID * _RECTIFY_GRID)
 def _resample_indices(bh: int, bw: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (bh, bw, n)
-    cached = _RESAMPLE_IDX_CACHE.get(key)
-    if cached is None:
-        ss = _SUPERSAMPLE
-        rows = np.minimum(((np.arange(n * ss) + 0.5) * bh / (n * ss)).astype(np.int64), bh - 1)
-        cols = np.minimum(((np.arange(n * ss) + 0.5) * bw / (n * ss)).astype(np.int64), bw - 1)
-        cached = (rows, cols)
-        _RESAMPLE_IDX_CACHE[key] = cached
-    return cached
+    ss = _SUPERSAMPLE
+    rows = np.minimum(((np.arange(n * ss) + 0.5) * bh / (n * ss)).astype(np.int64), bh - 1)
+    cols = np.minimum(((np.arange(n * ss) + 0.5) * bw / (n * ss)).astype(np.int64), bw - 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -116,14 +112,8 @@ def adaptive_binarize(frame: Frame, margin: float = DEFAULT_BINARIZE_MARGIN) -> 
 # --------------------------------------------------------------------------
 # radial undistortion by reverse mapping
 
-_UNDISTORT_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _undistort_map(width: int, height: int, k1: float):
-    key = (width, height, k1)
-    cached = _UNDISTORT_CACHE.get(key)
-    if cached is not None:
-        return cached
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     norm = math.hypot(cx, cy)
     vv, uu = np.meshgrid(np.arange(height, dtype=float),
@@ -136,9 +126,8 @@ def _undistort_map(width: int, height: int, k1: float):
     valid = (src_u >= 0) & (src_u < width) & (src_v >= 0) & (src_v < height)
     src_u = np.clip(src_u, 0, width - 1)
     src_v = np.clip(src_v, 0, height - 1)
-    cached = (src_v, src_u, valid)
-    _UNDISTORT_CACHE[key] = cached
-    return cached
+    src_v.flags.writeable = src_u.flags.writeable = valid.flags.writeable = False
+    return src_v, src_u, valid
 
 
 def undistort(frame: Frame, k1: float) -> Frame:
@@ -330,16 +319,15 @@ def normalize_mask(mask: np.ndarray, n: int = GRID_N) -> np.ndarray:
     return fine.reshape(n, ss, n, ss).sum(axis=(1, 3)) * 2 >= ss * ss
 
 
-_NORM_TEMPLATE_CACHE: dict[tuple[int, bytes], np.ndarray] = {}
-
-
 def _normalized_template(tmpl: DigitTemplate) -> np.ndarray:
-    key = (tmpl.digit, tmpl.grid.tobytes())
-    cached = _NORM_TEMPLATE_CACHE.get(key)
-    if cached is None:
-        cached = normalize_mask(tmpl.grid)
-        _NORM_TEMPLATE_CACHE[key] = cached
-    return cached
+    return _normalized_grid(tmpl.grid.astype(bool, copy=False).tobytes())
+
+
+@lru_cache(maxsize=32)
+def _normalized_grid(grid: bytes) -> np.ndarray:
+    norm = normalize_mask(np.frombuffer(grid, dtype=bool).reshape(GRID_N, GRID_N))
+    norm.flags.writeable = False
+    return norm
 
 
 def match_digit(blob: Blob, templates: dict[int, DigitTemplate],

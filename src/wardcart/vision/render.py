@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +53,10 @@ class _WorldInk:
         self.y0 = math.floor((min(ys) - WORLD_MARGIN) / WORLD_CELL) * WORLD_CELL
         self.nx = int(math.ceil((max(xs) + WORLD_MARGIN - self.x0) / WORLD_CELL))
         self.ny = int(math.ceil((max(ys) + WORLD_MARGIN - self.y0) / WORLD_CELL))
-        self.grid = np.zeros((self.ny, self.nx), dtype=bool)
+        # one false cell on every side: sample clips a cell index that falls
+        # off the raster onto that border instead of masking it out
+        self._padded = np.zeros((self.ny + 2, self.nx + 2), dtype=bool)
+        self.grid = self._padded[1:-1, 1:-1]
         for edge in track.edges:
             for (ax, ay), (bx, by) in zip(edge.polyline, edge.polyline[1:]):
                 self._paint_segment(ax, ay, bx, by)
@@ -93,10 +97,14 @@ class _WorldInk:
     def sample(self, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
         ix = ((wx - self.x0) / WORLD_CELL).astype(np.int32)
         iy = ((wy - self.y0) / WORLD_CELL).astype(np.int32)
-        valid = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
-        out = np.zeros(wx.shape, dtype=bool)
-        out[valid] = self.grid[iy[valid], ix[valid]]
-        return out
+        np.clip(ix, -1, self.nx, out=ix)
+        np.clip(iy, -1, self.ny, out=iy)
+        # flat index into the padded raster of grid cell (iy, ix)
+        stride = self.nx + 2
+        iy *= stride
+        iy += ix
+        iy += stride + 1
+        return self._padded.take(iy)
 
 
 def _glyph_ink(wx: np.ndarray, wy: np.ndarray, entry: PlacardEntry) -> np.ndarray:
@@ -130,15 +138,10 @@ def _stamp_glyph(ink: np.ndarray, wx: np.ndarray, wy: np.ndarray,
     flat[idx[sub]] = True
 
 
-_WORLD_INK_CACHE: dict[TrackMap, _WorldInk] = {}
-
-
+@lru_cache(maxsize=4)
 def world_ink(track: TrackMap) -> _WorldInk:
-    ink = _WORLD_INK_CACHE.get(track)
-    if ink is None:
-        ink = _WorldInk(track)
-        _WORLD_INK_CACHE[track] = ink
-    return ink
+    """The map's ink raster, one byte per WORLD_CELL square, built on first use."""
+    return _WorldInk(track)
 
 
 def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,

@@ -1,4 +1,8 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -277,3 +281,24 @@ def test_nearest_centerline_distance(track):
     assert nearest_centerline_distance(track, (0.0, 0.5)) == pytest.approx(0.0)
     assert nearest_centerline_distance(track, (0.03, 0.5)) == pytest.approx(0.03)
     assert nearest_centerline_distance(track, (-0.2, 1.0)) == pytest.approx(0.0)
+
+
+def test_equal_maps_hash_equal(track):
+    rebuilt = load_map(serialize_map(track))
+    assert rebuilt is not track and rebuilt == track
+    assert hash(rebuilt) == hash(track)
+
+
+def test_unpickled_map_hashes_like_a_fresh_one(tmp_path, track):
+    # str hashes differ between processes: a pickled map must not carry
+    # its cached hash into another interpreter
+    hash(track)
+    path = tmp_path / "map.pickle"
+    path.write_bytes(pickle.dumps(track))
+    code = ("import pickle, sys; from wardcart.arena import default_map; "
+            "m = pickle.loads(open(sys.argv[1], 'rb').read()); "
+            "assert {m: 1}.get(default_map()) == 1")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, timeout=60)
+    assert done.returncode == 0

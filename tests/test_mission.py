@@ -2,7 +2,7 @@ import pytest
 
 from wardcart.arena import Action, resolve_pause_point, route_to
 from wardcart.comms import Message, MessageKind
-from wardcart.mission import (HALT, IntentKind, JunctionContradiction,
+from wardcart.mission import (DETECTION_PHASES, HALT, IntentKind, JunctionContradiction,
                               MissionConfig, MissionPhase, MissionState, Role,
                               SensorBundle, TurnDirection, acquire_target,
                               junction_decide, mission_step)
@@ -290,3 +290,103 @@ def test_leader_keeps_retrying_after_done_until_acked(track):
     assert len(outbox) == 1
     _, outbox, state = step(state, cfg, sensors(loaded=False, odo=1.0), tick=10)
     assert len(outbox) == 1  # still resending in Done
+
+
+# ------------------------------------------------------ detection demand
+
+class DetectionsRead(Exception):
+    pass
+
+
+class Unreadable:
+    """A detections sequence that raises on any access."""
+
+    def _read(self, *args):
+        raise DetectionsRead
+
+    __iter__ = __len__ = __bool__ = __getitem__ = __contains__ = _read
+
+
+def unreadable(line=(80.0, 1.0), loaded=False, odo=0.0):
+    return SensorBundle(line=line, detections=Unreadable(), loaded=loaded,
+                        odometry_distance=odo)
+
+
+def returning_state(track, cfg):
+    state = MissionState(phase=MissionPhase.AWAIT_UNLOAD, target=2, delivered=True)
+    _, _, state = step(state, cfg, sensors(loaded=False, odo=1.5))
+    assert state.phase is MissionPhase.RETURNING
+    return state
+
+
+# (phase, sensors) cases outside DETECTION_PHASES; the odometry values follow
+# test_stop_at_ward_then_unload_then_return on the ward 2 route
+def no_read_cases(track, cfg):
+    delivered = dict(target=2, delivered=True)
+    returning = returning_state(track, cfg)
+    _, _, turned = step(returning, cfg, sensors(odo=2.0))
+    return [
+        (MissionState(phase=MissionPhase.AT_WARD, **delivered), unreadable(loaded=True)),
+        (MissionState(phase=MissionPhase.AWAIT_UNLOAD, **delivered), unreadable(loaded=True)),
+        # unload: Returning starts with a half-turn in this very step
+        (MissionState(phase=MissionPhase.AWAIT_UNLOAD, **delivered),
+         unreadable(loaded=False, odo=1.5)),
+        (returning, unreadable(odo=1.7)),
+        (returning, unreadable(odo=2.0)),  # at the junction back onto the spine
+        (turned, unreadable(odo=3.0)),  # home: Done
+        (returning, unreadable(line=None, odo=1.7)),
+        (MissionState(phase=MissionPhase.DONE, **delivered), unreadable()),
+        (MissionState(phase=MissionPhase.FAULT, fault_reason="x"), unreadable()),
+    ]
+
+
+@pytest.mark.parametrize("role", [Role.SOLO, Role.LEADER])
+def test_phases_outside_detection_phases_never_read_detections(track, role):
+    cfg = make_config(track, role=role)
+    cases = no_read_cases(track, cfg)
+    assert {st.phase for st, _ in cases} == set(MissionPhase) - DETECTION_PHASES
+    for state, snsr in cases:
+        step(state, cfg, snsr, tick=100)
+
+
+def test_returning_turns_and_stops_without_reading(track):
+    cfg = make_config(track)
+    intent, _, state = step(returning_state(track, cfg), cfg, unreadable(odo=2.0))
+    assert intent.kind is IntentKind.TURN and intent.turn is TurnDirection.LEFT
+    _, _, state = step(state, cfg, unreadable(odo=3.0))
+    assert state.phase is MissionPhase.DONE
+
+
+def test_await_load_reads_detections_when_loaded(track):
+    # the payload starts Outbound, whose junction check reads placards in
+    # the same step: the reason AwaitLoad is a detection phase
+    cfg = make_config(track)
+    state = MissionState(phase=MissionPhase.AWAIT_LOAD, target=2)
+    assert MissionPhase.AWAIT_LOAD in DETECTION_PHASES
+    with pytest.raises(DetectionsRead):
+        step(state, cfg, unreadable(loaded=True))
+
+
+def test_paused_at_point_reads_detections_once_proceed_arrives(track):
+    cfg, state = follower_outbound(track)
+    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
+    assert state.phase is MissionPhase.PAUSED_AT_POINT
+    assert MissionPhase.PAUSED_AT_POINT in DETECTION_PHASES
+    # still waiting: nothing read
+    step(state, cfg, unreadable(loaded=True, odo=cfg.pause_point[1]))
+    with pytest.raises(DetectionsRead):
+        step(state, cfg, unreadable(loaded=True, odo=cfg.pause_point[1]),
+             inbox=[Message(MessageKind.PROCEED, 0, 0)])
+    state.proceed_received = True
+    with pytest.raises(DetectionsRead):
+        step(state, cfg, unreadable(loaded=True, odo=cfg.pause_point[1]))
+
+
+def test_await_target_and_outbound_read_detections(track):
+    cfg = make_config(track)
+    with pytest.raises(DetectionsRead):
+        step(MissionState(), cfg, unreadable())
+    _, _, state = step(MissionState(phase=MissionPhase.AWAIT_LOAD, target=2), cfg,
+                       sensors(loaded=True))
+    with pytest.raises(DetectionsRead):
+        step(state, cfg, unreadable(loaded=True, odo=0.5))

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from wardcart.mission import MissionPhase
+from wardcart import simcore
+from wardcart.mission import DETECTION_PHASES, MissionPhase
 from wardcart.simcore import (CartOutcome, PoseSample, SimConfig, TraceReport,
                               measure_line_deviation, render_svg, route_progress,
                               run_scenario, trace_to_csv)
@@ -179,3 +180,33 @@ def test_config_validation():
         SimConfig(carts=1, wards=(1, 2))
     with pytest.raises(ValueError):
         SimConfig(wards=(9,))
+
+
+def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
+    """Placards are detected on exactly the cart-ticks whose mission step can
+    read them: no latched turn, and a phase in DETECTION_PHASES."""
+    sensed, detected = [], []
+    current = []
+    sense, detect = simcore._sense, simcore.detect_in_binary
+
+    def spy_sense(cart, *args):
+        state = (cart.turn is not None, cart.mission.phase)
+        sensed.append(state)
+        current[:] = [state]
+        return sense(cart, *args)
+
+    def spy_detect(*args, **kwargs):
+        detected.append(current[0])
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(simcore, "_sense", spy_sense)
+    monkeypatch.setattr(simcore, "detect_in_binary", spy_detect)
+    report = run_scenario(track, SimConfig(wards=(1,), seed=0))
+    assert report.outcomes == (CartOutcome.DELIVERED_AND_RETURNED,)
+    wanted = [s for s in sensed if not s[0] and s[1] in DETECTION_PHASES]
+    assert detected == wanted
+    assert any(turning for turning, _ in sensed)
+    assert {phase for _, phase in sensed} - DETECTION_PHASES  # some ticks skipped
+    assert {phase for _, phase in detected} >= {MissionPhase.AWAIT_TARGET,
+                                                 MissionPhase.AWAIT_LOAD,
+                                                 MissionPhase.OUTBOUND}

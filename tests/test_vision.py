@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,15 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wardcart.arena import PlacardEntry, load_map
-from wardcart.vision.camera import CameraModel, undistorted_radius
-from wardcart.vision.glyphs import GRID_N, glyph_grid
+from wardcart.vision import pipeline
+from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
+from wardcart.vision.glyphs import GRID_N, DigitTemplate, glyph_grid
 from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
                                       Blob, Frame, adaptive_binarize,
                                       detect_placards, extract_contours,
                                       line_centroid, match_digit,
                                       normalize_mask, undistort,
                                       undistort_bits)
-from wardcart.vision.render import NoiseParams, render, write_pgm
+from wardcart.vision.render import (WORLD_CELL, NoiseParams, _WorldInk, render, world_ink,
+                                    write_pgm)
 
 EMPTY_MAP = load_map("node p 0 0\npharmacy p\nwidth 0.30\n")
 
@@ -418,3 +422,112 @@ def test_pgm_export_round_trips(tmp_path, track, cam):
     assert (w, h, maxv) == (frame.width, frame.height, 255)
     data = np.array(lines[4:], dtype=np.uint8).reshape(h, w)
     assert np.array_equal(data, frame.pixels)
+
+
+def test_vision_package_render_is_the_submodule():
+    render_attr = importlib.import_module("wardcart.vision").render
+    assert isinstance(render_attr, types.ModuleType)
+    assert hasattr(render_attr, "world_ink")
+
+
+def same_as_masked_sample(ink, wx, wy):
+    with np.errstate(invalid="ignore"):  # 1e9 overflows the int32 cast
+        return np.array_equal(ink.sample(wx, wy), masked_sample(ink, wx, wy))
+
+
+def masked_sample(ink, wx, wy):
+    """Reference world-ink lookup: cells off the raster read as background."""
+    ix = ((wx - ink.x0) / WORLD_CELL).astype(np.int32)
+    iy = ((wy - ink.y0) / WORLD_CELL).astype(np.int32)
+    valid = (ix >= 0) & (ix < ink.nx) & (iy >= 0) & (iy < ink.ny)
+    out = np.zeros(wx.shape, dtype=bool)
+    out[valid] = ink.grid[iy[valid], ix[valid]]
+    return out
+
+
+# k1 < 0 leaves rays above the horizon, which ground_grid sends to 1e9
+SAMPLE_K1 = (0.0, 0.05, 0.1, -0.1, -0.2)
+
+
+def _speckled_ink():
+    """A small raster with random ink up to its edges, so that a lookup
+    clamped onto an edge cell instead of reading background shows."""
+    ink = _WorldInk(EMPTY_MAP)
+    ink.grid[:] = np.random.default_rng(7).random(ink.grid.shape) < 0.5
+    ink.grid[0, :] = ink.grid[-1, :] = ink.grid[:, 0] = ink.grid[:, -1] = True
+    return ink
+
+
+SPECKLED = _speckled_ink()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fx=st.floats(-0.3, 1.3), fy=st.floats(-0.3, 1.3),
+       heading=st.floats(-math.pi, math.pi), k1=st.sampled_from(SAMPLE_K1))
+def test_ink_sample_matches_masked_reference_at_any_pose(fx, fy, heading, k1):
+    ink = SPECKLED
+    # fractions of the raster; outside [0, 1] the view leaves the raster
+    px = ink.x0 + fx * ink.nx * WORLD_CELL
+    py = ink.y0 + fy * ink.ny * WORLD_CELL
+    gx, gy = ground_grid(CameraModel(distortion_k1=k1), k1)
+    c, s = math.cos(heading), math.sin(heading)
+    wx = px + gx * c - gy * s
+    wy = py + gx * s + gy * c
+    assert same_as_masked_sample(ink, wx, wy)
+
+
+def _edge_coords(lo, extent):
+    # just below the origin (truncates to cell 0), the far edge, misses
+    specials = [lo - 1e-4, lo - WORLD_CELL / 2, lo - WORLD_CELL, lo, lo + extent,
+                lo + extent - 1e-4, lo + extent + WORLD_CELL, 1e9, -1e9]
+    return st.one_of(st.floats(lo - 0.5, lo + extent + 0.5), st.sampled_from(specials))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_ink_sample_matches_masked_reference_at_raster_edges(data, dtype):
+    ink = SPECKLED
+    wx = data.draw(arrays(np.float64, (3, 5),
+                          elements=_edge_coords(ink.x0, ink.nx * WORLD_CELL))).astype(dtype)
+    wy = data.draw(arrays(np.float64, (3, 5),
+                          elements=_edge_coords(ink.y0, ink.ny * WORLD_CELL))).astype(dtype)
+    assert same_as_masked_sample(ink, wx, wy)
+
+
+# (bounded cache, distinct first arguments; the rest of each call)
+def _maps(n):
+    return [(load_map(f"node p {i} 0\npharmacy p\nwidth 0.30\n"),) for i in range(n)]
+
+
+def _grids(n):
+    rng = np.random.default_rng(0)
+    return [(rng.random((GRID_N, GRID_N)) < 0.5).tobytes() for _ in range(n)]
+
+
+CACHES = {
+    "world_ink": (world_ink, _maps),
+    "ground_grid": (ground_grid,
+                    lambda n: [(CameraModel(), 0.01 * i) for i in range(n)]),
+    "undistort_map": (pipeline._undistort_map,
+                      lambda n: [(160, 120, 0.01 * i) for i in range(n)]),
+    "resample_indices": (pipeline._resample_indices,
+                         lambda n: [(1 + i // 60, 1 + i % 60, GRID_N) for i in range(n)]),
+    "normalized_grid": (pipeline._normalized_grid, lambda n: [(g,) for g in _grids(n)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHES))
+def test_module_caches_are_bounded(name):
+    cached, make_args = CACHES[name]
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None
+    for args in make_args(maxsize + 1):
+        cached(*args)
+    assert cached.cache_info().currsize <= maxsize
+
+
+def test_normalized_template_is_cached_by_grid(templates):
+    t = templates[3]
+    copy = DigitTemplate(3, t.grid.copy())
+    assert pipeline._normalized_template(t) is pipeline._normalized_template(copy)
+    assert np.array_equal(pipeline._normalized_template(t), normalize_mask(t.grid))
