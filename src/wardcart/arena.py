@@ -10,7 +10,7 @@ geometry when a map is loaded, so map files stay short and human-editable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterator
 
@@ -149,7 +149,6 @@ class TrackMap:
     wards: tuple[Ward, ...]
     pharmacy: str
     corridor_width: float
-    pause_points: tuple[tuple[Vec2, str], ...]
     extra_digits: tuple[tuple[int, int], ...] = ()  # (host ward, shown digit)
 
     def __hash__(self) -> int:
@@ -192,15 +191,8 @@ class TrackMap:
         return adj
 
     def placard_groups(self) -> list[PlacardGroup]:
-        seen: dict[int, PlacardGroup] = {}
-        for w in self.wards:
-            seen.setdefault(id(w.placard), w.placard)
-        # fall back to structural dedup (groups are shared between wards)
-        uniq: list[PlacardGroup] = []
-        for g in seen.values():
-            if g not in uniq:
-                uniq.append(g)
-        return uniq
+        """One group per junction; wards that share a junction share it."""
+        return list({w.placard.junction: w.placard for w in self.wards}.values())
 
 
 # --------------------------------------------------------------------------
@@ -321,33 +313,17 @@ def load_map(text: str) -> TrackMap:
         missing = sorted(set(nodes) - reached)
         raise MapValidationError(f"graph not connected: unreachable nodes {missing}")
 
-    pause_points = tuple(
-        (((e.polyline[0][0] + e.polyline[-1][0]) / 2.0,
-          (e.polyline[0][1] + e.polyline[-1][1]) / 2.0), e.id)
-        for e in edges
-    )
-
     skeleton = TrackMap(
         nodes=tuple(nodes.items()),
         edges=tuple(edges),
         wards=(),
         pharmacy=pharmacy,
         corridor_width=width,
-        pause_points=pause_points,
         extra_digits=tuple(sorted(
             (digit, x) for _, digit, _, extras in ward_records for x in extras
         )),
     )
-    wards = _build_wards(skeleton, ward_records)
-    track = TrackMap(
-        nodes=skeleton.nodes,
-        edges=skeleton.edges,
-        wards=wards,
-        pharmacy=pharmacy,
-        corridor_width=width,
-        pause_points=pause_points,
-        extra_digits=skeleton.extra_digits,
-    )
+    track = replace(skeleton, wards=_build_wards(skeleton, ward_records))
     for w in track.wards:
         for entry in w.placard.entries:
             if abs(entry.x) > 50 or abs(entry.y) > 50:
@@ -575,18 +551,41 @@ def resolve_pause_point(track: TrackMap, ward_id: int) -> tuple[Vec2, float]:
     return ((x0 + x1) / 2.0, (y0 + y1) / 2.0), dist
 
 
+def _project(a: Vec2, b: Vec2, p: Vec2) -> tuple[float, float]:
+    """Closest point of segment ab to p: (its fraction t along ab, distance)."""
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    vx, vy = bx - ax, by - ay
+    L2 = vx * vx + vy * vy
+    if L2 == 0:
+        return 0.0, math.hypot(px - ax, py - ay)
+    t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / L2))
+    return t, math.hypot(px - (ax + t * vx), py - (ay + t * vy))
+
+
 def nearest_centerline_distance(track: TrackMap, point: Vec2) -> float:
     """Distance from a point to the nearest guide-line centerline."""
-    px, py = point
     best = math.inf
     for e in track.edges:
-        for (ax, ay), (bx, by) in zip(e.polyline, e.polyline[1:]):
-            vx, vy = bx - ax, by - ay
-            L2 = vx * vx + vy * vy
-            if L2 == 0:
-                d = math.hypot(px - ax, py - ay)
-            else:
-                t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / L2))
-                d = math.hypot(px - (ax + t * vx), py - (ay + t * vy))
-            best = min(best, d)
+        for a, b in zip(e.polyline, e.polyline[1:]):
+            _, d = _project(a, b, point)
+            if d < best:
+                best = d
     return best
+
+
+def route_progress(track: TrackMap, plan: RoutePlan, point: Vec2) -> float:
+    """Arc distance along a route plan of the closest route point to ``point``."""
+    best_d = math.inf
+    best_s = 0.0
+    cum = 0.0
+    for step in plan.steps:
+        if step.edge_id is None:
+            continue
+        edge = track.edge(step.edge_id)
+        start = edge.a if edge.b == step.end_node else edge.b
+        t, d = _project(track.node_pos(start), track.node_pos(step.end_node), point)
+        if d < best_d:
+            best_d = d
+            best_s = cum + t * step.length
+        cum += step.length
+    return best_s

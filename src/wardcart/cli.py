@@ -90,15 +90,14 @@ def load_scenario(path: Path) -> Scenario:
     carts = int(num("carts", 1))
     ward = int(num("ward", 2))
     wards = (ward,) if carts == 1 else (ward, int(num("ward2", ward)))
-    noise = NoiseParams(brightness=num("noise.brightness", 0.0),
-                        sigma=num("noise.sigma", 0.0),
-                        k1=num("noise.k1", 0.0))
+    noise = dict(brightness=num("noise.brightness", 0.0),
+                 sigma=num("noise.sigma", 0.0),
+                 k1=num("noise.k1", 0.0))
     base = SimConfig()
-    config = SimConfig(
+    settings = dict(
         dt=num("dt", base.dt),
         max_ticks=int(num("max_ticks", base.max_ticks)),
         seed=int(num("seed", base.seed)),
-        noise=noise,
         carts=carts,
         wards=wards,
         link_latency=int(num("link.latency", base.link_latency)),
@@ -111,6 +110,10 @@ def load_scenario(path: Path) -> Scenario:
         output_limit=num("pid.output_limit", base.output_limit),
         base_duty=num("drive.base_duty", base.base_duty),
     )
+    try:
+        config = SimConfig(noise=NoiseParams(**noise), **settings)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
     expected = None
     raw_expected = take("expected")
@@ -128,12 +131,12 @@ def load_scenario(path: Path) -> Scenario:
 
 def _apply_overrides(scn: Scenario, args: argparse.Namespace) -> Scenario:
     cfg = scn.config
-    noise = cfg.noise
+    noise = {}
     if args.noise is not None:
-        noise = replace(noise, sigma=args.noise)
+        noise["sigma"] = args.noise
     if args.k1 is not None:
-        noise = replace(noise, k1=args.k1)
-    updates = {"noise": noise}
+        noise["k1"] = args.k1
+    updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.dt is not None:
@@ -144,7 +147,10 @@ def _apply_overrides(scn: Scenario, args: argparse.Namespace) -> Scenario:
         updates["link_drop"] = args.drop
     if args.latency is not None:
         updates["link_latency"] = args.latency
-    return replace(scn, config=replace(cfg, **updates))
+    try:
+        return replace(scn, config=replace(cfg, noise=replace(cfg.noise, **noise), **updates))
+    except ValueError as exc:
+        raise ScenarioError(f"bad override: {exc}") from None
 
 
 def _report_summary(report: TraceReport) -> str:
@@ -280,7 +286,10 @@ def cmd_vision_corpus(args: argparse.Namespace) -> int:
         sigmas = _parse_list(args.noise_list, "noise")
         if not k1s or not brightnesses or not sigmas:
             raise ScenarioError("corpus grid is empty (every list needs a value)")
-    except ScenarioError as exc:
+        for k1 in k1s:
+            for sigma in sigmas:
+                NoiseParams(sigma=sigma, k1=k1)  # raises ValueError on a bad value
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lines: list[str] = []

@@ -60,14 +60,6 @@ class Link:
         return [msg for _, _, msg in due]
 
 
-def send(link: Link, msg: Message, now_tick: int) -> bool:
-    return link.send(msg, now_tick)
-
-
-def poll(link: Link, now_tick: int) -> list[Message]:
-    return link.poll(now_tick)
-
-
 @dataclass
 class ProceedRetry:
     """Leader-side resend schedule: fire every retry_interval until acked.

@@ -118,7 +118,6 @@ class MissionState:
     target: int | None = None
     confirm_digit: int = 0
     confirm_count: int = 0
-    leg_plan: RoutePlan | None = None
     leg_triggers: tuple[float, ...] = ()
     leg_actions: tuple[Action, ...] = ()
     cursor: int = 0
@@ -136,18 +135,6 @@ class JunctionContradiction(ValueError):
     """Vision places the target on a side the route plan rules out."""
 
 
-def acquire_target(detection_frames, confirm_frames: int = 5) -> int | None:
-    """Replay a sequence of per-frame detection lists through the target
-    confirmation rule: the nearest detection must be the same digit for
-    confirm_frames consecutive frames."""
-    digit, streak = 0, 0
-    for dets in detection_frames:
-        digit, streak = _confirm_update(digit, streak, dets)
-        if streak >= confirm_frames:
-            return digit
-    return None
-
-
 def _confirm_update(digit: int, streak: int,
                     detections: list[DigitDetection]) -> tuple[int, int]:
     if not detections:
@@ -158,39 +145,32 @@ def _confirm_update(digit: int, streak: int,
     return nearest.digit, 1
 
 
-def junction_decide(target: int, detections: list[DigitDetection],
-                    plan: RoutePlan, frame_width: int, cursor: int = 0,
-                    tolerance: float = 10.0,
-                    decision_range: float = 0.35) -> Action | None:
-    """Decide the upcoming junction from placards in range, else the plan.
+def check_junction(target: int, detections: list[DigitDetection], planned: Action,
+                   frame_width: int, tolerance: float, decision_range: float) -> None:
+    """Check the planned action at the upcoming junction against vision.
 
-    Returns None when no placard is close enough to matter. Raises
-    JunctionContradiction when the target placard's position demands a
-    different action than the route plan (a misread somewhere).
+    The nearest target placard within decision_range shows the side the
+    target lies on. Raises JunctionContradiction when that side is not the
+    planned turn or straight (a misread somewhere); a planned Stop and a
+    target placard out of range or out of sight pass.
     """
-    in_range = [d for d in detections if d.range_z < decision_range]
-    if not in_range:
-        return None
-    planned = plan.steps[cursor].action if cursor < len(plan.steps) else None
-    on_target = [d for d in in_range if d.digit == target]
-    if on_target:
-        best = min(on_target, key=lambda d: (d.range_z, d.image_x))
-        dx = best.image_x - frame_width / 2.0
-        if dx < -tolerance:
-            seen = Action.LEFT
-        elif dx > tolerance:
-            seen = Action.RIGHT
-        else:
-            seen = Action.STRAIGHT
-        if planned in (Action.LEFT, Action.RIGHT, Action.STRAIGHT) and seen != planned:
-            raise JunctionContradiction(
-                f"target {target} placard suggests {seen.value}, route says {planned.value}")
-        return seen
-    return planned
+    on_target = [d for d in detections if d.range_z < decision_range and d.digit == target]
+    if not on_target or planned is Action.STOP:
+        return
+    best = min(on_target, key=lambda d: (d.range_z, d.image_x))
+    dx = best.image_x - frame_width / 2.0
+    if dx < -tolerance:
+        seen = Action.LEFT
+    elif dx > tolerance:
+        seen = Action.RIGHT
+    else:
+        seen = Action.STRAIGHT
+    if seen is not planned:
+        raise JunctionContradiction(
+            f"target {target} placard suggests {seen.value}, route says {planned.value}")
 
 
 def _begin_leg(st: MissionState, plan: RoutePlan, odometry: float) -> None:
-    st.leg_plan = plan
     st.leg_actions = tuple(s.action for s in plan.steps)
     cum = 0.0
     triggers = []
@@ -222,12 +202,11 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
         st.lost_line = 0
 
     if (st.phase is MissionPhase.OUTBOUND and st.target is not None
-            and st.leg_plan is not None and st.cursor < len(st.leg_actions)):
+            and st.cursor < len(st.leg_actions)):
         try:
-            junction_decide(st.target, sensors.detections, st.leg_plan,
-                            cfg.frame_width, cursor=st.cursor,
-                            tolerance=cfg.junction_center_tolerance,
-                            decision_range=cfg.decision_range)
+            check_junction(st.target, sensors.detections, st.leg_actions[st.cursor],
+                           cfg.frame_width, cfg.junction_center_tolerance,
+                           cfg.decision_range)
         except JunctionContradiction as exc:
             st.contradictions += 1
             if st.contradictions >= cfg.contradiction_limit:

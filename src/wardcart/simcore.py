@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .arena import (PlacardEntry, RoutePlan, TrackMap,
-                    nearest_centerline_distance, resolve_pause_point, route_to)
+from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance,
+                    resolve_pause_point, route_to)
 from .comms import Link, Message
 from .controller import PidGains, PidState, pid_step, steer
 from .mission import (DETECTION_PHASES, HALT, IntentKind, MissionConfig,
@@ -454,45 +454,12 @@ def _advance_turn(cart: _Cart, config: SimConfig) -> None:
 
 
 def _deviation_of(track: TrackMap, samples: list[PoseSample], cart: int) -> float:
+    """Max distance from one cart's Outbound/Returning samples to the guide line."""
     worst = 0.0
     for s in samples:
         if s.cart == cart and s.phase in (MissionPhase.OUTBOUND, MissionPhase.RETURNING):
             worst = max(worst, nearest_centerline_distance(track, (s.x, s.y)))
     return worst
-
-
-def measure_line_deviation(report: TraceReport, track: TrackMap) -> float:
-    """Max distance from any Outbound/Returning pose sample to the guide line."""
-    worst = 0.0
-    for s in report.samples:
-        if s.phase in (MissionPhase.OUTBOUND, MissionPhase.RETURNING):
-            worst = max(worst, nearest_centerline_distance(track, (s.x, s.y)))
-    return worst
-
-
-def route_progress(track: TrackMap, plan: RoutePlan, point: tuple[float, float]) -> float:
-    """Arc distance along a route plan of the closest route point to ``point``."""
-    px, py = point
-    best_d = math.inf
-    best_s = 0.0
-    cum = 0.0
-    for step in plan.steps:
-        if step.edge_id is None:
-            continue
-        edge = track.edge(step.edge_id)
-        start = edge.a if edge.b == step.end_node else edge.b
-        ax, ay = track.node_pos(start)
-        bx, by = track.node_pos(step.end_node)
-        vx, vy = bx - ax, by - ay
-        L = math.hypot(vx, vy)
-        if L > 0:
-            t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / (L * L)))
-            d = math.hypot(px - (ax + t * vx), py - (ay + t * vy))
-            if d < best_d:
-                best_d = d
-                best_s = cum + t * L
-        cum += step.length
-    return best_s
 
 
 def _header(config: SimConfig) -> tuple[tuple[str, str], ...]:

@@ -16,14 +16,12 @@ from .pipeline import (
     adaptive_binarize,
     detect_in_binary,
     detect_placards,
-    extract_contours,
     line_centroid,
     match_digit,
     normalize_mask,
-    undistort,
     undistort_bits,
 )
-from .render import NoiseParams, write_pgm
+from .render import NoiseParams
 
 __all__ = [
     "NADIR_MIN_PIXELS",
@@ -39,12 +37,9 @@ __all__ = [
     "default_templates",
     "detect_in_binary",
     "detect_placards",
-    "extract_contours",
     "glyph_grid",
     "line_centroid",
     "match_digit",
     "normalize_mask",
-    "undistort",
     "undistort_bits",
-    "write_pgm",
 ]

@@ -130,9 +130,9 @@ def ground_grid(cam: CameraModel, k1: float) -> tuple[np.ndarray, np.ndarray]:
         vv = cy + dv * scale
     gx, gy = cam.ground_from_pixels(uu, vv)
     # rays that miss the ground point far out of any map so they sample as
-    # background without NaN casts downstream
+    # background; at 10 km their world-ink cell index still fits in int32
     miss = np.isnan(gx) | np.isnan(gy)
-    gx = np.where(miss, 1e9, gx).astype(np.float32)
-    gy = np.where(miss, 1e9, gy).astype(np.float32)
+    gx = np.where(miss, 1e4, gx).astype(np.float32)
+    gy = np.where(miss, 1e4, gy).astype(np.float32)
     gx.flags.writeable = gy.flags.writeable = False
     return gx, gy

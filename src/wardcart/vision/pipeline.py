@@ -8,7 +8,7 @@ under 8-connectivity, so diagonal contact joins blobs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -85,7 +85,6 @@ class Blob:
     width: int
     height: int
     area: int
-    mask: np.ndarray = field(compare=False)  # (height, width) bool
     centroid_x: float = 0.0
     centroid_y: float = 0.0
 
@@ -130,18 +129,9 @@ def _undistort_map(width: int, height: int, k1: float):
     return src_v, src_u, valid
 
 
-def undistort(frame: Frame, k1: float) -> Frame:
-    """Reverse-map the one-parameter radial distortion (nearest neighbor)."""
-    check_k1(k1)
-    if k1 == 0.0:
-        return frame
-    src_v, src_u, valid = _undistort_map(frame.width, frame.height, k1)
-    out = frame.pixels[src_v, src_u]
-    out = np.where(valid, out, np.uint8(255))
-    return Frame(out)
-
-
 def undistort_bits(binary: BinaryFrame, k1: float) -> BinaryFrame:
+    """Reverse-map the one-parameter radial distortion (nearest neighbor);
+    pixels that map from outside the frame read as background."""
     check_k1(k1)
     if k1 == 0.0:
         return binary
@@ -244,7 +234,8 @@ def _label_runs(bits: np.ndarray) -> tuple[list[int], list[int], list[int], list
     return run_row, run_s, run_e, list(grouped.values())
 
 
-def _blob_of(members: list[int], run_row, run_s, run_e, with_mask: bool = True) -> Blob:
+def _blob_of(members: list[int], run_row, run_s, run_e) -> Blob:
+    """Bounding box, area and centroid of one component."""
     area = 0
     x0 = y0 = 1 << 30
     x1 = y1 = -1
@@ -265,35 +256,8 @@ def _blob_of(members: list[int], run_row, run_s, run_e, with_mask: bool = True) 
         if r > y1:
             y1 = r
     bw, bh = x1 - x0, y1 - y0 + 1
-    if with_mask:
-        mask = np.zeros((bh, bw), dtype=bool)
-        for m in members:
-            mask[run_row[m] - y0, run_s[m] - x0:run_e[m] - x0] = True
-    else:
-        mask = _EMPTY_MASK
-    return Blob(x0=x0, y0=y0, width=bw, height=bh, area=area, mask=mask,
+    return Blob(x0=x0, y0=y0, width=bw, height=bh, area=area,
                 centroid_x=sum_x / area, centroid_y=sum_y / area)
-
-
-_EMPTY_MASK = np.zeros((0, 0), dtype=bool)
-
-
-def extract_contours(binary: BinaryFrame, min_area: int = DEFAULT_MIN_AREA) -> list[Blob]:
-    """Blobs of 8-connected foreground, area-filtered, sorted by leftmost x."""
-    bits = binary.bits
-    h, w = bits.shape
-    if h == 0 or w == 0 or not bits.any():
-        return []
-    run_row, run_s, run_e, groups = _label_runs(bits)
-    blobs = []
-    for members in groups:
-        area = 0
-        for m in members:
-            area += run_e[m] - run_s[m]
-        if area >= min_area:
-            blobs.append(_blob_of(members, run_row, run_s, run_e))
-    blobs.sort(key=lambda b: (b.x0, b.y0))
-    return blobs
 
 
 # --------------------------------------------------------------------------
@@ -330,16 +294,16 @@ def _normalized_grid(grid: bytes) -> np.ndarray:
     return norm
 
 
-def match_digit(blob: Blob, templates: dict[int, DigitTemplate],
+def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate],
                 accept_threshold: float = DEFAULT_ACCEPT_THRESHOLD,
                 margin: float = DEFAULT_MARGIN) -> tuple[int, float] | None:
-    """Best-scoring digit for a blob, or None when ambiguous or poor.
+    """Best-scoring digit for a glyph mask, or None when ambiguous or poor.
 
-    Score is 1 - hamming/N^2 between the centered, aspect-normalized blob
-    mask and each normalized template. The winner must clear the accept
+    Score is 1 - hamming/N^2 between the centered, aspect-normalized mask
+    and each normalized template. The winner must clear the accept
     threshold and beat the runner-up by the margin.
     """
-    norm = normalize_mask(blob.mask)
+    norm = normalize_mask(mask)
     cells = norm.size
     best_digit, best, second = 0, -1.0, -1.0
     for digit in sorted(templates):
@@ -425,7 +389,7 @@ def detect_in_binary(binary: BinaryFrame, cam: CameraModel,
             area += run_e[m] - run_s[m]
         if area < min_area:
             continue
-        blob = _blob_of(members, run_row, run_s, run_e, with_mask=False)
+        blob = _blob_of(members, run_row, run_s, run_e)
         if not (_CAND_MIN_H <= blob.height <= _CAND_MAX_H):
             continue
         if not (_CAND_MIN_W <= blob.width <= _CAND_MAX_W):
@@ -441,10 +405,8 @@ def detect_in_binary(binary: BinaryFrame, cam: CameraModel,
         rectified = _rectify_on_ground(bits, blob, cam)
         if rectified is None:
             continue
-        scored = match_digit(
-            Blob(x0=0, y0=0, width=rectified.shape[1], height=rectified.shape[0],
-                 area=int(rectified.sum()), mask=rectified),
-            templates, accept_threshold=accept_threshold, margin=margin)
+        scored = match_digit(rectified, templates, accept_threshold=accept_threshold,
+                             margin=margin)
         if scored is None:
             continue
         digit, score = scored

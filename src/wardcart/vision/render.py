@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..arena import PlacardEntry, TrackMap
-from .camera import CameraModel, ground_grid
+from .camera import CameraModel, check_k1, ground_grid
 from .glyphs import GRID_N, glyph_grid
 from .pipeline import Frame
 
@@ -41,6 +41,7 @@ class NoiseParams:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
+        check_k1(self.k1)
 
 
 class _WorldInk:
@@ -74,6 +75,7 @@ class _WorldInk:
         return ix0, ix1, iy0, iy1, xs[None, :], ys[:, None]
 
     def _paint_segment(self, ax, ay, bx, by) -> None:
+        # arena._project's clamped projection, vectorized: it runs once per raster cell
         r = LINE_HALF_WIDTH
         ix0, ix1, iy0, iy1, xs, ys = self._cells(min(ax, bx) - r, max(ax, bx) + r,
                                                  min(ay, by) - r, max(ay, by) + r)
@@ -174,12 +176,3 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
         back_u8 = np.uint8(min(255, max(0, round(BACKGROUND_LEVEL + noise.brightness))))
         img = np.where(ink, ink_u8, back_u8)
     return Frame(img)
-
-
-def write_pgm(frame: Frame, path: str) -> None:
-    """Plain (P2) PGM dump for eyeballing frames."""
-    h, w = frame.pixels.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P2\n{w} {h}\n255\n")
-        for row in frame.pixels:
-            fh.write(" ".join(str(int(p)) for p in row) + "\n")

@@ -9,12 +9,11 @@ import time
 
 import numpy as np
 
-from wardcart.arena import default_map, resolve_pause_point, route_to
+from wardcart.arena import default_map, resolve_pause_point, route_progress, route_to
 from wardcart.cli import run_corpus
 from wardcart.controller import PidState, gains_from_classical, pid_step
 from wardcart.mission import MissionPhase
-from wardcart.simcore import (CartOutcome, SimConfig, route_progress,
-                              run_scenario, trace_to_csv)
+from wardcart.simcore import CartOutcome, SimConfig, run_scenario, trace_to_csv
 from wardcart.vehicle import MotorCommand, VehicleParams, VehicleState, apply_motor
 from wardcart.vision.camera import CameraModel
 from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI,

@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wardcart.arena import (Action, MapParseError, MapValidationError, Tier,
+from wardcart.arena import (Action, MapParseError, MapValidationError, Tier, _project,
                             classify_ward, load_map,
                             nearest_centerline_distance, resolve_pause_point,
                             route_to, serialize_map)
@@ -244,14 +246,6 @@ def test_reversed_graph_route_matches_reversed_plan(track):
 
 # ---------------------------------------------------------- pause points
 
-def test_pause_points_sit_on_edge_midpoints(track):
-    for (px, py), eid in track.pause_points:
-        edge = track.edge(eid)
-        (ax, ay), (bx, by) = edge.polyline[0], edge.polyline[-1]
-        assert math.isclose(px, (ax + bx) / 2) and math.isclose(py, (ay + by) / 2)
-    assert len(track.pause_points) == len(track.edges)
-
-
 def test_follower_pause_point_is_last_before_ward_junction(track):
     pos, dist = resolve_pause_point(track, 4)
     assert pos == (0.0, 1.5)
@@ -281,6 +275,25 @@ def test_nearest_centerline_distance(track):
     assert nearest_centerline_distance(track, (0.0, 0.5)) == pytest.approx(0.0)
     assert nearest_centerline_distance(track, (0.03, 0.5)) == pytest.approx(0.03)
     assert nearest_centerline_distance(track, (-0.2, 1.0)) == pytest.approx(0.0)
+
+
+coords = st.floats(-3.0, 3.0)
+points = st.tuples(coords, coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=points, b=st.one_of(points, st.just(None)), p=points)
+def test_project_is_the_nearest_point_of_the_segment(a, b, p):
+    b = a if b is None else b  # None draws a zero-length segment
+    t, d = _project(a, b, p)
+    assert 0.0 <= t <= 1.0
+    assert d <= math.dist(a, p) + 1e-12 and d <= math.dist(b, p) + 1e-12
+    # against the nearest of 1,001 evenly spaced points of the segment
+    n = 1000
+    brute = min(math.dist((a[0] + (b[0] - a[0]) * k / n, a[1] + (b[1] - a[1]) * k / n), p)
+                for k in range(n + 1))
+    assert d <= brute + 1e-12
+    assert brute - d <= math.dist(a, b) / n + 1e-12
 
 
 def test_equal_maps_hash_equal(track):

@@ -111,6 +111,23 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, argv", [
+    ("carts = 3\n", ["run", "{scn}"]),
+    ("ward = 9\n", ["run", "{scn}"]),
+    ("noise.sigma = -1\n", ["run", "{scn}"]),
+    ("", ["run", "{scn}", "--dt", "0"]),
+    ("", ["run", "{scn}", "--k1", "-0.5"]),
+    ("", ["vision-corpus", "{out}", "--noise", "-1"]),
+], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg"])
+def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(scenario)
+    code = main([a.format(scn=scn, out=tmp_path / "out.csv") for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_render_map_writes_svg(tmp_path):
     out = tmp_path / "map.svg"
     assert main(["render-map", str(out)]) == 0

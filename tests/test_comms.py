@@ -1,8 +1,9 @@
 import pytest
 
-from wardcart.comms import Link, Message, MessageKind, ProceedRetry, poll, send
+from wardcart.arena import route_progress
+from wardcart.comms import Link, Message, MessageKind, ProceedRetry
 from wardcart.prng import MASK64, derive_seed, splitmix64
-from wardcart.simcore import CartOutcome, SimConfig, route_progress, run_scenario
+from wardcart.simcore import CartOutcome, SimConfig, run_scenario
 
 
 def msg(seq, kind=MessageKind.PROCEED, sender=0):
@@ -23,18 +24,18 @@ def lcg_oracle(seed):
 
 def test_fixed_latency_delivery_tick():
     link = Link(latency_ticks=3, drop_probability=0.0)
-    assert send(link, msg(0), now_tick=10)
-    assert poll(link, 12) == []
-    assert poll(link, 13) == [msg(0)]
-    assert poll(link, 14) == []  # delivered once
+    assert link.send(msg(0), now_tick=10)
+    assert link.poll(12) == []
+    assert link.poll(13) == [msg(0)]
+    assert link.poll(14) == []  # delivered once
 
 
 def test_full_drop_never_delivers():
     link = Link(latency_ticks=0, drop_probability=1.0, rng_seed=5)
     for i in range(50):
-        assert send(link, msg(i), now_tick=i) is False
+        assert link.send(msg(i), now_tick=i) is False
     for t in range(100):
-        assert poll(link, t) == []
+        assert link.poll(t) == []
 
 
 def test_drop_rate_matches_seeded_stream():
@@ -42,12 +43,12 @@ def test_drop_rate_matches_seeded_stream():
     stream = lcg_oracle(42)
     sent = []
     for i in range(1000):
-        kept = send(link, msg(i), now_tick=0)
+        kept = link.send(msg(i), now_tick=0)
         expected_kept = next(stream) >= 0.5
         assert kept == expected_kept
         if kept:
             sent.append(i)
-    got = poll(link, 10)
+    got = link.poll(10)
     assert [m.seq for m in got] == sent
     assert 450 <= len(sent) <= 550  # 500 +- 50
 
@@ -55,17 +56,17 @@ def test_drop_rate_matches_seeded_stream():
 def test_fifo_order_within_a_tick():
     link = Link(latency_ticks=2)
     for seq in (0, 1, 2):
-        send(link, msg(seq), now_tick=5)
-    assert [m.seq for m in poll(link, 7)] == [0, 1, 2]
+        link.send(msg(seq), now_tick=5)
+    assert [m.seq for m in link.poll(7)] == [0, 1, 2]
 
 
 def test_poll_returns_only_due_messages():
     link = Link(latency_ticks=5)
-    send(link, msg(0), now_tick=0)   # due at 5
-    send(link, msg(1), now_tick=3)   # due at 8
-    assert [m.seq for m in poll(link, 5)] == [0]
-    assert [m.seq for m in poll(link, 7)] == []
-    assert [m.seq for m in poll(link, 8)] == [1]
+    link.send(msg(0), now_tick=0)   # due at 5
+    link.send(msg(1), now_tick=3)   # due at 8
+    assert [m.seq for m in link.poll(5)] == [0]
+    assert [m.seq for m in link.poll(7)] == []
+    assert [m.seq for m in link.poll(8)] == [1]
 
 
 def test_identical_seeds_reproduce_the_schedule():
@@ -73,7 +74,7 @@ def test_identical_seeds_reproduce_the_schedule():
         link = Link(latency_ticks=1, drop_probability=0.3, rng_seed=seed)
         out = []
         for i in range(200):
-            out.append(send(link, msg(i), now_tick=i))
+            out.append(link.send(msg(i), now_tick=i))
         return out
 
     assert run(9) == run(9)

@@ -4,8 +4,7 @@ from wardcart.arena import Action, resolve_pause_point, route_to
 from wardcart.comms import Message, MessageKind
 from wardcart.mission import (DETECTION_PHASES, HALT, IntentKind, JunctionContradiction,
                               MissionConfig, MissionPhase, MissionState, Role,
-                              SensorBundle, TurnDirection, acquire_target,
-                              junction_decide, mission_step)
+                              SensorBundle, TurnDirection, check_junction, mission_step)
 from wardcart.vision.pipeline import DigitDetection
 
 
@@ -32,59 +31,83 @@ def make_config(track, role=Role.SOLO, ward=None, **overrides):
 
 # ------------------------------------------------------- target acquisition
 
-def test_acquire_nothing_from_empty_frames():
-    assert acquire_target([[] for _ in range(30)]) is None
+def acquire(frames, track, confirm_frames=5):
+    """Step a fresh mission through AwaitTarget, one detection list per
+    frame; the digit it locks onto, or None."""
+    cfg = make_config(track, confirm_frames=confirm_frames)
+    state = MissionState()
+    for dets in frames:
+        _, _, state = mission_step(state, cfg, sensors(line=None, detections=dets), [], 0)
+        if state.phase is not MissionPhase.AWAIT_TARGET:
+            return state.target
+    return None
 
 
-def test_acquire_stable_single_detection():
+def test_acquire_nothing_from_empty_frames(track):
+    assert acquire([[] for _ in range(30)], track) is None
+
+
+def test_acquire_stable_single_detection(track):
     frames = [[det(6, z=0.4)] for _ in range(5)]
-    assert acquire_target(frames, confirm_frames=5) == 6
-    assert acquire_target(frames[:4], confirm_frames=5) is None
+    assert acquire(frames, track, confirm_frames=5) == 6
+    assert acquire(frames[:4], track, confirm_frames=5) is None
 
 
-def test_acquire_rejects_alternating_digits():
+def test_acquire_rejects_alternating_digits(track):
     frames = []
     for i in range(40):
         frames.append([det(3 if i % 2 == 0 else 8)])
-    assert acquire_target(frames, confirm_frames=5) is None
+    assert acquire(frames, track, confirm_frames=5) is None
 
 
-def test_acquire_uses_nearest_when_crowded():
+def test_acquire_uses_nearest_when_crowded(track):
     frames = [[det(2, z=1.5), det(7, z=0.3)] for _ in range(5)]
-    assert acquire_target(frames, confirm_frames=5) == 7
+    assert acquire(frames, track, confirm_frames=5) == 7
 
 
 # ------------------------------------------------------- junction decisions
 
+TOLERANCE = MissionConfig().junction_center_tolerance
+DECISION_RANGE = MissionConfig().decision_range
+
+
+def check(target, detections, planned, frame_width=320):
+    check_junction(target, detections, planned, frame_width, TOLERANCE, DECISION_RANGE)
+
+
 def test_junction_decide_left_from_placard_position(track):
-    plan = route_to(track, 1)  # first junction action is Left
-    action = junction_decide(1, [det(1, x=40.0, z=0.2)], plan, frame_width=320)
-    assert action is Action.LEFT
+    planned = route_to(track, 1).steps[0].action  # first junction action is Left
+    check(1, [det(1, x=40.0, z=0.2)], planned)
+    for other in (Action.RIGHT, Action.STRAIGHT):
+        with pytest.raises(JunctionContradiction, match="suggests left"):
+            check(1, [det(1, x=40.0, z=0.2)], other)
 
 
 def test_junction_decide_no_placard_in_range(track):
-    plan = route_to(track, 1)
-    assert junction_decide(1, [], plan, 320) is None
-    assert junction_decide(1, [det(1, x=40.0, z=2.0)], plan, 320) is None
+    planned = route_to(track, 1).steps[0].action
+    check(1, [], planned)
+    for z in (2.0, DECISION_RANGE):  # on the wrong side, but not yet in range
+        check(1, [det(1, x=300.0, z=z)], planned)
 
 
 def test_junction_decide_centered_is_straight(track):
-    plan = route_to(track, 5)  # straight through the first junction
-    action = junction_decide(5, [det(5, x=160.0, z=0.2)], plan, frame_width=320)
-    assert action is Action.STRAIGHT
+    planned = route_to(track, 5).steps[0].action  # straight through the first junction
+    check(5, [det(5, x=160.0, z=0.2)], planned)
+    with pytest.raises(JunctionContradiction, match="suggests straight"):
+        check(5, [det(5, x=160.0, z=0.2)], Action.LEFT)
 
 
 def test_junction_decide_falls_back_to_plan(track):
-    plan = route_to(track, 5)  # target 5 absent at the near junction
-    action = junction_decide(5, [det(1, x=40.0, z=0.2), det(2, x=280.0, z=0.2)],
-                             plan, 320)
-    assert action is Action.STRAIGHT
+    planned = route_to(track, 5).steps[0].action  # target 5 absent at the near junction
+    for plan_says in (planned, Action.LEFT, Action.RIGHT):
+        check(5, [det(1, x=40.0, z=0.2), det(2, x=280.0, z=0.2)], plan_says)
 
 
 def test_junction_decide_contradiction_raises(track):
-    plan = route_to(track, 1)  # route says Left
-    with pytest.raises(JunctionContradiction):
-        junction_decide(1, [det(1, x=300.0, z=0.2)], plan, 320)
+    planned = route_to(track, 1).steps[0].action  # route says Left
+    with pytest.raises(JunctionContradiction, match="route says left"):
+        check(1, [det(1, x=300.0, z=0.2)], planned)
+    check(1, [det(1, x=300.0, z=0.2)], Action.STOP)  # arriving, not deciding
 
 
 # ---------------------------------------------------------- phase stepping
@@ -283,7 +306,6 @@ def test_leader_keeps_retrying_after_done_until_acked(track):
     cfg = make_config(track, role=Role.LEADER, retry_interval=10)
     state = MissionState(phase=MissionPhase.RETURNING, target=4, delivered=True)
     state.leg_triggers = (0.5,)
-    state.leg_plan = cfg.returns[4]
     state.leg_actions = (Action.STOP,)
     _, outbox, state = step(state, cfg, sensors(loaded=False, odo=1.0), tick=0)
     assert state.phase is MissionPhase.DONE

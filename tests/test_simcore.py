@@ -3,10 +3,10 @@ import math
 import pytest
 
 from wardcart import simcore
+from wardcart.arena import route_progress, route_to
 from wardcart.mission import DETECTION_PHASES, MissionPhase
-from wardcart.simcore import (CartOutcome, PoseSample, SimConfig, TraceReport,
-                              measure_line_deviation, render_svg, route_progress,
-                              run_scenario, trace_to_csv)
+from wardcart.simcore import (CartOutcome, PoseSample, SimConfig, _deviation_of,
+                              render_svg, run_scenario, trace_to_csv)
 from wardcart.vision.render import NoiseParams
 
 LEGAL_NEXT = {
@@ -23,13 +23,9 @@ LEGAL_NEXT = {
 }
 
 
-def fabricated_report(points, phase=MissionPhase.OUTBOUND):
-    samples = tuple(PoseSample(t, 0, x, y, 0.0, phase, False, False)
-                    for t, (x, y) in enumerate(points))
-    return TraceReport(outcomes=(CartOutcome.INCOMPLETE,), fault_reasons=(None,),
-                       recognized=(None,), events=(), samples=samples,
-                       completion_ticks=len(points), line_deviations=(0.0,),
-                       header=())
+def fabricated_samples(points, phase=MissionPhase.OUTBOUND):
+    return [PoseSample(t, 0, x, y, 0.0, phase, False, False)
+            for t, (x, y) in enumerate(points)]
 
 
 def test_zero_tick_budget_is_incomplete_with_no_events(track):
@@ -53,24 +49,24 @@ def test_ward_two_clean_run_delivers_and_returns(track):
     report = run_scenario(track, SimConfig(wards=(2,), max_ticks=9000, seed=1))
     assert report.outcomes == (CartOutcome.DELIVERED_AND_RETURNED,)
     assert report.recognized == (2,)
-    assert measure_line_deviation(report, track) < 0.10
+    assert report.max_line_deviation < 0.10
 
 
 def test_deviation_of_on_line_trace_is_zero(track):
     pts = [(0.0, 0.1 * i) for i in range(10)]
-    assert measure_line_deviation(fabricated_report(pts), track) == pytest.approx(0.0)
+    assert _deviation_of(track, fabricated_samples(pts), 0) == pytest.approx(0.0)
 
 
 def test_deviation_of_offset_trace_matches_construction(track):
     pts = [(0.03, 0.2 + 0.05 * i) for i in range(8)]
-    got = measure_line_deviation(fabricated_report(pts), track)
+    got = _deviation_of(track, fabricated_samples(pts), 0)
     assert got == pytest.approx(0.03, abs=1e-9)
 
 
 def test_deviation_ignores_halted_phases(track):
     pts = [(0.25, 0.5)]
-    report = fabricated_report(pts, phase=MissionPhase.AWAIT_LOAD)
-    assert measure_line_deviation(report, track) == 0.0
+    samples = fabricated_samples(pts, phase=MissionPhase.AWAIT_LOAD)
+    assert _deviation_of(track, samples, 0) == 0.0
 
 
 def test_traces_are_byte_identical_for_equal_seeds(track):
@@ -145,7 +141,6 @@ def test_outcome_consistent_with_final_phase(track):
 
 
 def test_route_progress_projects_onto_the_plan(track):
-    from wardcart.arena import route_to
     plan = route_to(track, 4)
     assert route_progress(track, plan, (0.0, 0.0)) == pytest.approx(0.0)
     assert route_progress(track, plan, (0.0, 1.3)) == pytest.approx(1.3)

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,11 @@ from wardcart.vision import pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
 from wardcart.vision.glyphs import GRID_N, DigitTemplate, glyph_grid
 from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
-                                      Blob, Frame, adaptive_binarize,
-                                      detect_placards, extract_contours,
+                                      Frame, _blob_of, _label_runs,
+                                      adaptive_binarize, detect_placards,
                                       line_centroid, match_digit,
-                                      normalize_mask, undistort,
-                                      undistort_bits)
-from wardcart.vision.render import (WORLD_CELL, NoiseParams, _WorldInk, render, world_ink,
-                                    write_pgm)
+                                      normalize_mask, undistort_bits)
+from wardcart.vision.render import WORLD_CELL, NoiseParams, _WorldInk, render, world_ink
 
 EMPTY_MAP = load_map("node p 0 0\npharmacy p\nwidth 0.30\n")
 
@@ -88,22 +87,22 @@ def test_brightness_invariance_property(offset):
 
 def test_undistort_zero_is_identity():
     rng = np.random.default_rng(1)
-    f = Frame(rng.integers(0, 255, size=(60, 80)).astype(np.uint8))
-    assert np.array_equal(undistort(f, 0.0).pixels, f.pixels)
+    b = BinaryFrame(rng.random((60, 80)) < 0.5)
+    assert np.array_equal(undistort_bits(b, 0.0).bits, b.bits)
 
 
 def test_undistort_keeps_center_pixel():
-    px = np.full((61, 81), 200, dtype=np.uint8)
-    px[30, 40] = 7  # the exact center, radius zero
+    bits = np.zeros((61, 81), dtype=bool)
+    bits[30, 40] = True  # the exact center, radius zero
     for k1 in (0.05, 0.1, 0.2):
-        out = undistort(Frame(px), k1)
-        assert out.pixels[30, 40] == 7
+        out = undistort_bits(BinaryFrame(bits), k1)
+        assert out.bits[30, 40]
 
 
 def test_non_monotone_k1_rejected():
-    f = Frame(np.zeros((10, 10), dtype=np.uint8))
+    b = BinaryFrame(np.zeros((10, 10), dtype=bool))
     with pytest.raises(ValueError):
-        undistort(f, -0.4)
+        undistort_bits(b, -0.4)
     CameraModel(distortion_k1=0.1)  # fine
     with pytest.raises(ValueError):
         CameraModel(distortion_k1=-0.5)
@@ -204,18 +203,32 @@ def test_line_centroid_column_window_masks_clutter():
 
 # -------------------------------------------------------------- contours
 
+def blobs_of(bits):
+    """One blob per 8-connected component, as _label_runs and _blob_of give them."""
+    run_row, run_s, run_e, groups = _label_runs(bits)
+    return [_blob_of(g, run_row, run_s, run_e) for g in groups]
+
+
+def component_pixels(bits):
+    """Each 8-connected component as the set of its (row, col) pixels,
+    rebuilt from the runs of _label_runs."""
+    run_row, run_s, run_e, groups = _label_runs(bits)
+    return [frozenset((run_row[m], x) for m in g for x in range(run_s[m], run_e[m]))
+            for g in groups]
+
+
 def test_contours_empty_frame():
-    assert extract_contours(BinaryFrame(np.zeros((10, 10), dtype=bool))) == []
+    assert blobs_of(np.zeros((10, 10), dtype=bool)) == []
 
 
 def test_contours_single_square():
     bits = np.zeros((12, 12), dtype=bool)
     bits[3:8, 4:9] = True
-    blobs = extract_contours(BinaryFrame(bits))
+    blobs = blobs_of(bits)
     assert len(blobs) == 1
     b = blobs[0]
     assert (b.x0, b.y0, b.width, b.height, b.area) == (4, 3, 5, 5, 25)
-    assert b.mask.all() and b.mask.shape == (5, 5)
+    assert component_pixels(bits) == [frozenset(zip(*np.nonzero(bits)))]
     assert b.centroid_x == pytest.approx(6.0)
     assert b.centroid_y == pytest.approx(5.0)
 
@@ -224,49 +237,48 @@ def test_diagonal_touch_joins_under_8_connectivity():
     bits = np.zeros((10, 10), dtype=bool)
     bits[1:4, 1:4] = True
     bits[4:7, 4:7] = True  # touches only at the (3,3)-(4,4) diagonal
-    blobs = extract_contours(BinaryFrame(bits), min_area=1)
+    blobs = blobs_of(bits)
     assert len(blobs) == 1
     assert blobs[0].area == 18
     assert len(flood_fill_oracle(bits)) == 1
 
 
 def test_min_area_filters_specks():
+    # detect_in_binary scores only components of at least DEFAULT_MIN_AREA
+    # pixels: a lone speck falls below, a 3x3 square reaches it
     bits = np.zeros((10, 10), dtype=bool)
     bits[1, 1] = True
     bits[5:8, 5:8] = True
-    blobs = extract_contours(BinaryFrame(bits), min_area=9)
-    assert len(blobs) == 1 and blobs[0].area == 9
+    blobs = blobs_of(bits)
+    assert [b.area for b in blobs] == [1, 9]
+    assert blobs[0].area < pipeline.DEFAULT_MIN_AREA <= blobs[1].area
 
 
-def test_contours_sorted_by_leftmost_x():
+def test_label_runs_groups_in_raster_order():
+    # components come out in the raster order of their first pixel, which
+    # fixes the order of equal-x detections
     bits = np.zeros((10, 30), dtype=bool)
     bits[2:5, 20:24] = True
     bits[6:9, 2:6] = True
-    blobs = extract_contours(BinaryFrame(bits), min_area=1)
-    assert [b.x0 for b in blobs] == [2, 20]
+    bits[6:9, 10:12] = True
+    blobs = blobs_of(bits)
+    assert [(b.y0, b.x0) for b in blobs] == [(2, 20), (6, 2), (6, 10)]
 
 
 @given(arrays(bool, (18, 22), elements=st.booleans()))
 @settings(max_examples=60, deadline=None)
 def test_contours_match_flood_fill_oracle(bits):
-    blobs = extract_contours(BinaryFrame(bits), min_area=1)
-    got = set()
-    for b in blobs:
-        ys, xs = np.nonzero(b.mask)
-        got.add(frozenset(zip((ys + b.y0).tolist(), (xs + b.x0).tolist())))
-    assert got == flood_fill_oracle(bits)
-    # partition: every foreground pixel in exactly one blob
-    total = sum(b.area for b in blobs)
-    assert total == int(bits.sum())
+    got = component_pixels(bits)
+    assert set(got) == flood_fill_oracle(bits)
+    # partition: every foreground pixel in exactly one component
+    assert sum(len(c) for c in got) == int(bits.sum())
 
 
 # -------------------------------------------------------------- matching
 
 def test_exact_template_match_scores_one(templates):
     for digit in range(1, 9):
-        grid = glyph_grid(digit)
-        blob = Blob(0, 0, GRID_N, GRID_N, int(grid.sum()), grid)
-        got = match_digit(blob, templates)
+        got = match_digit(glyph_grid(digit), templates)
         assert got is not None
         assert got[0] == digit
         assert got[1] == pytest.approx(1.0)
@@ -274,26 +286,20 @@ def test_exact_template_match_scores_one(templates):
 
 def test_all_foreground_blob_rejected(templates):
     solid = np.ones((GRID_N, GRID_N), dtype=bool)
-    blob = Blob(0, 0, GRID_N, GRID_N, GRID_N * GRID_N, solid)
     # oracle: compute all eight scores directly; none reaches the bar
     scores = sorted(
         (1.0 - np.logical_xor(normalize_mask(solid),
                               normalize_mask(glyph_grid(d))).sum() / GRID_N ** 2)
         for d in range(1, 9))
     assert scores[-1] < 0.85
-    assert match_digit(blob, templates) is None
+    assert match_digit(solid, templates) is None
 
 
 def test_shifted_glyph_still_matches(templates):
     field = np.zeros((24, 24), dtype=bool)
     field[4:20, 4:20] = glyph_grid(1)
     shifted = np.roll(field, (1, 1), axis=(0, 1))
-    ys, xs = np.nonzero(shifted)
-    blob = Blob(int(xs.min()), int(ys.min()),
-                int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1),
-                int(shifted.sum()),
-                shifted[ys.min():ys.max() + 1, xs.min():xs.max() + 1])
-    got = match_digit(blob, templates)
+    got = match_digit(shifted, templates)
     assert got is not None and got[0] == 1
     assert got[1] >= 0.85
 
@@ -412,16 +418,13 @@ def test_render_needs_rng_for_noise(track, cam):
         render(track, (0.0, 0.0, math.pi / 2), cam, NoiseParams(sigma=4.0))
 
 
-def test_pgm_export_round_trips(tmp_path, track, cam):
-    frame = render(track, (0.0, 0.3, math.pi / 2), cam, NoiseParams())
-    path = tmp_path / "frame.pgm"
-    write_pgm(frame, str(path))
-    lines = path.read_text().split()
-    assert lines[0] == "P2"
-    w, h, maxv = int(lines[1]), int(lines[2]), int(lines[3])
-    assert (w, h, maxv) == (frame.width, frame.height, 255)
-    data = np.array(lines[4:], dtype=np.uint8).reshape(h, w)
-    assert np.array_equal(data, frame.pixels)
+def test_render_with_negative_k1_casts_no_out_of_range_index(track):
+    # k1 < 0 leaves rays above the horizon; their cell index must fit int32
+    cam = CameraModel(distortion_k1=-0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = render(track, (0.0, 0.4, math.pi / 2), cam, NoiseParams(k1=-0.1))
+    assert frame.pixels.shape == (cam.height, cam.width)
 
 
 def test_vision_package_render_is_the_submodule():
@@ -445,7 +448,7 @@ def masked_sample(ink, wx, wy):
     return out
 
 
-# k1 < 0 leaves rays above the horizon, which ground_grid sends to 1e9
+# k1 < 0 leaves rays above the horizon, which ground_grid sends 10 km away
 SAMPLE_K1 = (0.0, 0.05, 0.1, -0.1, -0.2)
 
 
