@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .arena import MapError, PlacardEntry, TrackMap, classify_ward, default_map, iter_records, load_map
+from .arena import (MapError, PlacardEntry, TrackMap, classify_ward, default_map, iter_records,
+                    load_map, resolve_pause_point, route_to)
 from .prng import derive_seed
-from .simcore import CartOutcome, SimConfig, TraceReport, render_svg, run_scenario, trace_to_csv
+from .simcore import (CONFIG_KEYS, CartOutcome, SimConfig, TraceReport, config_from_keys,
+                      render_svg, run_scenario, trace_to_csv)
 from .vision.camera import CameraModel
 from .vision.glyphs import default_templates
 from .vision.pipeline import detect_placards
@@ -43,16 +45,25 @@ _OUTCOME_NAMES = {o.value: o for o in CartOutcome}
 def _parse_kv(text: str, path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, toks in iter_records(text):
-        line = " ".join(toks)
-        if "=" not in line:
-            raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if not key or not val:
+        key, sep, val = " ".join(toks).partition("=")
+        key, val = key.strip(), val.strip()
+        if not (sep and key and val):
             raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
         values[key] = val
     return values
+
+
+def _load_map(ref: str, directory: Path) -> TrackMap:
+    """``builtin:default``, or a map file path taken relative to directory."""
+    if ref == "builtin:default":
+        return default_map()
+    path = directory / ref
+    try:
+        return load_map(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ScenarioError(f"map not found: {path}") from exc
+    except MapError as exc:
+        raise ScenarioError(f"bad map {path}: {exc}") from exc
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -62,93 +73,29 @@ def load_scenario(path: Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"scenario not found: {path}") from exc
     kv = _parse_kv(text, str(path))
+    track = _load_map(kv.pop("map", "builtin:default"), path.parent.resolve())
 
-    def take(key: str, default: str | None = None) -> str | None:
-        return kv.pop(key, default)
+    raw_expected = kv.pop("expected", None)
+    if raw_expected is not None and raw_expected not in _OUTCOME_NAMES:
+        raise ScenarioError(f"{path}: unknown expected outcome {raw_expected!r} "
+                            f"(one of {sorted(_OUTCOME_NAMES)})")
+    expected = _OUTCOME_NAMES.get(raw_expected)
 
-    map_ref = take("map", "builtin:default")
-    if map_ref == "builtin:default":
-        track = default_map()
-    else:
-        map_path = (path.parent / map_ref).resolve()
-        try:
-            track = load_map(map_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ScenarioError(f"map not found: {map_path}") from exc
-        except MapError as exc:
-            raise ScenarioError(f"bad map {map_path}: {exc}") from exc
-
-    def num(key: str, default: float) -> float:
-        raw = take(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ScenarioError(f"{path}: bad number for {key}: {raw!r}") from None
-
-    carts = int(num("carts", 1))
-    ward = int(num("ward", 2))
-    wards = (ward,) if carts == 1 else (ward, int(num("ward2", ward)))
-    noise = dict(brightness=num("noise.brightness", 0.0),
-                 sigma=num("noise.sigma", 0.0),
-                 k1=num("noise.k1", 0.0))
-    base = SimConfig()
-    settings = dict(
-        dt=num("dt", base.dt),
-        max_ticks=int(num("max_ticks", base.max_ticks)),
-        seed=int(num("seed", base.seed)),
-        carts=carts,
-        wards=wards,
-        link_latency=int(num("link.latency", base.link_latency)),
-        link_drop=num("link.drop", base.link_drop),
-        retry_interval=int(num("link.retry_interval", base.retry_interval)),
-        kp=num("pid.kp", base.kp),
-        ki=num("pid.ki", base.ki),
-        kd=num("pid.kd", base.kd),
-        integral_limit=num("pid.integral_limit", base.integral_limit),
-        output_limit=num("pid.output_limit", base.output_limit),
-        base_duty=num("drive.base_duty", base.base_duty),
-    )
     try:
-        config = SimConfig(noise=NoiseParams(**noise), **settings)
+        config = config_from_keys(kv)
+        route_to(track, config.wards[0])
+        if config.carts == 2:  # routes the follower's ward too
+            resolve_pause_point(track, config.wards[1])
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-
-    expected = None
-    raw_expected = take("expected")
-    if raw_expected is not None:
-        if raw_expected not in _OUTCOME_NAMES:
-            raise ScenarioError(
-                f"{path}: unknown expected outcome {raw_expected!r} "
-                f"(one of {sorted(_OUTCOME_NAMES)})")
-        expected = _OUTCOME_NAMES[raw_expected]
-
-    if kv:
-        raise ScenarioError(f"{path}: unknown keys {sorted(kv)}")
     return Scenario(name=path.stem, track=track, config=config, expected=expected)
 
 
 def _apply_overrides(scn: Scenario, args: argparse.Namespace) -> Scenario:
-    cfg = scn.config
-    noise = {}
-    if args.noise is not None:
-        noise["sigma"] = args.noise
-    if args.k1 is not None:
-        noise["k1"] = args.k1
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.max_ticks is not None:
-        updates["max_ticks"] = args.max_ticks
-    if args.drop is not None:
-        updates["link_drop"] = args.drop
-    if args.latency is not None:
-        updates["link_latency"] = args.latency
+    keys = {key for key, _, _ in CONFIG_KEYS}
+    values = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     try:
-        return replace(scn, config=replace(cfg, noise=replace(cfg.noise, **noise), **updates))
+        return replace(scn, config=config_from_keys(values, scn.config))
     except ValueError as exc:
         raise ScenarioError(f"bad override: {exc}") from None
 
@@ -164,11 +111,7 @@ def _report_summary(report: TraceReport) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scn = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scn = _apply_overrides(load_scenario(Path(args.scenario)), args)
     report = run_scenario(scn.track, scn.config)
     if args.trace:
         Path(args.trace).write_text(trace_to_csv(report), encoding="utf-8")
@@ -185,17 +128,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     root = Path(args.directory)
     if not root.is_dir():
-        print(f"error: not a directory: {root}", file=sys.stderr)
-        return 2
+        raise ScenarioError(f"not a directory: {root}")
     paths = sorted(root.glob("*.scn"))
     rows = []
     failures = 0
     for path in paths:
-        try:
-            scn = load_scenario(path)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        scn = load_scenario(path)
         report = run_scenario(scn.track, scn.config)
         recognized = all(r is not None for r in report.recognized)
         delivered = all(o in (CartOutcome.DELIVERED_AND_RETURNED, CartOutcome.DELIVERED)
@@ -280,18 +218,18 @@ def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
 
 
 def cmd_vision_corpus(args: argparse.Namespace) -> int:
+    k1s = _parse_list(args.k1_list, "k1")
+    brightnesses = _parse_list(args.brightness, "brightness")
+    sigmas = _parse_list(args.noise_list, "noise")
+    if not k1s or not brightnesses or not sigmas:
+        raise ScenarioError("corpus grid is empty (every list needs a value)")
     try:
-        k1s = _parse_list(args.k1_list, "k1")
-        brightnesses = _parse_list(args.brightness, "brightness")
-        sigmas = _parse_list(args.noise_list, "noise")
-        if not k1s or not brightnesses or not sigmas:
-            raise ScenarioError("corpus grid is empty (every list needs a value)")
         for k1 in k1s:
-            for sigma in sigmas:
-                NoiseParams(sigma=sigma, k1=k1)  # raises ValueError on a bad value
-    except ValueError as exc:  # ScenarioError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            for brightness in brightnesses:
+                for sigma in sigmas:
+                    NoiseParams(brightness, sigma, k1)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     lines: list[str] = []
     total, correct, clean_total, clean_correct = run_corpus(
         k1s, brightnesses, sigmas, seed=args.seed or 0, out_lines=lines)
@@ -307,17 +245,7 @@ def cmd_vision_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_render_map(args: argparse.Namespace) -> int:
-    if args.map == "builtin:default":
-        track = default_map()
-    else:
-        try:
-            track = load_map(Path(args.map).read_text(encoding="utf-8"))
-        except OSError:
-            print(f"error: map not found: {args.map}", file=sys.stderr)
-            return 2
-        except MapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    track = _load_map(args.map, Path())
     Path(args.output).write_text(render_svg(track), encoding="utf-8")
     print(f"wrote {args.output}")
     return 0
@@ -332,13 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--trace", help="write the trace CSV here")
     p_run.add_argument("--svg", help="write map + trajectory SVG here")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--dt", type=float)
-    p_run.add_argument("--max-ticks", type=int)
-    p_run.add_argument("--noise", type=float, help="pixel noise sigma override")
-    p_run.add_argument("--k1", type=float, help="radial distortion override")
-    p_run.add_argument("--drop", type=float, help="link drop probability override")
-    p_run.add_argument("--latency", type=int, help="link latency override (ticks)")
+    # each override's dest is its scenario key; the value is parsed as in a file
+    p_run.add_argument("--seed")
+    p_run.add_argument("--dt")
+    p_run.add_argument("--max-ticks", dest="max_ticks")
+    p_run.add_argument("--noise", dest="noise.sigma", help="pixel noise sigma override")
+    p_run.add_argument("--k1", dest="noise.k1", help="radial distortion override")
+    p_run.add_argument("--drop", dest="link.drop", help="link drop probability override")
+    p_run.add_argument("--latency", dest="link.latency", help="link latency override (ticks)")
     p_run.set_defaults(func=cmd_run)
 
     p_suite = sub.add_parser("suite", help="run every *.scn in a directory")
@@ -366,7 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioError as exc:  # bad input: exit 2 before any output file is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

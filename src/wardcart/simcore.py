@@ -74,8 +74,8 @@ class SimConfig:
     camera: CameraModel = field(default_factory=CameraModel)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.max_ticks < 0:
             raise ValueError("max_ticks must be nonnegative")
         if self.carts not in (1, 2):
@@ -85,6 +85,13 @@ class SimConfig:
         for w in self.wards:
             if not 1 <= w <= 8:
                 raise ValueError(f"ward {w} out of range 1..8")
+        if self.link_latency < 0:
+            raise ValueError("link_latency must be nonnegative")
+        if not 0 <= self.link_drop <= 1:
+            raise ValueError("link_drop must be in [0, 1]")
+        if self.retry_interval < 0:
+            raise ValueError("retry_interval must be nonnegative (0: no resends)")
+        self.gains()  # PidGains rejects a limit that is not positive
 
     def gains(self) -> PidGains:
         """Controller gains at the configured tick length.
@@ -99,6 +106,76 @@ class SimConfig:
                         sample_period=self.dt,
                         integral_limit=self.integral_limit,
                         output_limit=self.output_limit)
+
+
+# Every scenario key: (key, SimConfig field, trace-header key or None). A
+# "noise.x" field is a NoiseParams field; ward and ward2 are the two entries
+# of wards. A value takes the type of the field's default. The header keeps
+# the spellings base_duty and "wards=1,2" and leaves out ward2 and the PID
+# limits: fixing any of that changes every trace digest.
+CONFIG_KEYS: tuple[tuple[str, str, str | None], ...] = (
+    ("dt", "dt", "dt"),
+    ("max_ticks", "max_ticks", "max_ticks"),
+    ("seed", "seed", "seed"),
+    ("carts", "carts", "carts"),
+    ("ward", "wards", "wards"),
+    ("ward2", "wards", None),
+    ("noise.brightness", "noise.brightness", "noise.brightness"),
+    ("noise.sigma", "noise.sigma", "noise.sigma"),
+    ("noise.k1", "noise.k1", "noise.k1"),
+    ("link.latency", "link_latency", "link.latency"),
+    ("link.drop", "link_drop", "link.drop"),
+    ("link.retry_interval", "retry_interval", "link.retry_interval"),
+    ("pid.kp", "kp", "pid.kp"),
+    ("pid.ki", "ki", "pid.ki"),
+    ("pid.kd", "kd", "pid.kd"),
+    ("pid.integral_limit", "integral_limit", None),
+    ("pid.output_limit", "output_limit", None),
+    ("drive.base_duty", "base_duty", "base_duty"),
+)
+_DEFAULTS = SimConfig()  # the source of each key's type
+
+
+def _field(config: SimConfig, name: str):
+    owner, _, attr = name.rpartition(".")
+    return getattr(getattr(config, owner) if owner else config, attr)
+
+
+def _parse(key: str, raw: str, default) -> int | float:
+    """raw as the type of default: a float, or an int for int and tuple fields."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"bad number for {key}: {raw!r}") from None
+    if isinstance(default, float):
+        return value
+    if not value.is_integer():
+        raise ValueError(f"{key} must be a whole number: {raw!r}")
+    return int(value)
+
+
+def config_from_keys(values: dict[str, str], base: SimConfig = _DEFAULTS) -> SimConfig:
+    """Apply scenario ``key = value`` strings to base; the result passes the
+    range checks. Raises ValueError on an unknown key or a bad value."""
+    unknown = sorted(set(values) - {key for key, _, _ in CONFIG_KEYS})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    updates, noise, wards = {}, {}, list(base.wards)
+    for key, name, _ in CONFIG_KEYS:
+        if key not in values:
+            continue
+        value = _parse(key, values[key], _field(_DEFAULTS, name))
+        if key == "ward":
+            wards[0] = value
+        elif key == "ward2":
+            wards[1:] = [value]
+        elif name.startswith("noise."):
+            noise[name.partition(".")[2]] = value
+        else:
+            updates[name] = value
+    # one ward per cart: ward2 defaults to ward and a one-cart run drops it
+    wards = (wards + wards[:1])[:updates.get("carts", base.carts)]
+    return replace(base, noise=replace(base.noise, **noise), wards=tuple(wards), **updates)
 
 
 @dataclass(frozen=True)
@@ -463,24 +540,12 @@ def _deviation_of(track: TrackMap, samples: list[PoseSample], cart: int) -> floa
 
 
 def _header(config: SimConfig) -> tuple[tuple[str, str], ...]:
-    items = [
-        ("generator", GENERATOR_IDS),
-        ("dt", f"{config.dt!r}"),
-        ("max_ticks", str(config.max_ticks)),
-        ("seed", str(config.seed)),
-        ("carts", str(config.carts)),
-        ("wards", ",".join(str(w) for w in config.wards)),
-        ("noise.brightness", f"{config.noise.brightness!r}"),
-        ("noise.sigma", f"{config.noise.sigma!r}"),
-        ("noise.k1", f"{config.noise.k1!r}"),
-        ("link.latency", str(config.link_latency)),
-        ("link.drop", f"{config.link_drop!r}"),
-        ("link.retry_interval", str(config.retry_interval)),
-        ("pid.kp", f"{config.kp!r}"),
-        ("pid.ki", f"{config.ki!r}"),
-        ("pid.kd", f"{config.kd!r}"),
-        ("base_duty", f"{config.base_duty!r}"),
-    ]
+    items = [("generator", GENERATOR_IDS)]
+    for _, name, echo in CONFIG_KEYS:
+        if echo is not None:
+            value = _field(config, name)
+            entries = value if isinstance(value, tuple) else (value,)
+            items.append((echo, ",".join(repr(v) for v in entries)))
     return tuple(items)
 
 

@@ -21,7 +21,7 @@ MONOTONE_K1_FLOOR = -1.0 / 3.0
 
 def check_k1(k1: float) -> None:
     """Reject k1 that folds the radial map on the image diagonal."""
-    if k1 <= MONOTONE_K1_FLOOR:
+    if not k1 > MONOTONE_K1_FLOOR:  # NaN fails too
         raise ValueError(f"k1={k1} makes the radial map non-monotone")
 
 

@@ -39,7 +39,9 @@ class NoiseParams:
     k1: float = 0.0          # radial distortion of the rendered frame
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not math.isfinite(self.brightness):
+            raise ValueError("brightness must be finite")
+        if not self.sigma >= 0:  # NaN fails too
             raise ValueError("sigma must be nonnegative")
         check_k1(self.k1)
 

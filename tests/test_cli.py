@@ -1,6 +1,22 @@
+from pathlib import Path
+
 import pytest
 
-from wardcart.cli import main, load_scenario, ScenarioError
+from wardcart.cli import ScenarioError, _apply_overrides, build_parser, load_scenario, main
+from wardcart.simcore import CONFIG_KEYS
+
+REPO = Path(__file__).resolve().parent.parent
+
+# ward 3 on a single edge from the pharmacy: no ward 2, and no edge before
+# ward 3's junction for a follower to pause on
+WARD3_MAP = """\
+node p 0 0
+node w 0 1
+edge e1 p w
+ward 3 w
+pharmacy p
+width 0.30
+"""
 
 WARD2 = """\
 map = builtin:default
@@ -118,11 +134,32 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("", ["run", "{scn}", "--dt", "0"]),
     ("", ["run", "{scn}", "--k1", "-0.5"]),
     ("", ["vision-corpus", "{out}", "--noise", "-1"]),
-], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg"])
+    ("link.drop = 2\n", ["run", "{scn}"]),
+    ("", ["run", "{scn}", "--latency", "-1"]),
+    ("link.retry_interval = -3\n", ["run", "{scn}"]),
+    ("max_ticks = inf\n", ["run", "{scn}"]),
+    ("noise.sigma = nan\n", ["run", "{scn}"]),
+    ("carts = 1.7\n", ["run", "{scn}"]),
+    ("ward = 2.9\n", ["run", "{scn}"]),
+    ("", ["run", "{scn}", "--seed", "1.5"]),
+    ("map = ward3.map\nward = 2\n", ["run", "{scn}"]),
+    ("map = ward3.map\ncarts = 2\nward = 3\n", ["run", "{scn}"]),
+    ("pid.integral_limit = 0\n", ["run", "{scn}"]),
+    ("noise.brightness = nan\n", ["run", "{scn}"]),
+    ("", ["vision-corpus", "{out}", "--brightness", "nan"]),
+], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg",
+        "drop2", "latency_neg", "retry_neg", "max_ticks_inf", "sigma_nan",
+        "carts_fraction", "ward_fraction", "seed_fraction", "ward_not_in_map",
+        "follower_one_edge_route", "integral_limit_zero", "brightness_nan",
+        "corpus_brightness_nan"])
 def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
+    (tmp_path / "ward3.map").write_text(WARD3_MAP)
     scn = tmp_path / "bad.scn"
     scn.write_text(scenario)
-    code = main([a.format(scn=scn, out=tmp_path / "out.csv") for a in argv])
+    argv = [a.format(scn=scn, out=tmp_path / "out.csv") for a in argv]
+    if argv[0] == "run":
+        argv += ["--trace", str(tmp_path / "out.csv")]
+    code = main(argv)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
@@ -137,3 +174,46 @@ def test_render_map_writes_svg(tmp_path):
 def test_render_map_missing_file(tmp_path, capsys):
     assert main(["render-map", "--map", str(tmp_path / "no.map"),
                  str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--seed", "7", "seed"),
+    ("--dt", "0.01", "dt"),
+    ("--max-ticks", "500", "max_ticks"),
+    ("--noise", "4", "noise.sigma"),
+    ("--k1", "0.05", "noise.k1"),
+    ("--drop", "0.3", "link.drop"),
+    ("--latency", "5", "link.latency"),
+])
+def test_run_flag_equals_its_scenario_key(tmp_path, ward2_scn, flag, value, key):
+    args = build_parser().parse_args(["run", str(ward2_scn), flag, value])
+    overridden = _apply_overrides(load_scenario(ward2_scn), args).config
+    in_file = tmp_path / "in_file.scn"
+    in_file.write_text(WARD2 + f"{key} = {value}\n")
+    assert overridden == load_scenario(in_file).config
+    assert overridden != load_scenario(ward2_scn).config
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "scenarios").glob("*.scn")),
+                         ids=lambda p: p.stem)
+def test_shipped_scenario_loads(path):
+    scn = load_scenario(path)
+    assert scn.expected is not None
+    assert len(scn.config.wards) == scn.config.carts
+
+
+def test_readme_lists_every_scenario_key():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Scenario files", 1)[1].split("```")[1]
+    listed = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
+    assert {key for key, _, _ in CONFIG_KEYS} <= listed
+
+
+def test_one_cart_run_ignores_ward2(tmp_path, capsys):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "readme.scn").write_text(readme.split("### Scenario files", 1)[1].split("```")[1])
+    assert load_scenario(tmp_path / "readme.scn").config.wards == (4,)
+    scn = tmp_path / "ward2_key.scn"
+    scn.write_text("carts = 1\nward = 4\nward2 = 5\n")
+    assert main(["run", str(scn), "--max-ticks", "50"]) == 0
+    assert "cart1" not in capsys.readouterr().out

@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardcart import simcore
 from wardcart.arena import route_progress, route_to
 from wardcart.mission import DETECTION_PHASES, MissionPhase
-from wardcart.simcore import (CartOutcome, PoseSample, SimConfig, _deviation_of,
-                              render_svg, run_scenario, trace_to_csv)
+from wardcart.simcore import (CONFIG_KEYS, CartOutcome, PoseSample, SimConfig, _deviation_of,
+                              _header, config_from_keys, render_svg, run_scenario,
+                              trace_to_csv)
 from wardcart.vision.render import NoiseParams
 
 LEGAL_NEXT = {
@@ -205,3 +208,60 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
     assert {phase for _, phase in detected} >= {MissionPhase.AWAIT_TARGET,
                                                  MissionPhase.AWAIT_LOAD,
                                                  MissionPhase.OUTBOUND}
+
+
+# Written out here, not read from CONFIG_KEYS, so that a row naming the wrong
+# field or header key fails: scenario key -> (valid values, where the value
+# lands, header key or None).
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
+KEY_SPEC = {
+    "dt": (st.floats(1e-4, 1.0), lambda c: c.dt, "dt"),
+    "max_ticks": (st.integers(0, 10 ** 6), lambda c: c.max_ticks, "max_ticks"),
+    "seed": (st.integers(0, 2 ** 32), lambda c: c.seed, "seed"),
+    "carts": (st.integers(1, 2), lambda c: c.carts, "carts"),
+    "ward": (st.integers(1, 8), lambda c: c.wards[0], "wards"),
+    "ward2": (st.integers(1, 8), lambda c: c.wards[1], None),
+    "noise.brightness": (st.floats(-100, 100), lambda c: c.noise.brightness,
+                         "noise.brightness"),
+    "noise.sigma": (st.floats(0, 50), lambda c: c.noise.sigma, "noise.sigma"),
+    "noise.k1": (st.floats(-0.3, 0.3), lambda c: c.noise.k1, "noise.k1"),
+    "link.latency": (st.integers(0, 100), lambda c: c.link_latency, "link.latency"),
+    "link.drop": (st.floats(0, 1), lambda c: c.link_drop, "link.drop"),
+    "link.retry_interval": (st.integers(0, 100), lambda c: c.retry_interval,
+                            "link.retry_interval"),
+    "pid.kp": (st.floats(-1e3, 1e3, **_FLOATS), lambda c: c.kp, "pid.kp"),
+    "pid.ki": (st.floats(-1e3, 1e3, **_FLOATS), lambda c: c.ki, "pid.ki"),
+    "pid.kd": (st.floats(-1e3, 1e3, **_FLOATS), lambda c: c.kd, "pid.kd"),
+    "pid.integral_limit": (st.floats(1e-3, 1e3), lambda c: c.integral_limit, None),
+    "pid.output_limit": (st.floats(1e-3, 1e3), lambda c: c.output_limit, None),
+    "drive.base_duty": (st.floats(0, 1), lambda c: c.base_duty, "base_duty"),
+}
+
+
+def test_key_spec_covers_the_table():
+    assert set(KEY_SPEC) == {key for key, _, _ in CONFIG_KEYS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({key: spec[0] for key, spec in KEY_SPEC.items()}))
+def test_every_key_lands_in_its_field_and_header_line(values):
+    cfg = config_from_keys({key: repr(value) for key, value in values.items()})
+    header = dict(_header(cfg))
+    if values["carts"] == 1:  # a one-cart run ignores ward2
+        assert cfg.wards == (values["ward"],)
+        del values["ward2"]
+    for key, value in values.items():
+        _, get, echo = KEY_SPEC[key]
+        assert get(cfg) == value and type(get(cfg)) is type(value), key
+        if echo == "wards":
+            assert header[echo] == ",".join(repr(w) for w in cfg.wards)
+        elif echo is not None:
+            assert header[echo] == repr(value), key
+    echoed = {spec[2] for spec in KEY_SPEC.values()} - {None}
+    assert set(header) == echoed | {"generator"}
+
+
+def test_a_second_cart_defaults_to_the_first_carts_ward():
+    assert config_from_keys({"carts": "2", "ward": "5"}).wards == (5, 5)
+    assert config_from_keys({}, SimConfig(carts=2, wards=(1, 2))).wards == (1, 2)
+    assert config_from_keys({"carts": "1"}, SimConfig(carts=2, wards=(1, 2))).wards == (1,)
