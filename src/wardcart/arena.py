@@ -69,7 +69,6 @@ class PlacardEntry:
     x: float
     y: float
     up_angle: float  # world angle of the glyph's "up" direction, radians
-    height: float = GLYPH_HEIGHT
 
 
 @dataclass(frozen=True)

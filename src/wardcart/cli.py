@@ -25,6 +25,8 @@ from .vision.pipeline import detect_placards
 from .vision.render import NoiseParams, render
 
 CORPUS_MAP_TEXT = "node p 0 0\npharmacy p\nwidth 0.30\n"
+CORPUS_SHIFTS_X = (-2, -1, 0, 1, 2)  # card offsets in pixels
+CORPUS_SHIFTS_Y = (-1, 0, 1)
 
 
 class ScenarioError(ValueError):
@@ -164,13 +166,11 @@ def _parse_list(raw: str, what: str) -> list[float]:
         raise ScenarioError(f"bad {what} list: {raw!r}") from None
 
 
-def corpus_grid(k1s: list[float], brightnesses: list[float], sigmas: list[float],
-                shifts_x: list[int] = (-2, -1, 0, 1, 2),
-                shifts_y: list[int] = (-1, 0, 1)):
+def corpus_grid(k1s: list[float], brightnesses: list[float], sigmas: list[float]):
     """All (digit, shift_x, shift_y, k1, brightness, sigma) combinations."""
     for digit in range(1, 9):
-        for sx in shifts_x:
-            for sy in shifts_y:
+        for sx in CORPUS_SHIFTS_X:
+            for sy in CORPUS_SHIFTS_Y:
                 for k1 in k1s:
                     for brightness in brightnesses:
                         for sigma in sigmas:

@@ -62,23 +62,22 @@ class Link:
 
 @dataclass
 class ProceedRetry:
-    """Leader-side resend schedule: fire every retry_interval until acked.
+    """Leader-side resend schedule: fire every ``interval`` ticks until acked.
 
-    retry_interval = 0 disables resending (the first announcement, if any,
-    is still made by the mission logic).
+    interval = 0 disables resending (the first announcement, if any, is
+    still made by the mission logic).
     """
-    retry_interval: int = 20
     acked: bool = False
     last_sent_tick: int | None = None
 
-    def should_send(self, now_tick: int) -> bool:
+    def should_send(self, now_tick: int, interval: int) -> bool:
         if self.acked:
             return False
         if self.last_sent_tick is None:
             return True
-        if self.retry_interval <= 0:
+        if interval <= 0:
             return False
-        return now_tick - self.last_sent_tick >= self.retry_interval
+        return now_tick - self.last_sent_tick >= interval
 
     def mark_sent(self, now_tick: int) -> None:
         self.last_sent_tick = now_tick

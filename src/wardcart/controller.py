@@ -23,14 +23,13 @@ class PidGains:
     kp: float
     ki: float
     kd: float
-    sample_period: float = 0.02
     integral_limit: float = math.inf
     output_limit: float = math.inf
 
     def __post_init__(self):
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-        if self.integral_limit <= 0 or self.output_limit <= 0:
+        if not all(math.isfinite(g) for g in (self.kp, self.ki, self.kd)):
+            raise ValueError("kp, ki and kd must be finite")
+        if not (self.integral_limit > 0 and self.output_limit > 0):  # NaN fails too
             raise ValueError("limits must be positive")
 
 
@@ -41,17 +40,13 @@ class PidState:
     initialized: bool = False
 
 
-def gains_from_classical(kp: float, Ti: float, Td: float, T: float,
-                         integral_limit: float = math.inf,
-                         output_limit: float = math.inf) -> PidGains:
+def gains_from_classical(kp: float, Ti: float, Td: float, T: float) -> PidGains:
     """Convert (kp, Ti, Td) at sample period T: ki = kp*T/Ti, kd = kp*Td/T."""
     if Ti <= 0:
         raise ValueError("Ti must be positive (use ki=0 directly for P or PD control)")
     if T <= 0:
         raise ValueError("T must be positive")
-    return PidGains(kp=kp, ki=kp * T / Ti, kd=kp * Td / T,
-                    sample_period=T, integral_limit=integral_limit,
-                    output_limit=output_limit)
+    return PidGains(kp=kp, ki=kp * T / Ti, kd=kp * Td / T)
 
 
 def pid_step(state: PidState, gains: PidGains, error: float) -> tuple[float, PidState]:

@@ -19,6 +19,13 @@ from .arena import Action, RoutePlan, Vec2
 from .comms import Message, MessageKind, ProceedRetry
 from .vision.pipeline import DigitDetection
 
+CONFIRM_FRAMES = 5          # frames in a row that must show the same nearest digit
+DECISION_RANGE = 0.35       # m; target placards nearer than this are checked
+JUNCTION_CENTER_TOLERANCE = 10.0  # px off the frame center still read as straight
+CONTRADICTION_LIMIT = 3     # contradicting frames in a row that fault the cart
+STOP_MARGIN = 0.05          # m; stops and the pause point trigger this far early
+TURN_LEAD = 0.04            # m; turns trigger this far before the junction
+
 
 class MissionPhase(Enum):
     AWAIT_TARGET = "await_target"
@@ -96,13 +103,7 @@ class MissionConfig:
     routes: dict[int, RoutePlan] = field(default_factory=dict)
     returns: dict[int, RoutePlan] = field(default_factory=dict)
     frame_width: int = 160
-    junction_center_tolerance: float = 10.0
-    confirm_frames: int = 5
-    decision_range: float = 0.35
     lost_line_ticks: int = 50
-    contradiction_limit: int = 3
-    stop_margin: float = 0.05
-    turn_lead: float = 0.04
     pause_point: tuple[Vec2, float] | None = None  # (position, route distance)
     retry_interval: int = 20
 
@@ -146,22 +147,22 @@ def _confirm_update(digit: int, streak: int,
 
 
 def check_junction(target: int, detections: list[DigitDetection], planned: Action,
-                   frame_width: int, tolerance: float, decision_range: float) -> None:
+                   frame_width: int) -> None:
     """Check the planned action at the upcoming junction against vision.
 
-    The nearest target placard within decision_range shows the side the
+    The nearest target placard within DECISION_RANGE shows the side the
     target lies on. Raises JunctionContradiction when that side is not the
     planned turn or straight (a misread somewhere); a planned Stop and a
     target placard out of range or out of sight pass.
     """
-    on_target = [d for d in detections if d.range_z < decision_range and d.digit == target]
+    on_target = [d for d in detections if d.range_z < DECISION_RANGE and d.digit == target]
     if not on_target or planned is Action.STOP:
         return
     best = min(on_target, key=lambda d: (d.range_z, d.image_x))
     dx = best.image_x - frame_width / 2.0
-    if dx < -tolerance:
+    if dx < -JUNCTION_CENTER_TOLERANCE:
         seen = Action.LEFT
-    elif dx > tolerance:
+    elif dx > JUNCTION_CENTER_TOLERANCE:
         seen = Action.RIGHT
     else:
         seen = Action.STRAIGHT
@@ -205,11 +206,10 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
             and st.cursor < len(st.leg_actions)):
         try:
             check_junction(st.target, sensors.detections, st.leg_actions[st.cursor],
-                           cfg.frame_width, cfg.junction_center_tolerance,
-                           cfg.decision_range)
+                           cfg.frame_width)
         except JunctionContradiction as exc:
             st.contradictions += 1
-            if st.contradictions >= cfg.contradiction_limit:
+            if st.contradictions >= CONTRADICTION_LIMIT:
                 _fault(st, str(exc))
                 return HALT
         else:
@@ -217,7 +217,7 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
 
     if (st.phase is MissionPhase.OUTBOUND and cfg.role is Role.FOLLOWER
             and not st.pause_cleared and cfg.pause_point is not None):
-        if leg_dist >= cfg.pause_point[1] - cfg.stop_margin:
+        if leg_dist >= cfg.pause_point[1] - STOP_MARGIN:
             if st.proceed_received:
                 st.pause_cleared = True
             else:
@@ -226,7 +226,7 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
 
     if st.cursor < len(st.leg_triggers):
         action = st.leg_actions[st.cursor]
-        lead = cfg.stop_margin if action is Action.STOP else cfg.turn_lead
+        lead = STOP_MARGIN if action is Action.STOP else TURN_LEAD
         if leg_dist >= st.leg_triggers[st.cursor] - lead:
             st.cursor += 1
             if action is Action.STOP:
@@ -265,7 +265,7 @@ def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
     if st.phase is MissionPhase.AWAIT_TARGET:
         st.confirm_digit, st.confirm_count = _confirm_update(
             st.confirm_digit, st.confirm_count, sensors.detections)
-        if st.confirm_count >= cfg.confirm_frames:
+        if st.confirm_count >= CONFIRM_FRAMES:
             if st.confirm_digit not in cfg.routes:
                 _fault(st, f"no route to ward {st.confirm_digit}")
             else:
@@ -295,8 +295,7 @@ def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
     # alive through Done so a lossy link cannot strand the follower
     if (cfg.role is Role.LEADER
             and st.phase in (MissionPhase.RETURNING, MissionPhase.DONE)):
-        st.retry.retry_interval = cfg.retry_interval
-        if st.retry.should_send(now_tick):
+        if st.retry.should_send(now_tick, cfg.retry_interval):
             outbox.append(Message(MessageKind.PROCEED, cfg.cart_id, st.out_seq))
             st.out_seq += 1
             st.retry.mark_sent(now_tick)

@@ -12,7 +12,7 @@ the byte-level trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -37,6 +37,15 @@ REFERENCE_DT = 0.02  # tick length the default gains are quoted at
 CARD_AHEAD = 0.22    # digit card shown this far in front of the cart
 CARD_LEFT = 0.10     # and this far to its left, off the guide line
 GATE_HALF_PX = 12    # tracking gate: centroid columns around the last fix
+CONTROL_ROI = (78, 120)  # frame rows the line centroid is taken over
+TURN_DUTY = 0.45     # wheel duty of a latched junction turn
+PHARMACY_RADIUS = 0.20  # a cart ending this close to the pharmacy is home
+LOAD_DELAY_TICKS = 25   # target locked to payload on
+UNLOAD_DWELL_TICKS = 50  # at the ward to payload off
+LEADER_DWELL_AFTER_PAUSE = 50  # leader unloads this long after the follower pauses
+LEADER_MAX_DWELL = 1500  # and unloads anyway after this long at its ward
+VEHICLE = VehicleParams()
+CAMERA = CameraModel()  # the engine's camera takes its k1 from the noise
 
 
 class CartOutcome(Enum):
@@ -63,15 +72,6 @@ class SimConfig:
     integral_limit: float = 0.3
     output_limit: float = 0.9
     base_duty: float = 0.8
-    turn_duty: float = 0.45
-    control_roi: tuple[int, int] = (78, 120)
-    pharmacy_radius: float = 0.20
-    load_delay_ticks: int = 25
-    unload_dwell_ticks: int = 50
-    leader_dwell_after_pause: int = 50
-    leader_max_dwell: int = 1500
-    vehicle: VehicleParams = field(default_factory=VehicleParams)
-    camera: CameraModel = field(default_factory=CameraModel)
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -91,7 +91,9 @@ class SimConfig:
             raise ValueError("link_drop must be in [0, 1]")
         if self.retry_interval < 0:
             raise ValueError("retry_interval must be nonnegative (0: no resends)")
-        self.gains()  # PidGains rejects a limit that is not positive
+        if not math.isfinite(self.base_duty):
+            raise ValueError("base_duty must be finite")
+        self.gains()  # PidGains rejects a gain that is not finite, a limit not positive
 
     def gains(self) -> PidGains:
         """Controller gains at the configured tick length.
@@ -103,7 +105,6 @@ class SimConfig:
         """
         scale = self.dt / REFERENCE_DT
         return PidGains(kp=self.kp, ki=self.ki * scale, kd=self.kd / scale,
-                        sample_period=self.dt,
                         integral_limit=self.integral_limit,
                         output_limit=self.output_limit)
 
@@ -143,6 +144,11 @@ def _field(config: SimConfig, name: str):
 
 def _parse(key: str, raw: str, default) -> int | float:
     """raw as the type of default: a float, or an int for int and tuple fields."""
+    if not isinstance(default, float):
+        try:
+            return int(raw)  # exact above 2**53, where float would round
+        except ValueError:
+            pass  # "1e3" and "1.0" are whole numbers too
     try:
         value = float(raw)
     except ValueError:
@@ -281,7 +287,7 @@ def _empty_sensors(cart: _Cart) -> SensorBundle:
 def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
     """Run one scenario to completion (all carts Done/Fault) or max_ticks."""
     templates = default_templates()
-    cam = replace(config.camera, distortion_k1=config.noise.k1)
+    cam = replace(CAMERA, distortion_k1=config.noise.k1)
     gains = config.gains()
     link = Link(latency_ticks=config.link_latency, drop_probability=config.link_drop,
                 rng_seed=derive_seed(config.seed, "link"))
@@ -337,10 +343,10 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
 
             cmd = _drive_command(cart, intent, sensors, gains, config, tick, log)
             prev_pose = cart.vehicle.pose
-            cart.vehicle = apply_motor(cart.vehicle, cmd, config.vehicle, config.dt)
+            cart.vehicle = apply_motor(cart.vehicle, cmd, VEHICLE, config.dt)
             cart.odometry += math.hypot(cart.vehicle.pose[0] - prev_pose[0],
                                         cart.vehicle.pose[1] - prev_pose[1])
-            _advance_turn(cart, config)
+            _advance_turn(cart)
 
             phase = cart.mission.phase
             red = phase in (MissionPhase.AT_WARD, MissionPhase.AWAIT_UNLOAD)
@@ -376,7 +382,7 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
     for cart in carts:
         m = cart.mission
         x, y, _ = cart.vehicle.pose
-        home = math.hypot(x - px, y - py) <= config.pharmacy_radius
+        home = math.hypot(x - px, y - py) <= PHARMACY_RADIUS
         if m.phase is MissionPhase.FAULT:
             outcomes.append(CartOutcome.FAULT)
         elif m.phase is MissionPhase.DONE and m.delivered and home:
@@ -418,11 +424,10 @@ def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfi
         log(tick, cart.idx, "card_removed")
 
     if m.phase is MissionPhase.AWAIT_LOAD and cart.load_tick is None:
-        cart.load_tick = tick + config.load_delay_ticks
+        cart.load_tick = tick + LOAD_DELAY_TICKS
     if cart.load_tick is not None and tick >= cart.load_tick and not cart.load_done:
         cart.load_done = True
-        cart.vehicle = set_payload(cart.vehicle, PAYLOAD_GRAMS,
-                                   config.vehicle.switch_threshold)
+        cart.vehicle = set_payload(cart.vehicle, PAYLOAD_GRAMS)
         log(tick, cart.idx, "payload=on")
 
     if m.phase is MissionPhase.AWAIT_UNLOAD:
@@ -432,17 +437,17 @@ def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfi
             if cart.mission_cfg.role is Role.LEADER:
                 follower = carts[1] if len(carts) > 1 else None
                 if follower is not None and follower.mission.phase is MissionPhase.PAUSED_AT_POINT:
-                    cart.unload_tick = tick + config.leader_dwell_after_pause
+                    cart.unload_tick = tick + LEADER_DWELL_AFTER_PAUSE
                 elif follower is not None and follower.mission.phase in (
                         MissionPhase.FAULT, MissionPhase.DONE):
-                    cart.unload_tick = tick + config.unload_dwell_ticks
-                elif tick - cart.await_unload_since >= config.leader_max_dwell:
+                    cart.unload_tick = tick + UNLOAD_DWELL_TICKS
+                elif tick - cart.await_unload_since >= LEADER_MAX_DWELL:
                     cart.unload_tick = tick
             else:
-                cart.unload_tick = tick + config.unload_dwell_ticks
+                cart.unload_tick = tick + UNLOAD_DWELL_TICKS
         if cart.unload_tick is not None and tick >= cart.unload_tick and not cart.unload_done:
             cart.unload_done = True
-            cart.vehicle = set_payload(cart.vehicle, 0.0, config.vehicle.switch_threshold)
+            cart.vehicle = set_payload(cart.vehicle, 0.0)
             log(tick, cart.idx, "payload=off")
 
 
@@ -459,7 +464,7 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
         window = (int(cart.gate_x) - GATE_HALF_PX, int(cart.gate_x) + GATE_HALF_PX + 1)
     else:
         window = None
-    line = line_centroid(binary, config.control_roi, col_window=window)
+    line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if cart.turn is None:
         cart.gate_x = line[0] if line is not None else None
     # the mission is not stepped during a latched turn and reads placards
@@ -477,7 +482,7 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
 def _drive_command(cart: _Cart, intent, sensors: SensorBundle, gains: PidGains,
                    config: SimConfig, tick: int, log) -> MotorCommand:
     if cart.turn is not None:
-        return _turn_command(cart.turn, config)
+        return _turn_command(cart.turn)
 
     if intent.kind is IntentKind.TURN:
         cart.turn = _Turn(direction=intent.turn,
@@ -486,12 +491,12 @@ def _drive_command(cart: _Cart, intent, sensors: SensorBundle, gains: PidGains,
         cart.pid = PidState()
         cart.gate_x = None
         log(tick, cart.idx, f"turn={intent.turn.value}")
-        return _turn_command(cart.turn, config)
+        return _turn_command(cart.turn)
 
     if intent.kind is IntentKind.FOLLOW:
         if sensors.line is None:
             return MotorCommand(config.base_duty, config.base_duty)
-        half = config.camera.width / 2.0
+        half = CAMERA.width / 2.0
         error = (sensors.line[0] - half) / half
         u, cart.pid = pid_step(cart.pid, gains, error)
         return steer(u, config.base_duty)
@@ -499,16 +504,15 @@ def _drive_command(cart: _Cart, intent, sensors: SensorBundle, gains: PidGains,
     return MotorCommand(0.0, 0.0)
 
 
-def _turn_command(turn: _Turn, config: SimConfig) -> MotorCommand:
+def _turn_command(turn: _Turn) -> MotorCommand:
     if turn.braking:
         return MotorCommand(0.0, 0.0)
-    d = config.turn_duty
     if turn.direction is TurnDirection.RIGHT:
-        return MotorCommand(d, -d)
-    return MotorCommand(-d, d)  # LEFT and AROUND rotate counterclockwise
+        return MotorCommand(TURN_DUTY, -TURN_DUTY)
+    return MotorCommand(-TURN_DUTY, TURN_DUTY)  # LEFT and AROUND rotate counterclockwise
 
 
-def _advance_turn(cart: _Cart, config: SimConfig) -> None:
+def _advance_turn(cart: _Cart) -> None:
     if cart.turn is None:
         return
     turn = cart.turn
@@ -521,13 +525,13 @@ def _advance_turn(cart: _Cart, config: SimConfig) -> None:
     heading = cart.vehicle.pose[2]
     turn.progress += abs(_wrap_angle(heading - turn.prev_heading))
     turn.prev_heading = heading
-    omega = abs(v_r - v_l) / config.vehicle.track_width
-    coast = omega * config.vehicle.motor_time_constant
+    omega = abs(v_r - v_l) / VEHICLE.track_width
+    coast = omega * VEHICLE.motor_time_constant
     if turn.progress + coast >= turn.target:
         cart.turn = None  # free-spin decay finishes the angle; PID takes over
         # the turn happened on the junction point, so the new line starts
         # (nearly) centered: seed the gate there instead of a full-width fix
-        cart.gate_x = config.camera.width / 2.0
+        cart.gate_x = CAMERA.width / 2.0
 
 
 def _deviation_of(track: TrackMap, samples: list[PoseSample], cart: int) -> float:

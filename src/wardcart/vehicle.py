@@ -25,10 +25,9 @@ class VehicleParams:
     track_width: float = 0.16
     v_max: float = 0.5
     motor_time_constant: float = 0.1
-    switch_threshold: float = DEFAULT_SWITCH_THRESHOLD
 
     def __post_init__(self):
-        for name in ("track_width", "v_max", "motor_time_constant", "switch_threshold"):
+        for name in ("track_width", "v_max", "motor_time_constant"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -13,14 +13,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..arena import GLYPH_HEIGHT
 from .camera import CameraModel, check_k1
 from .glyphs import GRID_N, DigitTemplate
 
-DEFAULT_MIN_AREA = 9
-DEFAULT_ACCEPT_THRESHOLD = 0.85
-DEFAULT_MARGIN = 0.05
-DEFAULT_BINARIZE_MARGIN = 30.0
-DEFAULT_GLYPH_HEIGHT_M = 0.12
+MIN_AREA = 9                # pixels; smaller blobs are never scored
+ACCEPT_THRESHOLD = 0.85     # a match must score at least this
+MATCH_MARGIN = 0.05         # and beat the runner-up digit by this
+BINARIZE_MARGIN = 30.0      # ink is this much darker than the frame mean
 EXPECTED_LINE_WIDTH_PX = 7.0
 
 # Bottom rows looking (almost) straight down. Perspective shifts the line's
@@ -98,13 +98,13 @@ class DigitDetection:
     score: float
 
 
-def adaptive_binarize(frame: Frame, margin: float = DEFAULT_BINARIZE_MARGIN) -> BinaryFrame:
-    """Foreground = pixels darker than (frame mean - margin).
+def adaptive_binarize(frame: Frame) -> BinaryFrame:
+    """Foreground = pixels darker than (frame mean - BINARIZE_MARGIN).
 
     The mean-relative threshold makes the result invariant to any global
     brightness offset that does not clip at 0 or 255.
     """
-    threshold = float(frame.pixels.mean()) - margin
+    threshold = float(frame.pixels.mean()) - BINARIZE_MARGIN
     return BinaryFrame(frame.pixels < threshold)
 
 
@@ -141,14 +141,13 @@ def undistort_bits(binary: BinaryFrame, k1: float) -> BinaryFrame:
 
 def line_centroid(binary: BinaryFrame, roi_rows: tuple[int, int],
                   min_pixels: int = 12,
-                  expected_width_px: float = EXPECTED_LINE_WIDTH_PX,
                   col_window: tuple[int, int] | None = None
                   ) -> tuple[float, float] | None:
     """Mean foreground column in a row band, with a crude confidence.
 
     Returns None when the band holds fewer than min_pixels foreground
     pixels. Confidence is the foreground count relative to a nominal
-    full-height line of expected_width_px. ``col_window`` restricts the
+    full-height line of EXPECTED_LINE_WIDTH_PX. ``col_window`` restricts the
     band to a column range (a tracking gate that keeps nearby placard ink
     out of the average); the returned x stays in full-frame coordinates.
     """
@@ -166,7 +165,7 @@ def line_centroid(binary: BinaryFrame, roi_rows: tuple[int, int],
         return None
     cols = np.nonzero(band)[1]
     x = float(cols.mean()) + c0
-    confidence = min(1.0, count / ((r1 - r0) * expected_width_px))
+    confidence = min(1.0, count / ((r1 - r0) * EXPECTED_LINE_WIDTH_PX))
     return x, confidence
 
 
@@ -294,14 +293,13 @@ def _normalized_grid(grid: bytes) -> np.ndarray:
     return norm
 
 
-def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate],
-                accept_threshold: float = DEFAULT_ACCEPT_THRESHOLD,
-                margin: float = DEFAULT_MARGIN) -> tuple[int, float] | None:
+def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate]
+                ) -> tuple[int, float] | None:
     """Best-scoring digit for a glyph mask, or None when ambiguous or poor.
 
     Score is 1 - hamming/N^2 between the centered, aspect-normalized mask
-    and each normalized template. The winner must clear the accept
-    threshold and beat the runner-up by the margin.
+    and each normalized template. The winner must clear ACCEPT_THRESHOLD
+    and beat the runner-up by MATCH_MARGIN.
     """
     norm = normalize_mask(mask)
     cells = norm.size
@@ -312,7 +310,7 @@ def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate],
             best_digit, second, best = digit, best, score
         elif score > second:
             second = score
-    if best >= accept_threshold and (best - second) >= margin:
+    if best >= ACCEPT_THRESHOLD and (best - second) >= MATCH_MARGIN:
         return best_digit, float(best)
     return None
 
@@ -349,12 +347,7 @@ def _rectify_on_ground(bits: np.ndarray, blob: Blob, cam: CameraModel) -> np.nda
 
 
 def detect_placards(frame: Frame, cam: CameraModel,
-                    templates: dict[int, DigitTemplate],
-                    min_area: int = DEFAULT_MIN_AREA,
-                    accept_threshold: float = DEFAULT_ACCEPT_THRESHOLD,
-                    margin: float = DEFAULT_MARGIN,
-                    glyph_height_m: float = DEFAULT_GLYPH_HEIGHT_M
-                    ) -> list[DigitDetection]:
+                    templates: dict[int, DigitTemplate]) -> list[DigitDetection]:
     """Full pipeline: binarize, undistort, blobs, rectify, match.
 
     Range is estimated from the apparent blob height through the pinhole
@@ -364,18 +357,11 @@ def detect_placards(frame: Frame, cam: CameraModel,
     """
     binary = adaptive_binarize(frame)
     binary = undistort_bits(binary, cam.distortion_k1)
-    return detect_in_binary(binary, cam, templates, min_area=min_area,
-                            accept_threshold=accept_threshold, margin=margin,
-                            glyph_height_m=glyph_height_m)
+    return detect_in_binary(binary, cam, templates)
 
 
 def detect_in_binary(binary: BinaryFrame, cam: CameraModel,
-                     templates: dict[int, DigitTemplate],
-                     min_area: int = DEFAULT_MIN_AREA,
-                     accept_threshold: float = DEFAULT_ACCEPT_THRESHOLD,
-                     margin: float = DEFAULT_MARGIN,
-                     glyph_height_m: float = DEFAULT_GLYPH_HEIGHT_M
-                     ) -> list[DigitDetection]:
+                     templates: dict[int, DigitTemplate]) -> list[DigitDetection]:
     """Detection stage over an already binarized and undistorted frame."""
     bits = binary.bits
     h, w = bits.shape
@@ -387,7 +373,7 @@ def detect_in_binary(binary: BinaryFrame, cam: CameraModel,
         area = 0
         for m in members:
             area += run_e[m] - run_s[m]
-        if area < min_area:
+        if area < MIN_AREA:
             continue
         blob = _blob_of(members, run_row, run_s, run_e)
         if not (_CAND_MIN_H <= blob.height <= _CAND_MAX_H):
@@ -405,12 +391,11 @@ def detect_in_binary(binary: BinaryFrame, cam: CameraModel,
         rectified = _rectify_on_ground(bits, blob, cam)
         if rectified is None:
             continue
-        scored = match_digit(rectified, templates, accept_threshold=accept_threshold,
-                             margin=margin)
+        scored = match_digit(rectified, templates)
         if scored is None:
             continue
         digit, score = scored
-        range_z = glyph_height_m * cam.focal_px / blob.height
+        range_z = GLYPH_HEIGHT * cam.focal_px / blob.height
         detections.append(DigitDetection(digit=digit, image_x=blob.centroid_x,
                                          image_y=blob.centroid_y,
                                          range_z=range_z, score=score))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arena import PlacardEntry, TrackMap
+from ..arena import GLYPH_HEIGHT, PlacardEntry, TrackMap
 from .camera import CameraModel, check_k1, ground_grid
 from .glyphs import GRID_N, glyph_grid
 from .pipeline import Frame
@@ -91,7 +91,7 @@ class _WorldInk:
         self.grid[iy0:iy1, ix0:ix1] |= dx * dx + dy * dy <= r * r
 
     def _paint_glyph(self, entry: PlacardEntry) -> None:
-        half = entry.height / 2.0
+        half = GLYPH_HEIGHT / 2.0
         pad = half * 1.5
         ix0, ix1, iy0, iy1, xs, ys = self._cells(entry.x - pad, entry.x + pad,
                                                  entry.y - pad, entry.y + pad)
@@ -99,8 +99,12 @@ class _WorldInk:
         self.grid[iy0:iy1, ix0:ix1] |= ink
 
     def sample(self, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-        ix = ((wx - self.x0) / WORLD_CELL).astype(np.int32)
-        iy = ((wy - self.y0) / WORLD_CELL).astype(np.int32)
+        ix = _scratch(wx.shape, np.dtype(np.int32), "x")
+        iy = _scratch(wy.shape, np.dtype(np.int32), "y")
+        for w, origin, index in ((wx, self.x0, ix), (wy, self.y0, iy)):
+            # index = int32((w - origin) / WORLD_CELL), in that expression's steps
+            work = np.subtract(w, origin, out=_scratch(w.shape, w.dtype, "term"))
+            np.copyto(index, np.divide(work, WORLD_CELL, out=work), casting="unsafe")
         np.clip(ix, -1, self.nx, out=ix)
         np.clip(iy, -1, self.ny, out=iy)
         # flat index into the padded raster of grid cell (iy, ix)
@@ -112,7 +116,7 @@ class _WorldInk:
 
 
 def _glyph_ink(wx: np.ndarray, wy: np.ndarray, entry: PlacardEntry) -> np.ndarray:
-    half = entry.height / 2.0
+    half = GLYPH_HEIGHT / 2.0
     up_x, up_y = math.cos(entry.up_angle), math.sin(entry.up_angle)
     right_x, right_y = up_y, -up_x
     rel_x = wx - entry.x
@@ -123,15 +127,15 @@ def _glyph_ink(wx: np.ndarray, wy: np.ndarray, entry: PlacardEntry) -> np.ndarra
     if not inside.any():
         return inside
     grid = glyph_grid(entry.digit)
-    cols = np.clip(((lu + half) / entry.height * GRID_N).astype(np.int32), 0, GRID_N - 1)
-    rows = np.clip(((half - lv) / entry.height * GRID_N).astype(np.int32), 0, GRID_N - 1)
+    cols = np.clip(((lu + half) / GLYPH_HEIGHT * GRID_N).astype(np.int32), 0, GRID_N - 1)
+    rows = np.clip(((half - lv) / GLYPH_HEIGHT * GRID_N).astype(np.int32), 0, GRID_N - 1)
     return inside & grid[rows, cols]
 
 
 def _stamp_glyph(ink: np.ndarray, wx: np.ndarray, wy: np.ndarray,
                  entry: PlacardEntry) -> None:
     """OR a glyph into the ink mask, touching only pixels near the glyph."""
-    half = entry.height / 2.0
+    half = GLYPH_HEIGHT / 2.0
     near = ((np.abs(wx - entry.x) <= half * 1.5)
             & (np.abs(wy - entry.y) <= half * 1.5))
     idx = np.nonzero(near.ravel())[0]
@@ -140,6 +144,14 @@ def _stamp_glyph(ink: np.ndarray, wx: np.ndarray, wy: np.ndarray,
     sub = _glyph_ink(wx.ravel()[idx], wy.ravel()[idx], entry)
     flat = ink.ravel()
     flat[idx[sub]] = True
+
+
+@lru_cache(maxsize=16)
+def _scratch(shape: tuple[int, ...], dtype: np.dtype, role: str) -> np.ndarray:
+    """A work array that every frame of one shape reuses. Per-frame
+    temporaries instead make the allocator trim the heap and fault it back
+    in on the next frame, about a third of a tick when it happens."""
+    return np.empty(shape, dtype)
 
 
 @lru_cache(maxsize=4)
@@ -160,8 +172,14 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
     px, py, heading = pose
     gx, gy = ground_grid(cam, noise.k1)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
-    wx = px + gx * cos_h - gy * sin_h
-    wy = py + gx * sin_h + gy * cos_h
+    # wx = px + gx * cos_h - gy * sin_h and wy = py + gx * sin_h + gy * cos_h,
+    # in those expressions' steps and dtypes
+    wx = _scratch(gx.shape, np.result_type(px, gx), "x")
+    wy = _scratch(gx.shape, np.result_type(py, gx), "y")
+    np.add(px, np.multiply(gx, cos_h, out=wx), out=wx)
+    np.subtract(wx, np.multiply(gy, sin_h, out=_scratch(gx.shape, wx.dtype, "term")), out=wx)
+    np.add(py, np.multiply(gx, sin_h, out=wy), out=wy)
+    np.add(wy, np.multiply(gy, cos_h, out=_scratch(gx.shape, wy.dtype, "term")), out=wy)
 
     ink = world_ink(track).sample(wx, wy)
     for card in cards:

@@ -147,11 +147,16 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("pid.integral_limit = 0\n", ["run", "{scn}"]),
     ("noise.brightness = nan\n", ["run", "{scn}"]),
     ("", ["vision-corpus", "{out}", "--brightness", "nan"]),
+    ("pid.kp = nan\n", ["run", "{scn}"]),
+    ("pid.kd = inf\n", ["run", "{scn}"]),
+    ("drive.base_duty = nan\n", ["run", "{scn}"]),
+    ("pid.integral_limit = nan\n", ["run", "{scn}"]),
 ], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg",
         "drop2", "latency_neg", "retry_neg", "max_ticks_inf", "sigma_nan",
         "carts_fraction", "ward_fraction", "seed_fraction", "ward_not_in_map",
         "follower_one_edge_route", "integral_limit_zero", "brightness_nan",
-        "corpus_brightness_nan"])
+        "corpus_brightness_nan", "kp_nan", "kd_inf", "base_duty_nan",
+        "integral_limit_nan"])
 def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     (tmp_path / "ward3.map").write_text(WARD3_MAP)
     scn = tmp_path / "bad.scn"

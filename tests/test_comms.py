@@ -98,20 +98,20 @@ def test_seed_derivation_is_stable_and_label_sensitive():
 
 
 def test_proceed_retry_schedule():
-    retry = ProceedRetry(retry_interval=20)
-    assert retry.should_send(100)
+    retry = ProceedRetry()
+    assert retry.should_send(100, 20)
     retry.mark_sent(100)
-    assert not retry.should_send(110)
-    assert retry.should_send(120)
+    assert not retry.should_send(110, 20)
+    assert retry.should_send(120, 20)
     retry.mark_acked()
-    assert not retry.should_send(200)
+    assert not retry.should_send(200, 20)
 
 
 def test_retry_disabled_sends_once():
-    retry = ProceedRetry(retry_interval=0)
-    assert retry.should_send(0)
+    retry = ProceedRetry()
+    assert retry.should_send(0, 0)
     retry.mark_sent(0)
-    assert not retry.should_send(1000)
+    assert not retry.should_send(1000, 0)
 
 
 # ------------------------------------------------- protocol over scenarios

@@ -43,8 +43,6 @@ def test_gains_from_classical_rejects_bad_periods():
     with pytest.raises(ValueError):
         gains_from_classical(1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        PidGains(kp=1.0, ki=0.0, kd=0.0, sample_period=-0.1)
-    with pytest.raises(ValueError):
         PidGains(kp=1.0, ki=0.0, kd=0.0, output_limit=0.0)
 
 
@@ -132,7 +130,7 @@ def test_steer_direction_sign_matches_u():
 def test_closed_loop_p_only_converges_monotonically():
     # plant x' = -g*u(x), discretized with step T; stable when kp*g*T < 1
     g_plant, T = 2.0, 0.1
-    gains = PidGains(kp=1.0, ki=0.0, kd=0.0, sample_period=T)
+    gains = PidGains(kp=1.0, ki=0.0, kd=0.0)
     for x0 in (-1.0, -0.25, 0.4, 1.0):
         x = x0
         state = PidState()

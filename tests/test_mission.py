@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import pytest
 
 from wardcart.arena import Action, resolve_pause_point, route_to
 from wardcart.comms import Message, MessageKind
-from wardcart.mission import (DETECTION_PHASES, HALT, IntentKind, JunctionContradiction,
-                              MissionConfig, MissionPhase, MissionState, Role,
-                              SensorBundle, TurnDirection, check_junction, mission_step)
+from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANGE,
+                              DETECTION_PHASES, HALT, STOP_MARGIN, TURN_LEAD, IntentKind,
+                              JunctionContradiction, MissionConfig, MissionPhase,
+                              MissionState, Role, SensorBundle, TurnDirection,
+                              check_junction, mission_step)
 from wardcart.vision.pipeline import DigitDetection
 
 
@@ -31,10 +35,10 @@ def make_config(track, role=Role.SOLO, ward=None, **overrides):
 
 # ------------------------------------------------------- target acquisition
 
-def acquire(frames, track, confirm_frames=5):
+def acquire(frames, track):
     """Step a fresh mission through AwaitTarget, one detection list per
     frame; the digit it locks onto, or None."""
-    cfg = make_config(track, confirm_frames=confirm_frames)
+    cfg = make_config(track)
     state = MissionState()
     for dets in frames:
         _, _, state = mission_step(state, cfg, sensors(line=None, detections=dets), [], 0)
@@ -48,31 +52,27 @@ def test_acquire_nothing_from_empty_frames(track):
 
 
 def test_acquire_stable_single_detection(track):
-    frames = [[det(6, z=0.4)] for _ in range(5)]
-    assert acquire(frames, track, confirm_frames=5) == 6
-    assert acquire(frames[:4], track, confirm_frames=5) is None
+    frames = [[det(6, z=0.4)] for _ in range(CONFIRM_FRAMES)]
+    assert acquire(frames, track) == 6
+    assert acquire(frames[:-1], track) is None
 
 
 def test_acquire_rejects_alternating_digits(track):
     frames = []
     for i in range(40):
         frames.append([det(3 if i % 2 == 0 else 8)])
-    assert acquire(frames, track, confirm_frames=5) is None
+    assert acquire(frames, track) is None
 
 
 def test_acquire_uses_nearest_when_crowded(track):
-    frames = [[det(2, z=1.5), det(7, z=0.3)] for _ in range(5)]
-    assert acquire(frames, track, confirm_frames=5) == 7
+    frames = [[det(2, z=1.5), det(7, z=0.3)] for _ in range(CONFIRM_FRAMES)]
+    assert acquire(frames, track) == 7
 
 
 # ------------------------------------------------------- junction decisions
 
-TOLERANCE = MissionConfig().junction_center_tolerance
-DECISION_RANGE = MissionConfig().decision_range
-
-
 def check(target, detections, planned, frame_width=320):
-    check_junction(target, detections, planned, frame_width, TOLERANCE, DECISION_RANGE)
+    check_junction(target, detections, planned, frame_width)
 
 
 def test_junction_decide_left_from_placard_position(track):
@@ -127,7 +127,7 @@ def drive_until(state, cfg, make_sensors, limit=5000):
 def test_await_target_confirms_then_waits_for_load(track):
     cfg = make_config(track)
     state = MissionState()
-    for t in range(cfg.confirm_frames):
+    for t in range(CONFIRM_FRAMES):
         intent, _, state = step(state, cfg, sensors(detections=[det(2, z=0.4)]), tick=t)
         assert intent is HALT
     assert state.phase is MissionPhase.AWAIT_LOAD
@@ -146,10 +146,10 @@ def test_outbound_turn_fires_at_junction_distance(track):
     cfg = make_config(track)
     state = MissionState(phase=MissionPhase.AWAIT_LOAD, target=2)
     _, _, state = step(state, cfg, sensors(loaded=True))
-    # approach the junction: trigger sits turn_lead short of 1.0 m
+    # approach the junction: trigger sits TURN_LEAD short of 1.0 m
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=0.9))
     assert intent.kind is IntentKind.FOLLOW
-    intent, _, state = step(state, cfg, sensors(loaded=True, odo=1.0 - cfg.turn_lead))
+    intent, _, state = step(state, cfg, sensors(loaded=True, odo=1.0 - TURN_LEAD))
     assert intent.kind is IntentKind.TURN
     assert intent.turn is TurnDirection.RIGHT
 
@@ -200,14 +200,15 @@ def test_line_reacquire_resets_the_timeout(track):
 
 
 def test_contradictions_fault_after_limit(track):
-    cfg = make_config(track, contradiction_limit=3)
+    cfg = make_config(track)
     state = MissionState(phase=MissionPhase.AWAIT_LOAD, target=1)
     _, _, state = step(state, cfg, sensors(loaded=True))
     bad = [det(1, x=150.0, z=0.2)]  # route says Left, placard far right
-    for t in range(2):
+    for t in range(CONTRADICTION_LIMIT - 1):
         _, _, state = step(state, cfg, sensors(detections=bad, loaded=True, odo=0.5), tick=t)
         assert state.phase is MissionPhase.OUTBOUND
-    _, _, state = step(state, cfg, sensors(detections=bad, loaded=True, odo=0.5), tick=3)
+    _, _, state = step(state, cfg, sensors(detections=bad, loaded=True, odo=0.5),
+                       tick=CONTRADICTION_LIMIT)
     assert state.phase is MissionPhase.FAULT
 
 
@@ -234,7 +235,7 @@ def test_follower_pauses_at_pause_point(track):
     pause_dist = cfg.pause_point[1]
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=pause_dist - 0.2))
     assert state.phase is MissionPhase.OUTBOUND
-    intent, _, state = step(state, cfg, sensors(loaded=True, odo=pause_dist - cfg.stop_margin))
+    intent, _, state = step(state, cfg, sensors(loaded=True, odo=pause_dist - STOP_MARGIN))
     assert state.phase is MissionPhase.PAUSED_AT_POINT
     assert intent is HALT
 
@@ -278,6 +279,13 @@ def test_follower_with_early_proceed_never_pauses(track):
 def test_follower_config_requires_pause_point(track):
     with pytest.raises(ValueError):
         make_config(track, role=Role.FOLLOWER, ward=4, pause_point=None)
+
+
+def test_mission_config_holds_only_what_the_engine_sets():
+    # the fixed thresholds are module constants; a field here is set per run
+    assert [f.name for f in fields(MissionConfig)] == [
+        "role", "cart_id", "routes", "returns", "frame_width", "lost_line_ticks",
+        "pause_point", "retry_interval"]
 
 
 # ----------------------------------------------------------------- leader

@@ -1,7 +1,8 @@
 import math
+from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wardcart import simcore
@@ -39,9 +40,9 @@ def test_zero_tick_budget_is_incomplete_with_no_events(track):
     assert report.completion_ticks == 0
 
 
-def test_cart_without_payload_never_departs(track):
-    cfg = SimConfig(wards=(2,), max_ticks=250, load_delay_ticks=10 ** 9)
-    report = run_scenario(track, cfg)
+def test_cart_without_payload_never_departs(track, monkeypatch):
+    monkeypatch.setattr(simcore, "LOAD_DELAY_TICKS", 10 ** 9)
+    report = run_scenario(track, SimConfig(wards=(2,), max_ticks=250))
     assert report.outcomes == (CartOutcome.INCOMPLETE,)
     last = report.samples[-1]
     assert last.phase is MissionPhase.AWAIT_LOAD
@@ -96,7 +97,7 @@ def test_no_teleportation(track):
     cfg = SimConfig(wards=(4,), max_ticks=9000, seed=2)
     report = run_scenario(track, cfg)
     prev = None
-    vmax = cfg.vehicle.v_max
+    vmax = simcore.VEHICLE.v_max
     for s in report.samples:
         if prev is not None:
             jump = math.hypot(s.x - prev.x, s.y - prev.y)
@@ -140,7 +141,7 @@ def test_outcome_consistent_with_final_phase(track):
     assert final.phase is MissionPhase.DONE
     assert report.outcomes[0] is CartOutcome.DELIVERED_AND_RETURNED
     px, py = track.node_pos(track.pharmacy)
-    assert math.hypot(final.x - px, final.y - py) <= SimConfig().pharmacy_radius
+    assert math.hypot(final.x - px, final.y - py) <= simcore.PHARMACY_RADIUS
 
 
 def test_route_progress_projects_onto_the_plan(track):
@@ -217,7 +218,7 @@ _FLOATS = dict(allow_nan=False, allow_infinity=False)
 KEY_SPEC = {
     "dt": (st.floats(1e-4, 1.0), lambda c: c.dt, "dt"),
     "max_ticks": (st.integers(0, 10 ** 6), lambda c: c.max_ticks, "max_ticks"),
-    "seed": (st.integers(0, 2 ** 32), lambda c: c.seed, "seed"),
+    "seed": (st.integers(0, 2 ** 64), lambda c: c.seed, "seed"),
     "carts": (st.integers(1, 2), lambda c: c.carts, "carts"),
     "ward": (st.integers(1, 8), lambda c: c.wards[0], "wards"),
     "ward2": (st.integers(1, 8), lambda c: c.wards[1], None),
@@ -242,8 +243,20 @@ def test_key_spec_covers_the_table():
     assert set(KEY_SPEC) == {key for key, _, _ in CONFIG_KEYS}
 
 
+def test_every_config_field_is_a_scenario_key():
+    # a field no key reaches could not be set or echoed in the trace header
+    named = {name.partition(".")[0] for _, name, _ in CONFIG_KEYS}
+    assert {f.name for f in fields(SimConfig)} == named
+
+
+# a whole-number key that float parsing would round, always tried
+_EXACT_SEED = {key: spec[1](SimConfig(carts=2, wards=(1, 2))) for key, spec in KEY_SPEC.items()}
+_EXACT_SEED["seed"] = 2 ** 53 + 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fixed_dictionaries({key: spec[0] for key, spec in KEY_SPEC.items()}))
+@example(_EXACT_SEED)
 def test_every_key_lands_in_its_field_and_header_line(values):
     cfg = config_from_keys({key: repr(value) for key, value in values.items()})
     header = dict(_header(cfg))

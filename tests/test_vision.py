@@ -19,7 +19,8 @@ from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
                                       adaptive_binarize, detect_placards,
                                       line_centroid, match_digit,
                                       normalize_mask, undistort_bits)
-from wardcart.vision.render import WORLD_CELL, NoiseParams, _WorldInk, render, world_ink
+from wardcart.vision.render import (WORLD_CELL, NoiseParams, _scratch, _WorldInk, render,
+                                    world_ink)
 
 EMPTY_MAP = load_map("node p 0 0\npharmacy p\nwidth 0.30\n")
 
@@ -244,14 +245,14 @@ def test_diagonal_touch_joins_under_8_connectivity():
 
 
 def test_min_area_filters_specks():
-    # detect_in_binary scores only components of at least DEFAULT_MIN_AREA
+    # detect_in_binary scores only components of at least MIN_AREA
     # pixels: a lone speck falls below, a 3x3 square reaches it
     bits = np.zeros((10, 10), dtype=bool)
     bits[1, 1] = True
     bits[5:8, 5:8] = True
     blobs = blobs_of(bits)
     assert [b.area for b in blobs] == [1, 9]
-    assert blobs[0].area < pipeline.DEFAULT_MIN_AREA <= blobs[1].area
+    assert blobs[0].area < pipeline.MIN_AREA <= blobs[1].area
 
 
 def test_label_runs_groups_in_raster_order():
@@ -516,6 +517,8 @@ CACHES = {
     "resample_indices": (pipeline._resample_indices,
                          lambda n: [(1 + i // 60, 1 + i % 60, GRID_N) for i in range(n)]),
     "normalized_grid": (pipeline._normalized_grid, lambda n: [(g,) for g in _grids(n)]),
+    "render_scratch": (_scratch, lambda n: [((1 + i,), np.dtype(np.float32), "x")
+                                            for i in range(n)]),
 }
 
 
