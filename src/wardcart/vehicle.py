@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,9 +53,22 @@ class VehicleState:
     led_yellow: bool = False
 
 
-def _displacement(target: float, dev: float, tau: float, t: float) -> float:
-    """Integral of v(s) = target + dev * exp(-s/tau) over [0, t]."""
-    return target * t + dev * tau * (1.0 - math.exp(-t / tau))
+@lru_cache(maxsize=16)
+def _quadrature(dt: float, tau: float) -> tuple[tuple[float, float, float, float], ...]:
+    """(t, w, exp(-t/tau), 1 - exp(-t/tau)) at each node of the composite
+    Gauss-Legendre rule over [0, dt], with enough panels to resolve the
+    motor lag."""
+    panels = int(min(64, max(1, math.ceil(dt / tau))))
+    h = dt / panels
+    nodes = []
+    for p in range(panels):
+        a = p * h
+        ts = a + (_GL_NODES + 1.0) * (h / 2.0)
+        ws = _GL_WEIGHTS * (h / 2.0)
+        for t, w in zip(ts.tolist(), ws.tolist()):
+            e = math.exp(-t / tau)
+            nodes.append((t, w, e, 1.0 - e))
+    return tuple(nodes)
 
 
 def apply_motor(state: VehicleState, cmd: MotorCommand, params: VehicleParams,
@@ -62,7 +76,8 @@ def apply_motor(state: VehicleState, cmd: MotorCommand, params: VehicleParams,
     """Advance the cart by dt under a motor command.
 
     Exact in the wheel-speed and heading components; position is integrated
-    with composite quadrature of the time-varying twist.
+    with composite quadrature of the time-varying twist. The wheel
+    displacement over [0, t] is ``target * t + dev * tau * (1 - exp(-t/tau))``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -79,30 +94,20 @@ def apply_motor(state: VehicleState, cmd: MotorCommand, params: VehicleParams,
 
     x0, y0, th0 = state.pose
     track = params.track_width
+    gain = 1.0 - decay
+    th1 = th0 + ((vt_r * dt + dev_r * tau * gain) - (vt_l * dt + dev_l * tau * gain)) / track
 
-    def heading(t: float) -> float:
-        s_l = _displacement(vt_l, dev_l, tau, t)
-        s_r = _displacement(vt_r, dev_r, tau, t)
-        return th0 + (s_r - s_l) / track
+    x, y, th_start = float(x0), float(y0), float(th0)
+    for t, w, e, g in _quadrature(dt, tau):
+        v = 0.5 * ((vt_l + dev_l * e) + (vt_r + dev_r * e))
+        th = th_start + ((vt_r * t + dev_r * tau * g) - (vt_l * t + dev_l * tau * g)) / track
+        x += w * v * math.cos(th)
+        y += w * v * math.sin(th)
 
-    th1 = heading(dt)
-
-    # composite Gauss-Legendre over enough panels to resolve the motor lag
-    panels = int(min(64, max(1, math.ceil(dt / tau))))
-    h = dt / panels
-    x, y = x0, y0
-    for p in range(panels):
-        a = p * h
-        ts = a + (_GL_NODES + 1.0) * (h / 2.0)
-        ws = _GL_WEIGHTS * (h / 2.0)
-        for t, w in zip(ts, ws):
-            e = math.exp(-t / tau)
-            v = 0.5 * ((vt_l + dev_l * e) + (vt_r + dev_r * e))
-            th = heading(t)
-            x += w * v * math.cos(th)
-            y += w * v * math.sin(th)
-
-    return replace(state, pose=(x, y, th1), wheel_speed=(v1_l, v1_r))
+    # x and y stay NumPy float64: render computes world coordinates in the
+    # pose's precision, and every trace depends on those being float64
+    return replace(state, pose=(np.float64(x), np.float64(y), th1),
+                   wheel_speed=(v1_l, v1_r))
 
 
 def set_payload(state: VehicleState, grams: float,

@@ -282,15 +282,15 @@ def normalize_mask(mask: np.ndarray, n: int = GRID_N) -> np.ndarray:
     return fine.reshape(n, ss, n, ss).sum(axis=(1, 3)) * 2 >= ss * ss
 
 
-def _normalized_template(tmpl: DigitTemplate) -> np.ndarray:
-    return _normalized_grid(tmpl.grid.astype(bool, copy=False).tobytes())
-
-
-@lru_cache(maxsize=32)
-def _normalized_grid(grid: bytes) -> np.ndarray:
-    norm = normalize_mask(np.frombuffer(grid, dtype=bool).reshape(GRID_N, GRID_N))
-    norm.flags.writeable = False
-    return norm
+@lru_cache(maxsize=8)
+def _template_stack(grids: tuple[tuple[int, bytes], ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The digits in order and their normalized templates as one
+    (digits, n, n) array, for the (digit, grid bytes) pairs of a template set."""
+    digits = tuple(digit for digit, _ in grids)
+    stack = np.array([normalize_mask(np.frombuffer(grid, dtype=bool).reshape(GRID_N, GRID_N))
+                      for _, grid in grids], dtype=bool).reshape(len(grids), GRID_N, GRID_N)
+    stack.flags.writeable = False
+    return digits, stack
 
 
 def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate]
@@ -303,9 +303,13 @@ def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate]
     """
     norm = normalize_mask(mask)
     cells = norm.size
+    digits, stack = _template_stack(tuple(
+        (digit, templates[digit].grid.astype(bool, copy=False).tobytes())
+        for digit in sorted(templates)))
+    misses = np.logical_xor(norm, stack).sum(axis=(1, 2)).tolist()
     best_digit, best, second = 0, -1.0, -1.0
-    for digit in sorted(templates):
-        score = 1.0 - np.logical_xor(norm, _normalized_template(templates[digit])).sum() / cells
+    for digit, miss in zip(digits, misses):
+        score = 1.0 - miss / cells
         if score > best:
             best_digit, second, best = digit, best, score
         elif score > second:
@@ -326,24 +330,24 @@ def _rectify_on_ground(bits: np.ndarray, blob: Blob, cam: CameraModel) -> np.nda
     vs = np.array([blob.y0 - 0.5, blob.y0 - 0.5,
                    blob.y0 + blob.height - 0.5, blob.y0 + blob.height - 0.5])
     gx, gy = cam.ground_from_pixels(us, vs)
-    if np.isnan(gx).any() or np.isnan(gy).any():
+    gx, gy = gx.tolist(), gy.tolist()
+    if any(math.isnan(g) for g in gx + gy):
         return None
-    cx_g = (gx.min() + gx.max()) / 2.0
-    cy_g = (gy.min() + gy.max()) / 2.0
-    side = max(gx.max() - gx.min(), gy.max() - gy.min())
+    cx_g = (min(gx) + max(gx)) / 2.0
+    cy_g = (min(gy) + max(gy)) / 2.0
+    side = max(max(gx) - min(gx), max(gy) - min(gy))
     if side <= 0:
         return None
     k = _RECTIFY_GRID
     offs = side / 2.0 - (np.arange(k) + 0.5) * side / k
+    # pu is (k, k); pv depends on the grid row only and stays (k, 1)
     pu, pv = cam.pixels_from_ground(cx_g + offs[:, None], cy_g + offs[None, :])
-    pu, pv = np.broadcast_arrays(pu, pv)
     iu = np.rint(pu).astype(np.int64)
     iv = np.rint(pv).astype(np.int64)
     h, w = bits.shape
-    ok = (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
-    out = np.zeros((k, k), dtype=bool)
-    out[ok] = bits[iv[ok], iu[ok]]
-    return out
+    ok = (iu >= 0) & (iu < w) & ((iv >= 0) & (iv < h))
+    # a sample off the frame reads some in-range pixel here and is masked out
+    return np.logical_and(bits.take(iv * w + iu, mode="clip"), ok)
 
 
 def detect_placards(frame: Frame, cam: CameraModel,

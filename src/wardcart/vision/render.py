@@ -173,7 +173,9 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
     gx, gy = ground_grid(cam, noise.k1)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
     # wx = px + gx * cos_h - gy * sin_h and wy = py + gx * sin_h + gy * cos_h,
-    # in those expressions' steps and dtypes
+    # in those expressions' steps and dtypes. Under NumPy 2 promotion (NEP 50)
+    # the dtype follows the pose: float64 for NumPy-scalar px, py (every pose
+    # apply_motor returns) and float32, that of the grid, for Python floats
     wx = _scratch(gx.shape, np.result_type(px, gx), "x")
     wy = _scratch(gx.shape, np.result_type(py, gx), "y")
     np.add(px, np.multiply(gx, cos_h, out=wx), out=wx)

@@ -151,12 +151,14 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("pid.kd = inf\n", ["run", "{scn}"]),
     ("drive.base_duty = nan\n", ["run", "{scn}"]),
     ("pid.integral_limit = nan\n", ["run", "{scn}"]),
+    ("seed = 18446744073709551617\n", ["run", "{scn}"]),
+    ("seed = -1\n", ["run", "{scn}"]),
 ], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg",
         "drop2", "latency_neg", "retry_neg", "max_ticks_inf", "sigma_nan",
         "carts_fraction", "ward_fraction", "seed_fraction", "ward_not_in_map",
         "follower_one_edge_route", "integral_limit_zero", "brightness_nan",
         "corpus_brightness_nan", "kp_nan", "kd_inf", "base_duty_nan",
-        "integral_limit_nan"])
+        "integral_limit_nan", "seed_2_64_plus_1", "seed_neg"])
 def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     (tmp_path / "ward3.map").write_text(WARD3_MAP)
     scn = tmp_path / "bad.scn"

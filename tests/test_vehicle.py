@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wardcart import vehicle
 from wardcart.vehicle import (MotorCommand, VehicleParams, VehicleState,
                               apply_motor, set_leds, set_payload)
 
@@ -33,6 +34,76 @@ def rk4_oracle(state, cmd, params, dt, steps=4000):
         k4 = deriv(s + h * k3)
         s = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return s
+
+
+def quadrature_reference(state, cmd, params, dt):
+    """apply_motor's quadrature evaluated node by node over NumPy-scalar
+    nodes; the table-driven apply_motor must match it in value and type."""
+    def displacement(target, dev, tau, t):
+        return target * t + dev * tau * (1.0 - math.exp(-t / tau))
+
+    tau = params.motor_time_constant
+    vt_l = cmd.duty_left * params.v_max
+    vt_r = cmd.duty_right * params.v_max
+    v0_l, v0_r = state.wheel_speed
+    dev_l = v0_l - vt_l
+    dev_r = v0_r - vt_r
+    decay = math.exp(-dt / tau)
+    x0, y0, th0 = state.pose
+    track = params.track_width
+
+    def heading(t):
+        return th0 + (displacement(vt_r, dev_r, tau, t)
+                      - displacement(vt_l, dev_l, tau, t)) / track
+
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    panels = int(min(64, max(1, math.ceil(dt / tau))))
+    h = dt / panels
+    x, y = x0, y0
+    for p in range(panels):
+        ts = p * h + (nodes + 1.0) * (h / 2.0)
+        for t, w in zip(ts, weights * (h / 2.0)):
+            e = math.exp(-t / tau)
+            v = 0.5 * ((vt_l + dev_l * e) + (vt_r + dev_r * e))
+            th = heading(t)
+            x += w * v * math.cos(th)
+            y += w * v * math.sin(th)
+    return (x, y, heading(dt)), (vt_l + dev_l * decay, vt_r + dev_r * decay)
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.3])
+def test_pose_position_is_numpy_float64(dt):
+    # the renderer computes world coordinates in the pose's precision
+    # (NumPy 2 promotion), so a Python-float pose would render differently
+    state = VehicleState(pose=(0.5, -0.25, 1.0))
+    for cmd in (MotorCommand(0.8, 0.6), MotorCommand(0.0, 0.0)):
+        state = apply_motor(state, cmd, VehicleParams(), dt)
+        assert type(state.pose[0]) is np.float64
+        assert type(state.pose[1]) is np.float64
+        assert type(state.pose[2]) is float
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.05, 0.3])
+def test_states_equal_the_per_node_reference_loop(dt):
+    rng = np.random.default_rng(round(dt * 1000))
+    params = VehicleParams()
+    state = VehicleState(pose=(0.3, -0.2, 0.9))
+    for i in range(3000):
+        if i % 500 == 0:  # also start from a Python-float pose now and then
+            state = VehicleState(pose=tuple(float(v) for v in state.pose),
+                                 wheel_speed=state.wheel_speed)
+        cmd = MotorCommand(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+        pose, wheels = quadrature_reference(state, cmd, params, dt)
+        state = apply_motor(state, cmd, params, dt)
+        for got, want in zip(state.pose + state.wheel_speed, pose + wheels):
+            assert got == want and type(got) is type(want)
+
+
+def test_node_tables_are_per_dt_and_time_constant():
+    a = vehicle._quadrature(0.02, 0.1)
+    assert vehicle._quadrature(0.02, 0.1) is a
+    assert len(a) == 10 and len(vehicle._quadrature(0.3, 0.1)) == 30
+    assert sum(w for _, w, _, _ in a) == pytest.approx(0.02, abs=1e-15)
 
 
 def test_equal_duties_drive_straight():

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wardcart import vehicle
 from wardcart.arena import PlacardEntry, load_map
 from wardcart.vision import pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
 from wardcart.vision.glyphs import GRID_N, DigitTemplate, glyph_grid
 from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
-                                      Frame, _blob_of, _label_runs,
+                                      Blob, Frame, _blob_of, _label_runs,
                                       adaptive_binarize, detect_placards,
                                       line_centroid, match_digit,
                                       normalize_mask, undistort_bits)
@@ -498,6 +499,40 @@ def test_ink_sample_matches_masked_reference_at_raster_edges(data, dtype):
     assert same_as_masked_sample(ink, wx, wy)
 
 
+def rectify_reference(bits, blob, cam, k=48):
+    """The blob's ground square sampled point by point; a sample off the
+    frame reads as background."""
+    us = np.array([blob.x0 - 0.5, blob.x0 + blob.width - 0.5] * 2)
+    vs = np.array([blob.y0 - 0.5] * 2 + [blob.y0 + blob.height - 0.5] * 2)
+    gx, gy = cam.ground_from_pixels(us, vs)
+    if np.isnan(gx).any() or np.isnan(gy).any():
+        return None
+    side = max(gx.max() - gx.min(), gy.max() - gy.min())
+    if side <= 0:
+        return None
+    offs = side / 2.0 - (np.arange(k) + 0.5) * side / k
+    out = np.zeros((k, k), dtype=bool)
+    h, w = bits.shape
+    for i in range(k):
+        for j in range(k):
+            pu, pv = cam.pixels_from_ground((gx.min() + gx.max()) / 2.0 + offs[i],
+                                            (gy.min() + gy.max()) / 2.0 + offs[j])
+            u, v = int(np.rint(pu)), int(np.rint(pv))
+            out[i, j] = 0 <= u < w and 0 <= v < h and bits[v, u]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(x0=st.integers(0, 159), y0=st.integers(0, 119), width=st.integers(1, 90),
+       height=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
+def test_rectify_matches_the_pointwise_reference(x0, y0, width, height, seed):
+    bits = np.random.default_rng(seed).random((120, 160)) < 0.5
+    blob = Blob(x0=x0, y0=y0, width=width, height=height, area=1)
+    got = pipeline._rectify_on_ground(bits, blob, CameraModel())
+    want = rectify_reference(bits, blob, CameraModel())
+    assert (got is None and want is None) or np.array_equal(got, want)
+
+
 # (bounded cache, distinct first arguments; the rest of each call)
 def _maps(n):
     return [(load_map(f"node p {i} 0\npharmacy p\nwidth 0.30\n"),) for i in range(n)]
@@ -516,7 +551,9 @@ CACHES = {
                       lambda n: [(160, 120, 0.01 * i) for i in range(n)]),
     "resample_indices": (pipeline._resample_indices,
                          lambda n: [(1 + i // 60, 1 + i % 60, GRID_N) for i in range(n)]),
-    "normalized_grid": (pipeline._normalized_grid, lambda n: [(g,) for g in _grids(n)]),
+    "template_stack": (pipeline._template_stack,
+                       lambda n: [(((1, g),),) for g in _grids(n)]),
+    "quadrature": (vehicle._quadrature, lambda n: [(0.01 * (1 + i), 0.1) for i in range(n)]),
     "render_scratch": (_scratch, lambda n: [((1 + i,), np.dtype(np.float32), "x")
                                             for i in range(n)]),
 }
@@ -533,7 +570,15 @@ def test_module_caches_are_bounded(name):
 
 
 def test_normalized_template_is_cached_by_grid(templates):
-    t = templates[3]
-    copy = DigitTemplate(3, t.grid.copy())
-    assert pipeline._normalized_template(t) is pipeline._normalized_template(copy)
-    assert np.array_equal(pipeline._normalized_template(t), normalize_mask(t.grid))
+    copy = {d: DigitTemplate(d, t.grid.copy()) for d, t in templates.items()}
+    mask = glyph_grid(3)
+    assert match_digit(mask, templates) == match_digit(mask, copy) == (3, 1.0)
+    before = pipeline._template_stack.cache_info()
+    match_digit(mask, copy)
+    after = pipeline._template_stack.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    digits, stack = pipeline._template_stack(
+        tuple((d, templates[d].grid.tobytes()) for d in sorted(templates)))
+    assert digits == tuple(sorted(templates)) and not stack.flags.writeable
+    for digit, norm in zip(digits, stack):
+        assert np.array_equal(norm, normalize_mask(templates[digit].grid))
