@@ -8,10 +8,22 @@ trace. Cart 1 always steps before cart 2 and messages sent in a tick are
 deliverable from the next tick on, so a (map, config) pair fully determines
 the byte-level trace.
 
-Without pixel noise a frame is a function of the pose and the digit card,
-so a cart whose pose and card equal last tick's reuses last tick's binary
-frame and placard detections instead of rendering again. A noisy frame
-draws from the cart's noise stream, so with noise every tick renders.
+A tick gets its binary frame by one of three paths, each exact:
+
+- Reuse. Without pixel noise a frame is a function of the pose and the
+  digit card, so a cart whose pose and card equal last tick's reuses last
+  tick's binary frame and placard detections. A noisy frame draws from the
+  cart's noise stream, so with noise every tick makes a new one.
+- Clean bits (``render.clean_bits``), without noise or distortion. The
+  frame has two levels, so its mean follows from the ink count and the
+  bits are the ink or nothing. A tick that reads placards gets the whole
+  frame; any other tick gets only the control band, which the line
+  centroid reads, when a lower bound on the frame mean already decides it.
+- Render, binarize and undistort, for noisy or distorted frames and when
+  the band alone does not decide.
+
+A kept band-only frame is never read for placards: a still cart that
+starts reading makes a whole frame.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from .vehicle import (MotorCommand, VehicleParams, VehicleState, apply_motor,
 from .vision.camera import CameraModel
 from .vision.glyphs import default_templates
 from .vision.pipeline import adaptive_binarize, detect_in_binary, line_centroid, undistort_bits
-from .vision.render import NoiseParams, render
+from .vision.render import NoiseParams, clean_bits, render
 
 PAYLOAD_GRAMS = 200.0
 REFERENCE_DT = 0.02  # tick length the default gains are quoted at
@@ -256,7 +268,8 @@ class _Cart:
         self.load_done = False
         self.unload_done = False
         self.await_unload_since: int | None = None
-        # last sensed (pose, card, binary frame, detections or None)
+        # last sensed (pose, card, binary frame, detections or None, whether
+        # the frame is whole or only the control band)
         self.seen: tuple | None = None
 
 
@@ -464,18 +477,29 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
            templates) -> SensorBundle:
     pose = cart.vehicle.pose
     seen = cart.seen
+    # the mission is not stepped during a latched turn and reads placards
+    # only in a few phases
+    reads = cart.turn is None and cart.mission.phase in DETECTION_PHASES
     # a noise-free frame is a function of the pose and the card alone, so a
     # cart that has not moved since last tick sees the frame it saw then; a
     # noisy frame draws from the cart's noise stream and is always rendered.
-    # The pose's types count too: render works in the pose's precision.
+    # The pose's types count too: render works in the pose's precision. A
+    # kept band-only frame cannot be read for placards.
     still = (seen is not None and config.noise.sigma == 0 and seen[1] is cart.card
-             and seen[0] == pose and list(map(type, seen[0])) == list(map(type, pose)))
+             and seen[0] == pose and list(map(type, seen[0])) == list(map(type, pose))
+             and (seen[4] or not reads))
     if still:
-        binary = seen[2]
+        binary, whole = seen[2], seen[4]
     else:
         cards = (cart.card,) if cart.card is not None else ()
-        frame = render(track, pose, cam, config.noise, rng=cart.rng, cards=cards)
-        binary = undistort_bits(adaptive_binarize(frame), config.noise.k1)
+        binary, whole = None, reads
+        if config.noise.sigma == 0 and config.noise.k1 == 0:
+            binary = clean_bits(track, pose, cam, config.noise.brightness, cards,
+                                None if reads else CONTROL_ROI)
+        if binary is None:
+            frame = render(track, pose, cam, config.noise, rng=cart.rng, cards=cards)
+            binary = undistort_bits(adaptive_binarize(frame), config.noise.k1)
+            whole = True
     if cart.turn is not None:
         cart.gate_x = None  # view sweeps during a turn; no tracking gate
         window = None
@@ -487,16 +511,15 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if cart.turn is None:
         cart.gate_x = line[0] if line is not None else None
-    # the mission is not stepped during a latched turn and reads placards
-    # only in a few phases; a still frame keeps what was read from it
+    # a still frame keeps what was read from it
     detections = seen[3] if still else None
-    if cart.turn is None and cart.mission.phase in DETECTION_PHASES:
+    if reads:
         if detections is None:
             detections = detect_in_binary(binary, cam, templates)
         sensed = detections
     else:
         sensed = []
-    cart.seen = (pose, cart.card, binary, detections)
+    cart.seen = (pose, cart.card, binary, detections, whole)
     return SensorBundle(line=line, detections=sensed,
                         loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)

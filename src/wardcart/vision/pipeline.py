@@ -112,7 +112,9 @@ def adaptive_binarize(frame: Frame) -> BinaryFrame:
 # radial undistortion by reverse mapping
 
 @lru_cache(maxsize=8)
-def _undistort_map(width: int, height: int, k1: float):
+def _undistort_map(width: int, height: int, k1: float) -> tuple[np.ndarray, np.ndarray]:
+    """(flat source index, valid) of every output pixel, both (height, width)
+    and read-only; an invalid pixel's index is a clipped in-range one."""
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     norm = math.hypot(cx, cy)
     vv, uu = np.meshgrid(np.arange(height, dtype=float),
@@ -123,10 +125,13 @@ def _undistort_map(width: int, height: int, k1: float):
     src_u = np.rint(cx + du * scale).astype(np.int64)
     src_v = np.rint(cy + dv * scale).astype(np.int64)
     valid = (src_u >= 0) & (src_u < width) & (src_v >= 0) & (src_v < height)
-    src_u = np.clip(src_u, 0, width - 1)
-    src_v = np.clip(src_v, 0, height - 1)
-    src_v.flags.writeable = src_u.flags.writeable = valid.flags.writeable = False
-    return src_v, src_u, valid
+    # in place: the map is built while a noisy run's work arrays are held
+    np.clip(src_u, 0, width - 1, out=src_u)
+    flat = np.clip(src_v, 0, height - 1, out=src_v)
+    flat *= width
+    flat += src_u
+    flat.flags.writeable = valid.flags.writeable = False
+    return flat, valid
 
 
 def undistort_bits(binary: BinaryFrame, k1: float) -> BinaryFrame:
@@ -135,8 +140,8 @@ def undistort_bits(binary: BinaryFrame, k1: float) -> BinaryFrame:
     check_k1(k1)
     if k1 == 0.0:
         return binary
-    src_v, src_u, valid = _undistort_map(binary.width, binary.height, k1)
-    return BinaryFrame(binary.bits[src_v, src_u] & valid)
+    flat, valid = _undistort_map(binary.width, binary.height, k1)
+    return BinaryFrame(np.logical_and(binary.bits.take(flat), valid))
 
 
 def line_centroid(binary: BinaryFrame, roi_rows: tuple[int, int],

@@ -23,7 +23,7 @@ import numpy as np
 from ..arena import GLYPH_HEIGHT, PlacardEntry, TrackMap
 from .camera import CameraModel, check_k1, ground_grid
 from .glyphs import GRID_N, glyph_grid
-from .pipeline import Frame
+from .pipeline import BINARIZE_MARGIN, BinaryFrame, Frame
 
 BACKGROUND_LEVEL = 200.0
 INK_LEVEL = 30.0
@@ -146,11 +146,13 @@ def _stamp_glyph(ink: np.ndarray, wx: np.ndarray, wy: np.ndarray,
     flat[idx[sub]] = True
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _scratch(shape: tuple[int, ...], dtype: np.dtype, role: str) -> np.ndarray:
     """A work array that every frame of one shape reuses. Per-frame
     temporaries instead make the allocator trim the heap and fault it back
-    in on the next frame, about a third of a tick when it happens."""
+    in on the next frame, about a third of a tick when it happens. Room for
+    every (shape, dtype, role) the engine uses: both frame shapes, both pose
+    precisions and the noise branch."""
     return np.empty(shape, dtype)
 
 
@@ -160,17 +162,11 @@ def world_ink(track: TrackMap) -> _WorldInk:
     return _WorldInk(track)
 
 
-def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
-           noise: NoiseParams = NoiseParams(),
-           rng: np.random.Generator | None = None,
-           cards: Sequence[PlacardEntry] = ()) -> Frame:
-    """Render the ground plane seen from a cart pose.
-
-    ``cards`` adds free-standing glyphs (the digit card shown at mission
-    start, corpus scenes) on top of the map's placards.
-    """
+def _ink(track: TrackMap, pose: tuple[float, float, float], gx: np.ndarray,
+         gy: np.ndarray, cards: Sequence[PlacardEntry]) -> np.ndarray:
+    """A fresh ink mask of the ground points (gx, gy) of the cart frame,
+    seen from pose: the map's ink sampled, then the cards stamped on."""
     px, py, heading = pose
-    gx, gy = ground_grid(cam, noise.k1)
     cos_h, sin_h = math.cos(heading), math.sin(heading)
     # wx = px + gx * cos_h - gy * sin_h and wy = py + gx * sin_h + gy * cos_h,
     # in those expressions' steps and dtypes. Under NumPy 2 promotion (NEP 50)
@@ -186,15 +182,81 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
     ink = world_ink(track).sample(wx, wy)
     for card in cards:
         _stamp_glyph(ink, wx, wy, card)
+    return ink
 
+
+def _levels(brightness: float) -> tuple[np.uint8, np.uint8]:
+    """The (ink, background) pixel values of a noise-free frame."""
+    return (np.uint8(min(255, max(0, round(INK_LEVEL + brightness)))),
+            np.uint8(min(255, max(0, round(BACKGROUND_LEVEL + brightness)))))
+
+
+def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
+           noise: NoiseParams = NoiseParams(),
+           rng: np.random.Generator | None = None,
+           cards: Sequence[PlacardEntry] = ()) -> Frame:
+    """Render the ground plane seen from a cart pose.
+
+    ``cards`` adds free-standing glyphs (the digit card shown at mission
+    start, corpus scenes) on top of the map's placards.
+    """
+    ink = _ink(track, pose, *ground_grid(cam, noise.k1), cards)
     if noise.sigma > 0:
         if rng is None:
             raise ValueError("pixel noise requested but no rng supplied")
-        img = np.where(ink, INK_LEVEL, BACKGROUND_LEVEL) + noise.brightness
-        img = img + rng.normal(0.0, noise.sigma, size=img.shape)
-        img = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    else:
-        ink_u8 = np.uint8(min(255, max(0, round(INK_LEVEL + noise.brightness))))
-        back_u8 = np.uint8(min(255, max(0, round(BACKGROUND_LEVEL + noise.brightness))))
-        img = np.where(ink, ink_u8, back_u8)
-    return Frame(img)
+        # (where(ink, INK_LEVEL, BACKGROUND_LEVEL) + brightness)
+        # + rng.normal(0.0, sigma), rounded and clipped, in one work array:
+        # normal draws loc + scale * standard_normal from the same stream,
+        # and each pixel adds its level plus brightness to its draw
+        img = rng.standard_normal(out=_scratch(ink.shape, np.dtype(np.float64), "pixels"))
+        img *= noise.sigma
+        img += 0.0
+        inked = np.flatnonzero(ink)
+        at_ink = img.take(inked)
+        at_ink += INK_LEVEL + noise.brightness
+        img += BACKGROUND_LEVEL + noise.brightness
+        img.put(inked, at_ink)
+        np.clip(np.rint(img, out=img), 0, 255, out=img)
+        return Frame(img.astype(np.uint8))
+    ink_u8, back_u8 = _levels(noise.brightness)
+    return Frame(np.where(ink, ink_u8, back_u8))
+
+
+def clean_bits(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
+               brightness: float, cards: Sequence[PlacardEntry],
+               rows: tuple[int, int] | None) -> BinaryFrame | None:
+    """``adaptive_binarize(render(...))`` of a noise-free frame without
+    distortion, without building the frame.
+
+    With ``rows=None`` the whole frame is sampled. Its pixel sum is an
+    integer far below 2**53, so the mean taken from the ink count equals
+    ``pixels.mean()``. Since ink is never lighter than the background, the
+    bits are the ink where the ink level falls under the threshold and
+    nothing otherwise.
+
+    With ``rows=(r0, r1)`` only those rows are sampled and the other rows
+    come back false. Counting every unsampled pixel as ink bounds the frame
+    mean from below; when the ink level falls under the threshold of that
+    bound it falls under the true one too, and the sampled rows are exact.
+    Otherwise the band cannot be decided alone and the result is None.
+    """
+    gx, gy = ground_grid(cam, 0.0)
+    shape = gx.shape
+    if rows is not None:
+        gx, gy = gx[rows[0]:rows[1]], gy[rows[0]:rows[1]]
+    ink = _ink(track, pose, gx, gy, cards)
+    ink_u8, back_u8 = _levels(brightness)
+    n = shape[0] * shape[1]
+    count = int(np.count_nonzero(ink))
+    unsampled = n - ink.size  # read as ink: a lower bound on the sum
+    total = (count + unsampled) * int(ink_u8) + (ink.size - count) * int(back_u8)
+    dark = int(ink_u8) < total / n - BINARIZE_MARGIN
+    if rows is None:
+        if not dark:
+            ink.fill(False)
+        return BinaryFrame(ink)
+    if not dark:
+        return None
+    bits = np.zeros(shape, dtype=bool)
+    bits[rows[0]:rows[1]] = ink
+    return BinaryFrame(bits)

@@ -14,7 +14,7 @@ from wardcart.simcore import (CONFIG_KEYS, CartOutcome, PoseSample, SimConfig, _
                               _header, config_from_keys, render_svg, run_scenario,
                               trace_to_csv)
 from wardcart.vision.pipeline import adaptive_binarize, detect_in_binary, undistort_bits
-from wardcart.vision.render import NoiseParams, render
+from wardcart.vision.render import NoiseParams, _scratch, clean_bits, render
 
 LEGAL_NEXT = {
     MissionPhase.AWAIT_TARGET: {MissionPhase.AWAIT_LOAD, MissionPhase.FAULT},
@@ -188,12 +188,33 @@ def test_config_validation():
     assert SimConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
+def _count_frames(monkeypatch) -> list[str]:
+    """A list that gains the maker's name for every frame the engine makes:
+    a render, or clean bits that the band bound did not decline."""
+    frames = []
+    render_frame, bits = simcore.render, simcore.clean_bits
+
+    def spy_render(*args, **kwargs):
+        frames.append("render")
+        return render_frame(*args, **kwargs)
+
+    def spy_bits(*args, **kwargs):
+        made = bits(*args, **kwargs)
+        if made is not None:
+            frames.append("clean_bits")
+        return made
+
+    monkeypatch.setattr(simcore, "render", spy_render)
+    monkeypatch.setattr(simcore, "clean_bits", spy_bits)
+    return frames
+
+
 def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
     """On a cart-tick with no latched turn and a phase in DETECTION_PHASES,
     _sense supplies the detections of that tick's frame, whether it rendered
     the frame or reused last tick's; on every other tick it supplies none."""
-    sensed, renders = [], []
-    sense, render_frame = simcore._sense, simcore.render
+    sensed = []
+    sense = simcore._sense
 
     def spy_sense(cart, track, cam, config, templates):
         pose, card, phase = cart.vehicle.pose, cart.card, cart.mission.phase
@@ -209,19 +230,15 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
         sensed.append((readable, phase, bool(sensors.detections)))
         return sensors
 
-    def spy_render(*args, **kwargs):
-        renders.append(1)
-        return render_frame(*args, **kwargs)
-
     monkeypatch.setattr(simcore, "_sense", spy_sense)
-    monkeypatch.setattr(simcore, "render", spy_render)
+    frames = _count_frames(monkeypatch)
     report = run_scenario(track, SimConfig(wards=(1,), seed=0))
     assert report.outcomes == (CartOutcome.DELIVERED_AND_RETURNED,)
     assert any(not readable for readable, _, _ in sensed)  # turns and unread phases
     assert {phase for readable, phase, _ in sensed if readable} >= {
         MissionPhase.AWAIT_TARGET, MissionPhase.AWAIT_LOAD, MissionPhase.OUTBOUND}
     assert any(found for _, _, found in sensed)
-    assert len(renders) < len(sensed)  # some ticks reused a still frame
+    assert len(frames) < len(sensed)  # some ticks reused a still frame
 
 
 def _readable_ticks_and_calls(track, monkeypatch, config, layer):
@@ -255,17 +272,17 @@ def test_a_paused_follower_is_not_read_again(track, monkeypatch):
 
 def test_a_noisy_run_renders_every_sensed_tick(track, monkeypatch):
     config = SimConfig(wards=(1,), seed=2, max_ticks=400, noise=NoiseParams(sigma=4.0))
-    _, renders, sensed, phases = _readable_ticks_and_calls(track, monkeypatch, config, "render")
+    frames = _count_frames(monkeypatch)
+    _, _, sensed, phases = _readable_ticks_and_calls(
+        track, monkeypatch, config, "detect_in_binary")
     assert MissionPhase.AWAIT_LOAD in phases  # the cart stood still at the pharmacy
-    assert renders == sensed
+    assert frames == ["render"] * sensed
 
 
 def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
         track, templates, monkeypatch):
-    renders, detects = [], []
-    render_frame, detect = simcore.render, simcore.detect_in_binary
-    monkeypatch.setattr(simcore, "render",
-                        lambda *a, **k: renders.append(1) or render_frame(*a, **k))
+    frames, detects = _count_frames(monkeypatch), []
+    detect = simcore.detect_in_binary
     monkeypatch.setattr(simcore, "detect_in_binary",
                         lambda *a, **k: detects.append(1) or detect(*a, **k))
     start = simcore._start_pose(track, 2)
@@ -273,9 +290,9 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     clean = SimConfig()
 
     def step(config=clean):
-        before = len(renders), len(detects)
+        before = len(frames), len(detects)
         sensors = simcore._sense(cart, track, simcore.CAMERA, config, templates)
-        return len(renders) - before[0], len(detects) - before[1], sensors
+        return len(frames) - before[0], len(detects) - before[1], sensors
 
     assert step()[:2] == (1, 1)
     assert step()[:2] == (0, 0)
@@ -286,8 +303,8 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     cart.vehicle = replace(cart.vehicle, pose=(start[0] + 1e-9, start[1], start[2]))
     assert step()[:2] == (1, 1)
     cart.card = simcore._make_card(2, start)
-    renders_card, _, shown = step()
-    assert renders_card == 1 and [d.digit for d in shown.detections] == [2]
+    made, _, shown = step()
+    assert made == 1 and [d.digit for d in shown.detections] == [2]
     assert step()[:2] == (0, 0)
     cart.card = replace(cart.card)  # an equal card, but another object
     assert step()[:2] == (1, 1)
@@ -297,12 +314,75 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     assert step()[:2] == (0, 0) and step()[2].detections == []
     cart.vehicle = replace(cart.vehicle, pose=(start[0] + 2e-9, start[1], start[2]))
     assert step()[:2] == (1, 0)
-    cart.turn = None
-    assert step()[:2] == (0, 1)
+    cart.turn = None  # the frame made during the turn was the control band alone
+    assert step()[:2] == (1, 1)
     assert step()[:2] == (0, 0)
     noisy = SimConfig(noise=NoiseParams(sigma=4.0))
     assert step(noisy)[:2] == (1, 1)
     assert step(noisy)[:2] == (1, 1)
+
+
+def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates,
+                                                               monkeypatch):
+    frames = _count_frames(monkeypatch)
+    start = simcore._start_pose(track, 2)
+    cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(0))
+    cart.card = simcore._make_card(2, start)
+    cart.turn = simcore._Turn(direction=TurnDirection.LEFT, target=math.pi / 2)
+
+    def sense():
+        return simcore._sense(cart, track, simcore.CAMERA, SimConfig(), templates)
+
+    assert sense().detections == [] and frames == ["clean_bits"]
+    band = cart.seen[2].bits
+    assert not cart.seen[4] and not band[:simcore.CONTROL_ROI[0]].any()
+    cart.turn = None  # the same pose, now on a tick that reads placards
+    whole = undistort_bits(adaptive_binarize(render(track, start, simcore.CAMERA, NoiseParams(),
+                                                    cards=(cart.card,))), 0.0)
+    want = detect_in_binary(whole, simcore.CAMERA, templates)
+    assert [d.digit for d in want] == [2]
+    assert sense().detections == want and frames == ["clean_bits"] * 2 and cart.seen[4]
+    kept = cart.seen[2].bits
+    assert np.array_equal(kept, whole.bits)
+    # the kept frames are the engine's own, not work arrays a later frame reuses
+    before = band.copy(), kept.copy()
+    cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1] + 0.3, start[2]))
+    sense()
+    cart.turn = simcore._Turn(direction=TurnDirection.LEFT, target=math.pi / 2)
+    sense()
+    assert np.array_equal(band, before[0]) and np.array_equal(kept, before[1])
+
+
+@pytest.mark.parametrize("k1", (0.0, 0.05))
+@pytest.mark.parametrize("brightness", (-30.0, 150.0, 230.0))
+def test_clean_bits_leave_every_trace_byte_as_the_render_chain(track, monkeypatch,
+                                                              brightness, k1):
+    # the golden runs hold no clean run at a clipped brightness or with distortion
+    config = SimConfig(wards=(1,), seed=0, max_ticks=700,
+                       noise=NoiseParams(brightness=brightness, k1=k1))
+    frames = _count_frames(monkeypatch)
+    fast = trace_to_csv(run_scenario(track, config))
+    made = set(frames)
+    monkeypatch.setattr(simcore, "clean_bits", lambda *args: None)
+    assert trace_to_csv(run_scenario(track, config)) == fast
+    assert ("clean_bits" in made) == (k1 == 0.0)
+    # at +150 the control band alone never decides, so band ticks render
+    assert ("render" in made) == (k1 != 0.0 or brightness == 150.0)
+
+
+def test_render_work_arrays_stay_cached_across_clean_and_noisy_runs(track):
+    clean = SimConfig(wards=(1,), seed=0)
+    noisy = SimConfig(wards=(1,), seed=0,
+                      noise=NoiseParams(brightness=-30.0, sigma=8.0, k1=0.05))
+    start = simcore._start_pose(track, 1)  # Python floats: a float32 frame
+    misses = []
+    for _ in range(2):
+        run_scenario(track, clean)
+        run_scenario(track, noisy)
+        clean_bits(track, start, simcore.CAMERA, 0.0, (), simcore.CONTROL_ROI)
+        clean_bits(track, start, simcore.CAMERA, 0.0, (), None)
+        misses.append(_scratch.cache_info().misses)
+    assert misses[1] == misses[0]
 
 
 # Written out here, not read from CONFIG_KEYS, so that a row naming the wrong

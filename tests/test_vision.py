@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,8 +20,9 @@ from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
                                       adaptive_binarize, detect_placards,
                                       line_centroid, match_digit,
                                       normalize_mask, undistort_bits)
-from wardcart.vision.render import (WORLD_CELL, NoiseParams, _scratch, _WorldInk, render,
-                                    world_ink)
+from wardcart.simcore import CONTROL_ROI
+from wardcart.vision.render import (WORLD_CELL, NoiseParams, _scratch, _WorldInk, clean_bits,
+                                    render, world_ink)
 
 EMPTY_MAP = load_map("node p 0 0\npharmacy p\nwidth 0.30\n")
 
@@ -433,6 +434,112 @@ def test_vision_package_render_is_the_submodule():
     render_attr = importlib.import_module("wardcart.vision").render
     assert isinstance(render_attr, types.ModuleType)
     assert hasattr(render_attr, "world_ink")
+
+
+def test_noisy_render_is_normal_noise_on_the_two_levels(track):
+    # the noise branch against its plain expression, from the same stream
+    for k1, brightness, sigma, seed in ((0.0, 0.0, 8.0, 1), (0.05, -30.0, 8.0, 2),
+                                        (0.1, 30.0, 40.0, 3), (0.0, 240.0, 20.0, 4)):
+        cam = CameraModel(distortion_k1=k1)
+        pose = (np.float64(0.02), np.float64(0.6), np.float64(math.pi / 2 + 0.1))
+        card = (PlacardEntry(4, -0.08, 0.85, math.pi / 2),)
+        ink = render(track, pose, cam, NoiseParams(k1=k1), cards=card).pixels == 30
+        want = np.where(ink, 30.0, 200.0) + brightness
+        want = want + np.random.default_rng(seed).normal(0.0, sigma, size=want.shape)
+        want = np.clip(np.rint(want), 0, 255).astype(np.uint8)
+        got = render(track, pose, cam, NoiseParams(brightness, sigma, k1),
+                     rng=np.random.default_rng(seed), cards=card)
+        assert got.pixels.dtype == np.uint8 and np.array_equal(got.pixels, want)
+
+
+def _pose(values, types):
+    return tuple(kind(v) for kind, v in zip(types, values))
+
+
+def _clean_chain(track, pose, cam, brightness, cards):
+    frame = render(track, pose, cam, NoiseParams(brightness=brightness), cards=cards)
+    return undistort_bits(adaptive_binarize(frame), 0.0)
+
+
+ON_LINE = (0.0, 0.5, math.pi / 2)
+PYTHON_FLOATS = (float, float, float)
+
+
+@settings(max_examples=120, deadline=None)
+@given(values=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.3, 4.3),
+                        st.floats(-math.pi, math.pi)),
+       types=st.tuples(*[st.sampled_from((float, np.float64))] * 3),
+       brightness=st.floats(-250, 250), card=st.booleans(), band=st.booleans())
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=150.0, card=False, band=True)
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=230.0, card=True, band=False)
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=230.0, card=False, band=True)
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=200.0, card=True, band=True)
+def test_clean_bits_equal_the_render_chain(track, values, types, brightness, card, band):
+    pose = _pose(values, types)
+    x, y, heading = values
+    cards = (PlacardEntry(3, x + 0.22 * math.cos(heading) - 0.10 * math.sin(heading),
+                          y + 0.22 * math.sin(heading) + 0.10 * math.cos(heading),
+                          heading),) if card else ()
+    rows = CONTROL_ROI if band else None
+    cam = CameraModel()
+    want = _clean_chain(track, pose, cam, brightness, cards).bits
+    got = clean_bits(track, pose, cam, brightness, cards, rows)
+    if rows is None:
+        assert got is not None and np.array_equal(got.bits, want)
+    elif got is not None:
+        r0, r1 = rows
+        assert got.bits.shape == want.shape
+        assert np.array_equal(got.bits[r0:r1], want[r0:r1])
+        assert not got.bits[:r0].any() and not got.bits[r1:].any()
+
+
+def test_clean_bits_reach_the_fallback_and_the_blank_frame(track, cam):
+    def bits(brightness, rows):
+        got = clean_bits(track, ON_LINE, cam, brightness, (), rows)
+        return None if got is None else got.bits
+
+    r0, r1 = CONTROL_ROI
+    line = _clean_chain(track, ON_LINE, cam, -30.0, ()).bits
+    assert line[r0:r1].any() and np.array_equal(bits(-30.0, CONTROL_ROI)[r0:r1], line[r0:r1])
+    # ink 180 on 255: the frame reads the line, but the band alone cannot tell
+    assert _clean_chain(track, ON_LINE, cam, 150.0, ()).bits.any()
+    assert bits(150.0, CONTROL_ROI) is None
+    # ink and background both clip to 255: nothing falls under the threshold
+    assert not _clean_chain(track, ON_LINE, cam, 230.0, ()).bits.any()
+    assert not bits(230.0, None).any()
+    assert bits(230.0, CONTROL_ROI) is None
+
+
+def test_clean_bits_are_a_fresh_array(track, cam):
+    first = clean_bits(track, ON_LINE, cam, 0.0, (), CONTROL_ROI)
+    kept = first.bits.copy()
+    for rows in (CONTROL_ROI, None):
+        clean_bits(track, (0.3, 1.0, 0.0), cam, 0.0, (), rows)
+        clean_bits(track, _pose(ON_LINE, (np.float64,) * 3), cam, 0.0, (), rows)
+    assert np.array_equal(first.bits, kept)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k1=st.floats(-0.3, 0.3), seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.tuples(st.integers(2, 40), st.integers(2, 40)))
+def test_undistort_bits_equal_the_two_index_gather(k1, seed, shape):
+    h, w = shape
+    bits = np.random.default_rng(seed).random(shape) < 0.5
+    if k1 == 0.0:
+        assert undistort_bits(BinaryFrame(bits), k1).bits is bits
+        return
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    vv, uu = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
+                         indexing="ij")
+    scale = 1.0 + k1 * (np.hypot(uu - cx, vv - cy) / math.hypot(cx, cy)) ** 2
+    su = np.rint(cx + (uu - cx) * scale)
+    sv = np.rint(cy + (vv - cy) * scale)
+    want = np.zeros(shape, dtype=bool)
+    for v in range(h):
+        for u in range(w):
+            if 0 <= su[v, u] < w and 0 <= sv[v, u] < h:
+                want[v, u] = bits[int(sv[v, u]), int(su[v, u])]
+    assert np.array_equal(undistort_bits(BinaryFrame(bits), k1).bits, want)
 
 
 def same_as_masked_sample(ink, wx, wy):
