@@ -122,7 +122,8 @@ def ground_grid(cam: CameraModel, k1: float) -> tuple[np.ndarray, np.ndarray]:
     if k1 != 0.0:
         cx, cy = cam.center
         du, dv = uu - cx, vv - cy
-        r_d = np.hypot(du, dv) / cam.radius_norm
+        # a 1 x 1 frame is all center, radius 0
+        r_d = np.hypot(du, dv) / (cam.radius_norm or 1.0)
         r_u = undistorted_radius(r_d, k1)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(r_d > 1e-12, r_u / r_d, 1.0)

@@ -1,8 +1,12 @@
 """Recognition pipeline: binarize, undistort, line centroid, blobs, digits.
 
 All operations are pure; frames and binary frames are thin wrappers over
-numpy arrays. Connected components are extracted with run-based union-find
-under 8-connectivity, so diagonal contact joins blobs.
+numpy arrays. Connected components are labeled over row runs under
+8-connectivity, so diagonal contact joins blobs: each run points at the
+first run it touches in the row above, pointer jumping carries every run to
+the top of its chain, and only the few runs that touch two or more runs
+above are merged in Python. Glyph masks are resampled by one matrix product
+per axis.
 """
 
 from __future__ import annotations
@@ -37,15 +41,6 @@ _CAND_MAX_ASPECT = 3.4
 _CAND_MIN_FILL, _CAND_MAX_FILL = 0.10, 0.95
 _RECTIFY_GRID = 48
 _SUPERSAMPLE = 3
-
-# room for every crop size of a rectified blob
-@lru_cache(maxsize=_RECTIFY_GRID * _RECTIFY_GRID)
-def _resample_indices(bh: int, bw: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    ss = _SUPERSAMPLE
-    rows = np.minimum(((np.arange(n * ss) + 0.5) * bh / (n * ss)).astype(np.int64), bh - 1)
-    cols = np.minimum(((np.arange(n * ss) + 0.5) * bw / (n * ss)).astype(np.int64), bw - 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ def _undistort_map(width: int, height: int, k1: float) -> tuple[np.ndarray, np.n
     """(flat source index, valid) of every output pixel, both (height, width)
     and read-only; an invalid pixel's index is a clipped in-range one."""
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
-    norm = math.hypot(cx, cy)
+    norm = math.hypot(cx, cy) or 1.0  # a 1 x 1 frame is all center, radius 0
     vv, uu = np.meshgrid(np.arange(height, dtype=float),
                          np.arange(width, dtype=float), indexing="ij")
     du, dv = uu - cx, vv - cy
@@ -175,97 +170,76 @@ def line_centroid(binary: BinaryFrame, roi_rows: tuple[int, int],
 
 
 # --------------------------------------------------------------------------
-# connected components (8-connectivity, run-based union-find)
+# connected components (8-connectivity, row runs)
 
-def _label_runs(bits: np.ndarray) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+def _label_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row runs of foreground, grouped into 8-connected components.
 
-    Returns (run_row, run_start, run_end, groups) where each group is a
-    list of run indices belonging to one component.
+    Returns (run_row, run_start, run_end, label), one entry per run in
+    raster order; run_end is exclusive and a run's label is the smallest
+    run index in its component.
     """
     h, w = bits.shape
-    padded = np.zeros((h, w + 1), dtype=bool)
-    padded[:, :w] = bits
-    flat = padded.ravel()
-    diff = np.diff(flat.astype(np.int8))
-    starts = np.nonzero(diff == 1)[0] + 1
-    ends = np.nonzero(diff == -1)[0] + 1
-    if flat[0]:
-        starts = np.concatenate(([0], starts))
     stride = w + 1
-    rows_arr = starts // stride
-    run_row = rows_arr.tolist()
-    run_s = (starts - rows_arr * stride).tolist()
-    run_e = (ends - rows_arr * stride).tolist()
-    n = len(run_row)
+    # every row after a blank column, and one blank after the last row: a
+    # run's start and end are then flat diff indices, column = index % stride
+    flat = np.zeros(h * stride + 1, dtype=bool)
+    flat[:-1].reshape(h, stride)[:, 1:] = bits
+    # the changes alternate: a run's start, then its end (a bool diff, as
+    # nonzero runs several times faster on bool than on int8)
+    edges = np.diff(flat).nonzero()[0]
+    starts, ends = edges[0::2], edges[1::2]
+    # run [s, e) touches the runs of the row above with end >= s and
+    # start <= e, which are the run indices lo..hi-1
+    lo = ends.searchsorted(starts - stride)
+    hi = starts.searchsorted(ends - stride, side="right")
+    n = len(starts)
+    label = np.where(hi > lo, lo, np.arange(n))
+    # a pointer climbs one row, so a chain has at most h - 1 hops and
+    # (h - 1).bit_length() doublings reach its top, the smallest index on it
+    for _ in range((h - 1).bit_length()):
+        label = label[label]
+    # only a run that touches two or more runs above can join two chains
+    merges = (hi - lo > 1).nonzero()[0].tolist()
+    if merges:
+        tops = label.tolist()
+        parent: dict[int, int] = {}
 
-    parent = list(range(n))
+        def find(i: int) -> int:
+            while i in parent:
+                i = parent[i]
+            return i
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    prev: list[int] = []  # run indices on the previous row
-    prev_row = -2
-    i = 0
-    while i < n:
-        r = run_row[i]
-        row_runs = []
-        while i < n and run_row[i] == r:
-            row_runs.append(i)
-            i += 1
-        if r == prev_row + 1:
-            j = 0
-            np_prev = len(prev)
-            for ci in row_runs:
-                cs, ce = run_s[ci], run_e[ci]
-                while j < np_prev and run_e[prev[j]] < cs:
-                    j += 1
-                k = j
-                while k < np_prev and run_s[prev[k]] <= ce:
-                    ra, rb = find(ci), find(prev[k])
-                    if ra != rb:
-                        parent[rb] = ra
-                    k += 1
-        prev = row_runs
-        prev_row = r
-
-    grouped: dict[int, list[int]] = {}
-    for idx in range(n):
-        grouped.setdefault(find(idx), []).append(idx)
-    return run_row, run_s, run_e, list(grouped.values())
-
-
-def _blob_of(members: list[int], run_row, run_s, run_e) -> Blob:
-    """Bounding box, area and centroid of one component."""
-    area = 0
-    x0 = y0 = 1 << 30
-    x1 = y1 = -1
-    sum_x = 0.0
-    sum_y = 0.0
-    for m in members:
-        s, e, r = run_s[m], run_e[m], run_row[m]
-        cnt = e - s
-        area += cnt
-        sum_x += cnt * (s + e - 1) / 2.0
-        sum_y += cnt * r
-        if s < x0:
-            x0 = s
-        if e > x1:
-            x1 = e
-        if r < y0:
-            y0 = r
-        if r > y1:
-            y1 = r
-    bw, bh = x1 - x0, y1 - y0 + 1
-    return Blob(x0=x0, y0=y0, width=bw, height=bh, area=area,
-                centroid_x=sum_x / area, centroid_y=sum_y / area)
+        for i in merges:
+            for k in range(int(lo[i]) + 1, int(hi[i])):
+                a, b = find(tops[i]), find(tops[k])
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        root = np.arange(n)
+        for top in parent:
+            root[top] = find(top)
+        label = root[label]
+    rows = starts // stride
+    return rows, starts - rows * stride, ends - rows * stride, label
 
 
 # --------------------------------------------------------------------------
 # template matching
+
+# one entry per crop side and grid size; a rectified blob's side is at most
+# _RECTIFY_GRID
+@lru_cache(maxsize=2 * _RECTIFY_GRID)
+def _axis_weights(length: int, n: int) -> np.ndarray:
+    """(n, length) float32: how many of output cell i's supersamples along
+    one axis read input pixel j."""
+    ss = _SUPERSAMPLE
+    src = np.minimum(((np.arange(n * ss) + 0.5) * length / (n * ss)).astype(np.int64),
+                     length - 1)
+    weights = np.zeros((n, length), dtype=np.float32)
+    np.add.at(weights, (np.arange(n * ss) // ss, src), 1.0)
+    weights.flags.writeable = False
+    return weights
+
 
 def normalize_mask(mask: np.ndarray, n: int = GRID_N) -> np.ndarray:
     """Stretch a mask's tight bounding box onto an n x n grid.
@@ -276,15 +250,17 @@ def normalize_mask(mask: np.ndarray, n: int = GRID_N) -> np.ndarray:
     is a 3x supersampled box filter (majority vote per output cell), which
     keeps thin strokes stable under small scale changes.
     """
-    ys, xs = np.nonzero(mask)
-    if len(ys) == 0:
+    ink_rows = mask.any(axis=1)
+    if not ink_rows.any():
         return np.zeros((n, n), dtype=bool)
-    crop = mask[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
-    bh, bw = crop.shape
-    rows, cols = _resample_indices(bh, bw, n)
-    fine = crop[rows][:, cols].astype(np.uint8)
+    ink_cols = mask.any(axis=0)
+    y0, y1 = int(ink_rows.argmax()), len(ink_rows) - int(ink_rows[::-1].argmax())
+    x0, x1 = int(ink_cols.argmax()), len(ink_cols) - int(ink_cols[::-1].argmax())
+    crop = mask[y0:y1, x0:x1].astype(np.float32)
+    # ink among each cell's 3 x 3 samples: at most 9, exact in float32
+    votes = _axis_weights(y1 - y0, n) @ crop @ _axis_weights(x1 - x0, n).T
     ss = _SUPERSAMPLE
-    return fine.reshape(n, ss, n, ss).sum(axis=(1, 3)) * 2 >= ss * ss
+    return votes * 2 >= ss * ss
 
 
 @lru_cache(maxsize=8)
@@ -376,27 +352,37 @@ def detect_in_binary(binary: BinaryFrame, cam: CameraModel,
     h, w = bits.shape
     if h == 0 or w == 0 or not bits.any():
         return []
-    run_row, run_s, run_e, groups = _label_runs(bits)
+    run_row, run_s, run_e, label = _label_runs(bits)
+    run_len = run_e - run_s
+    areas = np.bincount(label, weights=run_len)
     detections: list[DigitDetection] = []
-    for members in groups:
-        area = 0
-        for m in members:
-            area += run_e[m] - run_s[m]
-        if area < MIN_AREA:
+    # candidates in order of their smallest run index, which orders
+    # detections of equal image x
+    for root in (areas >= MIN_AREA).nonzero()[0].tolist():
+        members = (label == root).nonzero()[0]
+        # runs are in raster order, so the root's row is the top one
+        y0 = int(run_row[root])
+        height = int(run_row[members[-1]]) - y0 + 1
+        if not (_CAND_MIN_H <= height <= _CAND_MAX_H):
             continue
-        blob = _blob_of(members, run_row, run_s, run_e)
-        if not (_CAND_MIN_H <= blob.height <= _CAND_MAX_H):
+        s, e = run_s[members], run_e[members]
+        x0 = int(s.min())
+        width = int(e.max()) - x0
+        if not (_CAND_MIN_W <= width <= _CAND_MAX_W):
             continue
-        if not (_CAND_MIN_W <= blob.width <= _CAND_MAX_W):
+        if width / height > _CAND_MAX_ASPECT:
             continue
-        if blob.width / blob.height > _CAND_MAX_ASPECT:
-            continue
-        fill = blob.area / (blob.width * blob.height)
+        area = int(areas[root])
+        fill = area / (width * height)
         if not (_CAND_MIN_FILL <= fill <= _CAND_MAX_FILL):
             continue
-        if blob.x0 == 0 or blob.y0 == 0 or blob.x0 + blob.width >= w \
-                or blob.y0 + blob.height >= h:
+        if x0 == 0 or y0 == 0 or x0 + width >= w or y0 + height >= h:
             continue  # clipped at a frame border; not a readable placard
+        cnt = run_len[members]
+        # twice the x sum is an integer, so halving it is exact
+        blob = Blob(x0=x0, y0=y0, width=width, height=height, area=area,
+                    centroid_x=int(cnt @ (s + e - 1)) / 2.0 / area,
+                    centroid_y=int(cnt @ run_row[members]) / area)
         rectified = _rectify_on_ground(bits, blob, cam)
         if rectified is None:
             continue

@@ -16,10 +16,11 @@ from wardcart.vision import pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
 from wardcart.vision.glyphs import GRID_N, DigitTemplate, glyph_grid
 from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
-                                      Blob, Frame, _blob_of, _label_runs,
-                                      adaptive_binarize, detect_placards,
-                                      line_centroid, match_digit,
-                                      normalize_mask, undistort_bits)
+                                      Blob, DigitDetection, Frame, _label_runs,
+                                      adaptive_binarize, detect_in_binary,
+                                      detect_placards, line_centroid,
+                                      match_digit, normalize_mask,
+                                      undistort_bits)
 from wardcart.simcore import CONTROL_ROI
 from wardcart.vision.render import (WORLD_CELL, NoiseParams, _scratch, _WorldInk, clean_bits,
                                     render, world_ink)
@@ -51,6 +52,146 @@ def flood_fill_oracle(bits):
                         stack.append((ny, nx))
         comps.append(frozenset(cells))
     return set(comps)
+
+
+# The detector before run labeling moved to NumPy: per-run union-find,
+# blob statistics in Python and the candidate gates, kept as the reference
+# that detect_in_binary must equal.
+
+def reference_label_runs(bits):
+    h, w = bits.shape
+    padded = np.zeros((h, w + 1), dtype=bool)
+    padded[:, :w] = bits
+    flat = padded.ravel()
+    diff = np.diff(flat.astype(np.int8))
+    starts = np.nonzero(diff == 1)[0] + 1
+    ends = np.nonzero(diff == -1)[0] + 1
+    if flat[0]:
+        starts = np.concatenate(([0], starts))
+    stride = w + 1
+    rows_arr = starts // stride
+    run_row = rows_arr.tolist()
+    run_s = (starts - rows_arr * stride).tolist()
+    run_e = (ends - rows_arr * stride).tolist()
+    n = len(run_row)
+
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    prev = []  # run indices on the previous row
+    prev_row = -2
+    i = 0
+    while i < n:
+        r = run_row[i]
+        row_runs = []
+        while i < n and run_row[i] == r:
+            row_runs.append(i)
+            i += 1
+        if r == prev_row + 1:
+            j = 0
+            np_prev = len(prev)
+            for ci in row_runs:
+                cs, ce = run_s[ci], run_e[ci]
+                while j < np_prev and run_e[prev[j]] < cs:
+                    j += 1
+                k = j
+                while k < np_prev and run_s[prev[k]] <= ce:
+                    ra, rb = find(ci), find(prev[k])
+                    if ra != rb:
+                        parent[rb] = ra
+                    k += 1
+        prev = row_runs
+        prev_row = r
+
+    grouped = {}
+    for idx in range(n):
+        grouped.setdefault(find(idx), []).append(idx)
+    return run_row, run_s, run_e, list(grouped.values())
+
+
+def reference_blob_of(members, run_row, run_s, run_e):
+    area = 0
+    x0 = y0 = 1 << 30
+    x1 = y1 = -1
+    sum_x = 0.0
+    sum_y = 0.0
+    for m in members:
+        s, e, r = run_s[m], run_e[m], run_row[m]
+        cnt = e - s
+        area += cnt
+        sum_x += cnt * (s + e - 1) / 2.0
+        sum_y += cnt * r
+        if s < x0:
+            x0 = s
+        if e > x1:
+            x1 = e
+        if r < y0:
+            y0 = r
+        if r > y1:
+            y1 = r
+    bw, bh = x1 - x0, y1 - y0 + 1
+    return Blob(x0=x0, y0=y0, width=bw, height=bh, area=area,
+                centroid_x=sum_x / area, centroid_y=sum_y / area)
+
+
+def reference_detect_in_binary(binary, cam, templates):
+    bits = binary.bits
+    h, w = bits.shape
+    if h == 0 or w == 0 or not bits.any():
+        return []
+    run_row, run_s, run_e, groups = reference_label_runs(bits)
+    detections = []
+    for members in groups:
+        area = 0
+        for m in members:
+            area += run_e[m] - run_s[m]
+        if area < pipeline.MIN_AREA:
+            continue
+        blob = reference_blob_of(members, run_row, run_s, run_e)
+        if not (pipeline._CAND_MIN_H <= blob.height <= pipeline._CAND_MAX_H):
+            continue
+        if not (pipeline._CAND_MIN_W <= blob.width <= pipeline._CAND_MAX_W):
+            continue
+        if blob.width / blob.height > pipeline._CAND_MAX_ASPECT:
+            continue
+        fill = blob.area / (blob.width * blob.height)
+        if not (pipeline._CAND_MIN_FILL <= fill <= pipeline._CAND_MAX_FILL):
+            continue
+        if blob.x0 == 0 or blob.y0 == 0 or blob.x0 + blob.width >= w \
+                or blob.y0 + blob.height >= h:
+            continue
+        rectified = pipeline._rectify_on_ground(bits, blob, cam)
+        if rectified is None:
+            continue
+        scored = match_digit(rectified, templates)
+        if scored is None:
+            continue
+        digit, score = scored
+        range_z = pipeline.GLYPH_HEIGHT * cam.focal_px / blob.height
+        detections.append(DigitDetection(digit=digit, image_x=blob.centroid_x,
+                                         image_y=blob.centroid_y,
+                                         range_z=range_z, score=score))
+    detections.sort(key=lambda d: d.image_x)
+    return detections
+
+
+def reference_normalize_mask(mask, n=GRID_N):
+    """3x supersampled majority vote by index gathers, as before the matmul."""
+    ys, xs = np.nonzero(mask)
+    if len(ys) == 0:
+        return np.zeros((n, n), dtype=bool)
+    crop = mask[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
+    bh, bw = crop.shape
+    ss = pipeline._SUPERSAMPLE
+    rows = np.minimum(((np.arange(n * ss) + 0.5) * bh / (n * ss)).astype(np.int64), bh - 1)
+    cols = np.minimum(((np.arange(n * ss) + 0.5) * bw / (n * ss)).astype(np.int64), bw - 1)
+    fine = crop[rows][:, cols].astype(np.uint8)
+    return fine.reshape(n, ss, n, ss).sum(axis=(1, 3)) * 2 >= ss * ss
 
 
 # ------------------------------------------------------------- binarize
@@ -100,6 +241,19 @@ def test_undistort_keeps_center_pixel():
     for k1 in (0.05, 0.1, 0.2):
         out = undistort_bits(BinaryFrame(bits), k1)
         assert out.bits[30, 40]
+
+
+def test_undistort_maps_a_1x1_frame_onto_itself():
+    # the only pixel is the center, at radius 0 under any half-diagonal
+    for ink in (False, True):
+        out = undistort_bits(BinaryFrame(np.full((1, 1), ink)), 0.1)
+        assert out.bits.tolist() == [[ink]]
+
+
+def test_ground_grid_of_a_1x1_camera_keeps_its_center():
+    cam = CameraModel(resolution=(1, 1), distortion_k1=0.1)
+    for got, want in zip(ground_grid(cam, 0.1), ground_grid(cam, 0.0)):
+        assert np.array_equal(got, want)
 
 
 def test_non_monotone_k1_rejected():
@@ -206,16 +360,29 @@ def test_line_centroid_column_window_masks_clutter():
 
 # -------------------------------------------------------------- contours
 
+def groups_of(bits):
+    """(run_row, run_start, run_end, groups) from _label_runs as lists, each
+    group the run indices of one label, in order of label; checks that a
+    label is its group's smallest run index."""
+    run_row, run_s, run_e, label = (a.tolist() for a in _label_runs(bits))
+    groups = {}
+    for idx, lab in enumerate(label):
+        groups.setdefault(lab, []).append(idx)
+    assert all(lab == members[0] for lab, members in groups.items())
+    return run_row, run_s, run_e, list(groups.values())
+
+
 def blobs_of(bits):
-    """One blob per 8-connected component, as _label_runs and _blob_of give them."""
-    run_row, run_s, run_e, groups = _label_runs(bits)
-    return [_blob_of(g, run_row, run_s, run_e) for g in groups]
+    """One blob per 8-connected component, from the runs and labels of
+    _label_runs."""
+    run_row, run_s, run_e, groups = groups_of(bits)
+    return [reference_blob_of(g, run_row, run_s, run_e) for g in groups]
 
 
 def component_pixels(bits):
     """Each 8-connected component as the set of its (row, col) pixels,
     rebuilt from the runs of _label_runs."""
-    run_row, run_s, run_e, groups = _label_runs(bits)
+    run_row, run_s, run_e, groups = groups_of(bits)
     return [frozenset((run_row[m], x) for m in g for x in range(run_s[m], run_e[m]))
             for g in groups]
 
@@ -268,7 +435,17 @@ def test_label_runs_groups_in_raster_order():
     assert [(b.y0, b.x0) for b in blobs] == [(2, 20), (6, 2), (6, 10)]
 
 
-@given(arrays(bool, (18, 22), elements=st.booleans()))
+# 1-row and 1-column frames, and frames as wide as the camera's
+FRAME_SHAPES = st.one_of(st.tuples(st.integers(1, 24), st.integers(1, 24)),
+                         st.tuples(st.just(1), st.integers(1, 160)),
+                         st.tuples(st.integers(1, 120), st.just(1)),
+                         st.tuples(st.integers(1, 12), st.just(160)))
+
+
+@given(arrays(bool, FRAME_SHAPES, elements=st.booleans()))
+@example(np.ones((1, 1), dtype=bool))
+@example(np.ones((3, 160), dtype=bool))
+@example(np.eye(12, dtype=bool)[::-1])
 @settings(max_examples=60, deadline=None)
 def test_contours_match_flood_fill_oracle(bits):
     got = component_pixels(bits)
@@ -326,6 +503,17 @@ def test_normalize_mask_centers_and_is_translation_invariant():
     assert normalize_mask(np.zeros((5, 5), dtype=bool)).sum() == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+       density=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([GRID_N, 5]))
+def test_normalize_mask_equals_the_supersample_reference(shape, density, seed, n):
+    mask = np.random.default_rng(seed).random(shape) < density
+    got = normalize_mask(mask, n)
+    assert got.dtype == bool and got.shape == (n, n)
+    assert np.array_equal(got, reference_normalize_mask(mask, n))
+
+
 # -------------------------------------------------------------- detector
 
 def test_detect_placards_empty_scene(cam, templates):
@@ -366,6 +554,55 @@ def test_range_estimate_is_monotone_in_distance(cam, templates):
         assert len(dets) == 1
         ranges.append(dets[0].range_z)
     assert ranges[0] < ranges[1] < ranges[2]
+
+
+def _stamp(bits, grid, y, x):
+    """OR a grid into bits with its top-left corner at (y, x), clipped."""
+    h, w = bits.shape
+    gh, gw = grid.shape
+    y0, x0 = max(y, 0), max(x, 0)
+    y1, x1 = min(y + gh, h), min(x + gw, w)
+    if y0 < y1 and x0 < x1:
+        bits[y0:y1, x0:x1] |= grid[y0 - y:y1 - y, x0 - x:x1 - x]
+
+
+def _detector_frame(line, glyphs, speck_seed, speck_density):
+    bits = np.zeros((120, 160), dtype=bool)
+    if line is not None:
+        top, x, slope, width = line
+        for r in range(top, 120):
+            c = x + int(slope * (r - top))
+            bits[r, max(c, 0):max(c + width, 0)] = True
+    for digit, sy, sx, y, x in glyphs:
+        _stamp(bits, np.repeat(np.repeat(glyph_grid(digit), sy, axis=0), sx, axis=1), y, x)
+    bits |= np.random.default_rng(speck_seed).random(bits.shape) < speck_density
+    return bits
+
+
+def _typed_fields(detections):
+    return [[(k, type(v), v) for k, v in vars(d).items()] for d in detections]
+
+
+# a guide line, glyphs at integer scales (some across the border) and specks
+@settings(max_examples=120, deadline=None)
+@given(line=st.none() | st.tuples(st.integers(0, 119), st.integers(-12, 170),
+                                  st.floats(-1.5, 1.5), st.integers(2, 12)),
+       glyphs=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
+                                 st.integers(-20, 115), st.integers(-20, 155)),
+                       max_size=5),
+       speck_seed=st.integers(0, 2 ** 32 - 1),
+       speck_density=st.sampled_from([0.0, 0.002, 0.01, 0.05]))
+# two equal glyphs one above the other: equal image x, kept in raster order
+@example(line=(0, 130, 0.0, 7), glyphs=[(4, 1, 1, 50, 60), (4, 1, 1, 90, 60)],
+         speck_seed=0, speck_density=0.0)
+@example(line=None, glyphs=[(7, 1, 2, 90, 60), (3, 1, 1, 90, 100), (8, 1, 3, 88, 10)],
+         speck_seed=1, speck_density=0.002)
+def test_detect_in_binary_equals_the_reference_detector(cam, templates, line, glyphs,
+                                                       speck_seed, speck_density):
+    binary = BinaryFrame(_detector_frame(line, glyphs, speck_seed, speck_density))
+    got = detect_in_binary(binary, cam, templates)
+    want = reference_detect_in_binary(binary, cam, templates)
+    assert _typed_fields(got) == _typed_fields(want)
 
 
 # ---------------------------------------------------------------- render
@@ -656,8 +893,7 @@ CACHES = {
                     lambda n: [(CameraModel(), 0.01 * i) for i in range(n)]),
     "undistort_map": (pipeline._undistort_map,
                       lambda n: [(160, 120, 0.01 * i) for i in range(n)]),
-    "resample_indices": (pipeline._resample_indices,
-                         lambda n: [(1 + i // 60, 1 + i % 60, GRID_N) for i in range(n)]),
+    "axis_weights": (pipeline._axis_weights, lambda n: [(1 + i, GRID_N) for i in range(n)]),
     "template_stack": (pipeline._template_stack,
                        lambda n: [(((1, g),),) for g in _grids(n)]),
     "quadrature": (vehicle._quadrature, lambda n: [(0.01 * (1 + i), 0.1) for i in range(n)]),
