@@ -226,9 +226,9 @@ def _label_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 # --------------------------------------------------------------------------
 # template matching
 
-# one entry per crop side and grid size; a rectified blob's side is at most
-# _RECTIFY_GRID
-@lru_cache(maxsize=2 * _RECTIFY_GRID)
+# one entry per crop side: a rectified blob's side is at most _RECTIFY_GRID,
+# and every grid is GRID_N
+@lru_cache(maxsize=_RECTIFY_GRID)
 def _axis_weights(length: int, n: int) -> np.ndarray:
     """(n, length) float32: how many of output cell i's supersamples along
     one axis read input pixel j."""

@@ -1,16 +1,8 @@
-import os
-
 import pytest
-from hypothesis import settings
 
 from wardcart.arena import default_map
 from wardcart.vision.camera import CameraModel
 from wardcart.vision.glyphs import default_templates
-
-# HYPOTHESIS_PROFILE=ci prints a failing example's @reproduce_failure line;
-# example counts and deadlines stay as each test sets them
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
