@@ -208,9 +208,12 @@ def iter_records(text: str) -> Iterator[tuple[int, list[str]]]:
 
 def _parse_float(tok: str, lineno: int, what: str) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise MapParseError(lineno, f"bad {what}: {tok!r}") from None
+    if not math.isfinite(value):
+        raise MapParseError(lineno, f"{what} must be finite: {tok!r}")
+    return value
 
 
 def load_map(text: str) -> TrackMap:
@@ -295,23 +298,6 @@ def load_map(text: str) -> TrackMap:
             if not 1 <= x <= 8:
                 raise MapValidationError(f"placard digit {x} out of range 1..8")
 
-    # connectivity from the pharmacy
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
-    for e in edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    reached = {pharmacy}
-    frontier = [pharmacy]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in adj[cur]:
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    if reached != set(nodes):
-        missing = sorted(set(nodes) - reached)
-        raise MapValidationError(f"graph not connected: unreachable nodes {missing}")
-
     skeleton = TrackMap(
         nodes=tuple(nodes.items()),
         edges=tuple(edges),
@@ -322,7 +308,11 @@ def load_map(text: str) -> TrackMap:
             (digit, x) for _, digit, _, extras in ward_records for x in extras
         )),
     )
-    track = replace(skeleton, wards=_build_wards(skeleton, ward_records))
+    parents = _bfs_parents(skeleton, pharmacy)
+    missing = sorted(set(nodes) - set(parents) - {pharmacy})
+    if missing:
+        raise MapValidationError(f"graph not connected: unreachable nodes {missing}")
+    track = replace(skeleton, wards=_build_wards(skeleton, parents, ward_records))
     for w in track.wards:
         for entry in w.placard.entries:
             if abs(entry.x) > 50 or abs(entry.y) > 50:
@@ -353,10 +343,8 @@ def _bfs_parents(track: TrackMap, root: str) -> dict[str, tuple[str, str]]:
     return parents
 
 
-def _build_wards(skeleton: TrackMap,
+def _build_wards(skeleton: TrackMap, parents: dict[str, tuple[str, str]],
                  ward_records: list[tuple[int, int, str, list[int]]]) -> tuple[Ward, ...]:
-    parents = _bfs_parents(skeleton, skeleton.pharmacy)
-
     # group wards by their decision junction (BFS parent of the ward node)
     groups: dict[str, list[tuple[int, str]]] = {}
     extras_by_junction: dict[str, list[int]] = {}

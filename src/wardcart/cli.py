@@ -112,13 +112,20 @@ def _report_summary(report: TraceReport) -> str:
     return "  ".join(bits)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     scn = _apply_overrides(load_scenario(Path(args.scenario)), args)
     report = run_scenario(scn.track, scn.config)
     if args.trace:
-        Path(args.trace).write_text(trace_to_csv(report), encoding="utf-8")
+        _write(args.trace, trace_to_csv(report))
     if args.svg:
-        Path(args.svg).write_text(render_svg(scn.track, report), encoding="utf-8")
+        _write(args.svg, render_svg(scn.track, report))
     print(_report_summary(report))
     if scn.expected is not None:
         ok = all(o is scn.expected for o in report.outcomes)
@@ -189,14 +196,13 @@ def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
     templates = default_templates()
     pose = (0.0, 0.0, math.pi / 2)
     card_gx, card_gy = 0.26, 0.0  # straight ahead, cart frame
-    base_cam = CameraModel()
-    u0, v0 = base_cam.pixels_from_ground(np.array([card_gx]), np.array([card_gy]))
+    u0, v0 = CameraModel.pixels_from_ground(np.array([card_gx]), np.array([card_gy]))
 
     total = correct = clean_total = clean_correct = 0
     idx = 0
     for digit, sx, sy, k1, brightness, sigma in corpus_grid(k1s, brightnesses, sigmas):
+        gx, gy = CameraModel.ground_from_pixels(u0 + sx, v0 + sy)
         cam = CameraModel(distortion_k1=k1)
-        gx, gy = cam.ground_from_pixels(u0 + sx, v0 + sy)
         card = PlacardEntry(digit, float(-gy[0]), float(gx[0]), math.pi / 2)
         rng = np.random.default_rng(derive_seed(seed, f"corpus/{idx}"))
         frame = render(track, pose, cam, NoiseParams(brightness, sigma, k1),
@@ -230,23 +236,24 @@ def cmd_vision_corpus(args: argparse.Namespace) -> int:
                     NoiseParams(brightness, sigma, k1)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
+    if not 0 <= args.seed < 2 ** 64:  # derive_seed keeps 64 bits of it
+        raise ScenarioError("seed must be in [0, 2**64)")
     lines: list[str] = []
     total, correct, clean_total, clean_correct = run_corpus(
-        k1s, brightnesses, sigmas, seed=args.seed or 0, out_lines=lines)
-    out = Path(args.output)
-    out.write_text("label,predicted,score,k1,brightness,noise\n"
-                   + "\n".join(lines) + "\n", encoding="utf-8")
+        k1s, brightnesses, sigmas, seed=args.seed, out_lines=lines)
+    _write(args.output, "label,predicted,score,k1,brightness,noise\n"
+           + "\n".join(lines) + "\n")
     accuracy = correct / total
     print(f"samples={total} accuracy={accuracy:.4f}")
     if clean_total:
         print(f"clean subset: samples={clean_total} accuracy={clean_correct / clean_total:.4f}")
-    print(f"wrote {out}")
+    print(f"wrote {args.output}")
     return 0
 
 
 def cmd_render_map(args: argparse.Namespace) -> int:
     track = _load_map(args.map, Path())
-    Path(args.output).write_text(render_svg(track), encoding="utf-8")
+    _write(args.output, render_svg(track))
     print(f"wrote {args.output}")
     return 0
 
@@ -297,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:  # bad input: exit 2 before any output file is written
+    except ScenarioError as exc:  # bad input or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

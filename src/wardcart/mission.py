@@ -17,6 +17,7 @@ from enum import Enum
 
 from .arena import Action, RoutePlan, Vec2
 from .comms import Message, MessageKind, ProceedRetry
+from .vision.camera import WIDTH
 from .vision.pipeline import DigitDetection
 
 CONFIRM_FRAMES = 5          # frames in a row that must show the same nearest digit
@@ -102,7 +103,6 @@ class MissionConfig:
     cart_id: int = 0
     routes: dict[int, RoutePlan] = field(default_factory=dict)
     returns: dict[int, RoutePlan] = field(default_factory=dict)
-    frame_width: int = 160
     lost_line_ticks: int = 50
     pause_point: tuple[Vec2, float] | None = None  # (position, route distance)
     retry_interval: int = 20
@@ -146,8 +146,7 @@ def _confirm_update(digit: int, streak: int,
     return nearest.digit, 1
 
 
-def check_junction(target: int, detections: list[DigitDetection], planned: Action,
-                   frame_width: int) -> None:
+def check_junction(target: int, detections: list[DigitDetection], planned: Action) -> None:
     """Check the planned action at the upcoming junction against vision.
 
     The nearest target placard within DECISION_RANGE shows the side the
@@ -159,7 +158,7 @@ def check_junction(target: int, detections: list[DigitDetection], planned: Actio
     if not on_target or planned is Action.STOP:
         return
     best = min(on_target, key=lambda d: (d.range_z, d.image_x))
-    dx = best.image_x - frame_width / 2.0
+    dx = best.image_x - WIDTH / 2.0
     if dx < -JUNCTION_CENTER_TOLERANCE:
         seen = Action.LEFT
     elif dx > JUNCTION_CENTER_TOLERANCE:
@@ -205,8 +204,7 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
     if (st.phase is MissionPhase.OUTBOUND and st.target is not None
             and st.cursor < len(st.leg_actions)):
         try:
-            check_junction(st.target, sensors.detections, st.leg_actions[st.cursor],
-                           cfg.frame_width)
+            check_junction(st.target, sensors.detections, st.leg_actions[st.cursor])
         except JunctionContradiction as exc:
             st.contradictions += 1
             if st.contradictions >= CONTRADICTION_LIMIT:

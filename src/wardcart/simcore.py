@@ -42,9 +42,9 @@ from .mission import (DETECTION_PHASES, HALT, IntentKind, MissionConfig,
                       MissionPhase, MissionState, Role, SensorBundle,
                       TurnDirection, mission_step)
 from .prng import GENERATOR_IDS, derive_seed
-from .vehicle import (MotorCommand, VehicleParams, VehicleState, apply_motor,
-                      set_leds, set_payload)
-from .vision.camera import CameraModel
+from .vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, MotorCommand, VehicleState,
+                      apply_motor, set_leds, set_payload)
+from .vision.camera import WIDTH, CameraModel
 from .vision.glyphs import default_templates
 from .vision.pipeline import adaptive_binarize, detect_in_binary, line_centroid, undistort_bits
 from .vision.render import NoiseParams, clean_bits, render
@@ -61,8 +61,6 @@ LOAD_DELAY_TICKS = 25   # target locked to payload on
 UNLOAD_DWELL_TICKS = 50  # at the ward to payload off
 LEADER_DWELL_AFTER_PAUSE = 50  # leader unloads this long after the follower pauses
 LEADER_MAX_DWELL = 1500  # and unloads anyway after this long at its ward
-VEHICLE = VehicleParams()
-CAMERA = CameraModel()  # the engine's camera takes its k1 from the noise
 
 
 class CartOutcome(Enum):
@@ -309,7 +307,7 @@ def _empty_sensors(cart: _Cart) -> SensorBundle:
 def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
     """Run one scenario to completion (all carts Done/Fault) or max_ticks."""
     templates = default_templates()
-    cam = replace(CAMERA, distortion_k1=config.noise.k1)
+    cam = CameraModel(distortion_k1=config.noise.k1)
     gains = config.gains()
     link = Link(latency_ticks=config.link_latency, drop_probability=config.link_drop,
                 rng_seed=derive_seed(config.seed, "link"))
@@ -322,7 +320,7 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
         role = Role.SOLO if config.carts == 1 else (Role.LEADER if i == 0 else Role.FOLLOWER)
         pause = resolve_pause_point(track, ward) if role is Role.FOLLOWER else None
         mcfg = MissionConfig(role=role, cart_id=i, routes=routes, returns=returns,
-                             frame_width=cam.width, retry_interval=config.retry_interval,
+                             retry_interval=config.retry_interval,
                              lost_line_ticks=max(1, round(1.0 / config.dt)),
                              pause_point=pause)
         rng = np.random.default_rng(derive_seed(config.seed, f"noise/cart{i}"))
@@ -365,7 +363,7 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
 
             cmd = _drive_command(cart, intent, sensors, gains, config, tick, log)
             prev_pose = cart.vehicle.pose
-            cart.vehicle = apply_motor(cart.vehicle, cmd, VEHICLE, config.dt)
+            cart.vehicle = apply_motor(cart.vehicle, cmd, config.dt)
             cart.odometry += math.hypot(cart.vehicle.pose[0] - prev_pose[0],
                                         cart.vehicle.pose[1] - prev_pose[1])
             _advance_turn(cart)
@@ -493,12 +491,12 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
     else:
         cards = (cart.card,) if cart.card is not None else ()
         binary, whole = None, reads
-        if config.noise.sigma == 0 and config.noise.k1 == 0:
-            binary = clean_bits(track, pose, cam, config.noise.brightness, cards,
+        if config.noise.sigma == 0 and cam.distortion_k1 == 0:
+            binary = clean_bits(track, pose, config.noise.brightness, cards,
                                 None if reads else CONTROL_ROI)
         if binary is None:
             frame = render(track, pose, cam, config.noise, rng=cart.rng, cards=cards)
-            binary = undistort_bits(adaptive_binarize(frame), config.noise.k1)
+            binary = undistort_bits(adaptive_binarize(frame), cam.distortion_k1)
             whole = True
     if cart.turn is not None:
         cart.gate_x = None  # view sweeps during a turn; no tracking gate
@@ -515,7 +513,7 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
     detections = seen[3] if still else None
     if reads:
         if detections is None:
-            detections = detect_in_binary(binary, cam, templates)
+            detections = detect_in_binary(binary, templates)
         sensed = detections
     else:
         sensed = []
@@ -542,7 +540,7 @@ def _drive_command(cart: _Cart, intent, sensors: SensorBundle, gains: PidGains,
     if intent.kind is IntentKind.FOLLOW:
         if sensors.line is None:
             return MotorCommand(config.base_duty, config.base_duty)
-        half = CAMERA.width / 2.0
+        half = WIDTH / 2.0
         error = (sensors.line[0] - half) / half
         u, cart.pid = pid_step(cart.pid, gains, error)
         return steer(u, config.base_duty)
@@ -571,13 +569,13 @@ def _advance_turn(cart: _Cart) -> None:
     heading = cart.vehicle.pose[2]
     turn.progress += abs(_wrap_angle(heading - turn.prev_heading))
     turn.prev_heading = heading
-    omega = abs(v_r - v_l) / VEHICLE.track_width
-    coast = omega * VEHICLE.motor_time_constant
+    omega = abs(v_r - v_l) / TRACK_WIDTH
+    coast = omega * MOTOR_TIME_CONSTANT
     if turn.progress + coast >= turn.target:
         cart.turn = None  # free-spin decay finishes the angle; PID takes over
         # the turn happened on the junction point, so the new line starts
         # (nearly) centered: seed the gate there instead of a full-width fix
-        cart.gate_x = CAMERA.width / 2.0
+        cart.gate_x = WIDTH / 2.0
 
 
 def _deviation_of(track: TrackMap, samples: list[PoseSample], cart: int) -> float:

@@ -1,6 +1,6 @@
 """Differential-drive cart: PWM-style motor model, pose flow, payload, LEDs.
 
-Wheel speeds relax toward ``duty * v_max`` with a first-order lag. The pose
+Wheel speeds relax toward ``duty * V_MAX`` with a first-order lag. The pose
 is advanced by integrating the true continuous-time unicycle flow of those
 relaxing speeds: heading has a closed form (it is the wheel displacement
 difference over the track width), and position is integrated with composite
@@ -16,21 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_SWITCH_THRESHOLD = 200.0  # grams, matches the 200 g test weight
+TRACK_WIDTH = 0.16          # meters between the wheels
+V_MAX = 0.5                 # m/s, wheel speed at full duty
+MOTOR_TIME_CONSTANT = 0.1   # s, first-order lag of a wheel's speed
+SWITCH_THRESHOLD = 200.0    # grams, matches the 200 g test weight
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-@dataclass(frozen=True)
-class VehicleParams:
-    track_width: float = 0.16
-    v_max: float = 0.5
-    motor_time_constant: float = 0.1
-
-    def __post_init__(self):
-        for name in ("track_width", "v_max", "motor_time_constant"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -54,10 +45,11 @@ class VehicleState:
 
 
 @lru_cache(maxsize=16)
-def _quadrature(dt: float, tau: float) -> tuple[tuple[float, float, float, float], ...]:
+def _quadrature(dt: float) -> tuple[tuple[float, float, float, float], ...]:
     """(t, w, exp(-t/tau), 1 - exp(-t/tau)) at each node of the composite
     Gauss-Legendre rule over [0, dt], with enough panels to resolve the
-    motor lag."""
+    motor lag tau."""
+    tau = MOTOR_TIME_CONSTANT
     panels = int(min(64, max(1, math.ceil(dt / tau))))
     h = dt / panels
     nodes = []
@@ -71,8 +63,7 @@ def _quadrature(dt: float, tau: float) -> tuple[tuple[float, float, float, float
     return tuple(nodes)
 
 
-def apply_motor(state: VehicleState, cmd: MotorCommand, params: VehicleParams,
-                dt: float) -> VehicleState:
+def apply_motor(state: VehicleState, cmd: MotorCommand, dt: float) -> VehicleState:
     """Advance the cart by dt under a motor command.
 
     Exact in the wheel-speed and heading components; position is integrated
@@ -81,9 +72,9 @@ def apply_motor(state: VehicleState, cmd: MotorCommand, params: VehicleParams,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tau = params.motor_time_constant
-    vt_l = cmd.duty_left * params.v_max
-    vt_r = cmd.duty_right * params.v_max
+    tau = MOTOR_TIME_CONSTANT
+    vt_l = cmd.duty_left * V_MAX
+    vt_r = cmd.duty_right * V_MAX
     v0_l, v0_r = state.wheel_speed
     dev_l = v0_l - vt_l
     dev_r = v0_r - vt_r
@@ -93,12 +84,12 @@ def apply_motor(state: VehicleState, cmd: MotorCommand, params: VehicleParams,
     v1_r = vt_r + dev_r * decay
 
     x0, y0, th0 = state.pose
-    track = params.track_width
+    track = TRACK_WIDTH
     gain = 1.0 - decay
     th1 = th0 + ((vt_r * dt + dev_r * tau * gain) - (vt_l * dt + dev_l * tau * gain)) / track
 
     x, y, th_start = float(x0), float(y0), float(th0)
-    for t, w, e, g in _quadrature(dt, tau):
+    for t, w, e, g in _quadrature(dt):
         v = 0.5 * ((vt_l + dev_l * e) + (vt_r + dev_r * e))
         th = th_start + ((vt_r * t + dev_r * tau * g) - (vt_l * t + dev_l * tau * g)) / track
         x += w * v * math.cos(th)
@@ -110,12 +101,12 @@ def apply_motor(state: VehicleState, cmd: MotorCommand, params: VehicleParams,
                    wheel_speed=(v1_l, v1_r))
 
 
-def set_payload(state: VehicleState, grams: float,
-                threshold: float = DEFAULT_SWITCH_THRESHOLD) -> VehicleState:
-    """Place or remove mass on the cart; the contact switch trips at threshold."""
+def set_payload(state: VehicleState, grams: float) -> VehicleState:
+    """Place or remove mass on the cart; the contact switch trips at
+    SWITCH_THRESHOLD."""
     if grams < 0:
         raise ValueError("payload mass cannot be negative")
-    return replace(state, payload_grams=grams, loaded=grams >= threshold)
+    return replace(state, payload_grams=grams, loaded=grams >= SWITCH_THRESHOLD)
 
 
 def set_leds(state: VehicleState, red: bool, yellow: bool) -> VehicleState:

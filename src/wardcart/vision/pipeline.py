@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..arena import GLYPH_HEIGHT
-from .camera import CameraModel, check_k1
+from .camera import FOCAL_PX, CameraModel, check_k1
 from .glyphs import GRID_N, DigitTemplate
 
 MIN_AREA = 9                # pixels; smaller blobs are never scored
@@ -303,14 +303,14 @@ def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate]
 # --------------------------------------------------------------------------
 # placard detection
 
-def _rectify_on_ground(bits: np.ndarray, blob: Blob, cam: CameraModel) -> np.ndarray | None:
+def _rectify_on_ground(bits: np.ndarray, blob: Blob) -> np.ndarray | None:
     """Resample a blob as seen from straight above, assuming it lies flat on
     the ground with its top pointing away from the cart."""
     us = np.array([blob.x0 - 0.5, blob.x0 + blob.width - 0.5,
                    blob.x0 - 0.5, blob.x0 + blob.width - 0.5])
     vs = np.array([blob.y0 - 0.5, blob.y0 - 0.5,
                    blob.y0 + blob.height - 0.5, blob.y0 + blob.height - 0.5])
-    gx, gy = cam.ground_from_pixels(us, vs)
+    gx, gy = CameraModel.ground_from_pixels(us, vs)
     gx, gy = gx.tolist(), gy.tolist()
     if any(math.isnan(g) for g in gx + gy):
         return None
@@ -322,7 +322,7 @@ def _rectify_on_ground(bits: np.ndarray, blob: Blob, cam: CameraModel) -> np.nda
     k = _RECTIFY_GRID
     offs = side / 2.0 - (np.arange(k) + 0.5) * side / k
     # pu is (k, k); pv depends on the grid row only and stays (k, 1)
-    pu, pv = cam.pixels_from_ground(cx_g + offs[:, None], cy_g + offs[None, :])
+    pu, pv = CameraModel.pixels_from_ground(cx_g + offs[:, None], cy_g + offs[None, :])
     iu = np.rint(pu).astype(np.int64)
     iv = np.rint(pv).astype(np.int64)
     h, w = bits.shape
@@ -342,10 +342,10 @@ def detect_placards(frame: Frame, cam: CameraModel,
     """
     binary = adaptive_binarize(frame)
     binary = undistort_bits(binary, cam.distortion_k1)
-    return detect_in_binary(binary, cam, templates)
+    return detect_in_binary(binary, templates)
 
 
-def detect_in_binary(binary: BinaryFrame, cam: CameraModel,
+def detect_in_binary(binary: BinaryFrame,
                      templates: dict[int, DigitTemplate]) -> list[DigitDetection]:
     """Detection stage over an already binarized and undistorted frame."""
     bits = binary.bits
@@ -383,14 +383,14 @@ def detect_in_binary(binary: BinaryFrame, cam: CameraModel,
         blob = Blob(x0=x0, y0=y0, width=width, height=height, area=area,
                     centroid_x=int(cnt @ (s + e - 1)) / 2.0 / area,
                     centroid_y=int(cnt @ run_row[members]) / area)
-        rectified = _rectify_on_ground(bits, blob, cam)
+        rectified = _rectify_on_ground(bits, blob)
         if rectified is None:
             continue
         scored = match_digit(rectified, templates)
         if scored is None:
             continue
         digit, score = scored
-        range_z = GLYPH_HEIGHT * cam.focal_px / blob.height
+        range_z = GLYPH_HEIGHT * FOCAL_PX / blob.height
         detections.append(DigitDetection(digit=digit, image_x=blob.centroid_x,
                                          image_y=blob.centroid_y,
                                          range_z=range_z, score=score))

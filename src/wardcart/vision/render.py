@@ -36,7 +36,7 @@ WORLD_MARGIN = 0.6       # raster extends this far beyond the node bbox
 class NoiseParams:
     brightness: float = 0.0  # added to every pixel
     sigma: float = 0.0       # Gaussian pixel noise std dev
-    k1: float = 0.0          # radial distortion of the rendered frame
+    k1: float = 0.0          # lens distortion; the engine's camera takes it from here
 
     def __post_init__(self):
         if not math.isfinite(self.brightness):
@@ -198,9 +198,10 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
     """Render the ground plane seen from a cart pose.
 
     ``cards`` adds free-standing glyphs (the digit card shown at mission
-    start, corpus scenes) on top of the map's placards.
+    start, corpus scenes) on top of the map's placards. The lens distortion
+    is the camera's; ``noise.k1`` is not read.
     """
-    ink = _ink(track, pose, *ground_grid(cam, noise.k1), cards)
+    ink = _ink(track, pose, *ground_grid(cam.distortion_k1), cards)
     if noise.sigma > 0:
         if rng is None:
             raise ValueError("pixel noise requested but no rng supplied")
@@ -222,8 +223,7 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
     return Frame(np.where(ink, ink_u8, back_u8))
 
 
-def clean_bits(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
-               brightness: float, cards: Sequence[PlacardEntry],
+def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: float, cards: Sequence[PlacardEntry],
                rows: tuple[int, int] | None) -> BinaryFrame | None:
     """``adaptive_binarize(render(...))`` of a noise-free frame without
     distortion, without building the frame.
@@ -240,7 +240,7 @@ def clean_bits(track: TrackMap, pose: tuple[float, float, float], cam: CameraMod
     bound it falls under the true one too, and the sampled rows are exact.
     Otherwise the band cannot be decided alone and the result is None.
     """
-    gx, gy = ground_grid(cam, 0.0)
+    gx, gy = ground_grid(0.0)
     shape = gx.shape
     if rows is not None:
         gx, gy = gx[rows[0]:rows[1]], gy[rows[0]:rows[1]]

@@ -14,7 +14,7 @@ from wardcart.cli import run_corpus
 from wardcart.controller import PidState, gains_from_classical, pid_step
 from wardcart.mission import MissionPhase
 from wardcart.simcore import CartOutcome, SimConfig, run_scenario, trace_to_csv
-from wardcart.vehicle import MotorCommand, VehicleParams, VehicleState, apply_motor
+from wardcart.vehicle import MotorCommand, VehicleState, apply_motor
 from wardcart.vision.camera import CameraModel
 from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI,
                                       adaptive_binarize, line_centroid)
@@ -164,7 +164,6 @@ def test_criterion_7_trace_determinism():
 
 def test_criterion_8_kinematics():
     rng = np.random.default_rng(99)
-    params = VehicleParams()
     worst = 0.0
     for _ in range(1000):
         state = VehicleState(
@@ -172,8 +171,8 @@ def test_criterion_8_kinematics():
             wheel_speed=(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
         cmd = MotorCommand(rng.uniform(-1, 1), rng.uniform(-1, 1))
         dt = rng.uniform(0.005, 0.3)
-        once = apply_motor(state, cmd, params, 2 * dt)
-        twice = apply_motor(apply_motor(state, cmd, params, dt), cmd, params, dt)
+        once = apply_motor(state, cmd, 2 * dt)
+        twice = apply_motor(apply_motor(state, cmd, dt), cmd, dt)
         for a, b in zip(once.pose, twice.pose):
             worst = max(worst, abs(a - b))
     assert worst < 1e-9, worst
@@ -184,7 +183,7 @@ def test_criterion_8_kinematics():
         side = 1.0 if rng.uniform() < 0.5 else -1.0
         dt = rng.uniform(0.01, 1.0)
         state = apply_motor(VehicleState(),
-                            MotorCommand(-side * duty, side * duty), params, dt)
+                            MotorCommand(-side * duty, side * duty), dt)
         assert state.pose[0] == 0.0 and state.pose[1] == 0.0
         assert abs(state.pose[2]) > 0.0
     ok_line(8, "kinematics", f"semigroup worst {worst:.2e}, rotation stays in place")

@@ -98,6 +98,16 @@ def test_parse_errors_carry_line_numbers():
         pytest.fail("expected MapParseError")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["x", "y", "width"])
+def test_non_finite_numbers_rejected(field, value):
+    x, y, width = (value if field == name else default
+                   for name, default in (("x", "0"), ("y", "0"), ("width", "0.30")))
+    with pytest.raises(MapParseError, match=f"{field} must be finite") as exc:
+        load_map(f"node p {x} {y}\npharmacy p\nwidth {width}\n")
+    assert exc.value.lineno == (3 if field == "width" else 1)
+
+
 def test_unknown_record_and_bad_references():
     with pytest.raises(MapParseError, match="unknown record"):
         load_map("blob x\n")

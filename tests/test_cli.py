@@ -18,6 +18,16 @@ pharmacy p
 width 0.30
 """
 
+# a node and the corridor width that float() parses but no raster can hold
+NAN_MAP = """\
+node p 0 0
+node a nan 1
+edge e p a
+ward 1 a
+pharmacy p
+width nan
+"""
+
 WARD2 = """\
 map = builtin:default
 carts = 1
@@ -153,14 +163,19 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("pid.integral_limit = nan\n", ["run", "{scn}"]),
     ("seed = 18446744073709551617\n", ["run", "{scn}"]),
     ("seed = -1\n", ["run", "{scn}"]),
+    ("", ["vision-corpus", "{out}", "--seed", "-1"]),
+    ("", ["vision-corpus", "{out}", "--seed", "18446744073709551616"]),
+    ("map = nan.map\nward = 1\n", ["run", "{scn}"]),
 ], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg",
         "drop2", "latency_neg", "retry_neg", "max_ticks_inf", "sigma_nan",
         "carts_fraction", "ward_fraction", "seed_fraction", "ward_not_in_map",
         "follower_one_edge_route", "integral_limit_zero", "brightness_nan",
         "corpus_brightness_nan", "kp_nan", "kd_inf", "base_duty_nan",
-        "integral_limit_nan", "seed_2_64_plus_1", "seed_neg"])
+        "integral_limit_nan", "seed_2_64_plus_1", "seed_neg", "corpus_seed_neg",
+        "corpus_seed_2_64", "map_nan"])
 def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     (tmp_path / "ward3.map").write_text(WARD3_MAP)
+    (tmp_path / "nan.map").write_text(NAN_MAP)
     scn = tmp_path / "bad.scn"
     scn.write_text(scenario)
     argv = [a.format(scn=scn, out=tmp_path / "out.csv") for a in argv]
@@ -170,6 +185,20 @@ def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{scn}", "--max-ticks", "5", "--trace", "{out}"],
+    ["run", "{scn}", "--max-ticks", "5", "--svg", "{out}"],
+    ["vision-corpus", "{out}", "--k1", "0", "--brightness", "0", "--noise", "0"],
+    ["render-map", "{out}"],
+], ids=["trace", "svg", "corpus", "render_map"])
+def test_unwritable_output_path_exits_two(tmp_path, ward2_scn, capsys, argv):
+    out = tmp_path / "no" / "such" / "dir" / "out.txt"
+    code = main([a.format(scn=ward2_scn, out=out) for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
 
 
 def test_render_map_writes_svg(tmp_path):

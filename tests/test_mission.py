@@ -71,43 +71,39 @@ def test_acquire_uses_nearest_when_crowded(track):
 
 # ------------------------------------------------------- junction decisions
 
-def check(target, detections, planned, frame_width=320):
-    check_junction(target, detections, planned, frame_width)
-
-
 def test_junction_decide_left_from_placard_position(track):
     planned = route_to(track, 1).steps[0].action  # first junction action is Left
-    check(1, [det(1, x=40.0, z=0.2)], planned)
+    check_junction(1, [det(1, x=20.0, z=0.2)], planned)
     for other in (Action.RIGHT, Action.STRAIGHT):
         with pytest.raises(JunctionContradiction, match="suggests left"):
-            check(1, [det(1, x=40.0, z=0.2)], other)
+            check_junction(1, [det(1, x=20.0, z=0.2)], other)
 
 
 def test_junction_decide_no_placard_in_range(track):
     planned = route_to(track, 1).steps[0].action
-    check(1, [], planned)
+    check_junction(1, [], planned)
     for z in (2.0, DECISION_RANGE):  # on the wrong side, but not yet in range
-        check(1, [det(1, x=300.0, z=z)], planned)
+        check_junction(1, [det(1, x=150.0, z=z)], planned)
 
 
 def test_junction_decide_centered_is_straight(track):
     planned = route_to(track, 5).steps[0].action  # straight through the first junction
-    check(5, [det(5, x=160.0, z=0.2)], planned)
+    check_junction(5, [det(5, x=80.0, z=0.2)], planned)
     with pytest.raises(JunctionContradiction, match="suggests straight"):
-        check(5, [det(5, x=160.0, z=0.2)], Action.LEFT)
+        check_junction(5, [det(5, x=80.0, z=0.2)], Action.LEFT)
 
 
 def test_junction_decide_falls_back_to_plan(track):
     planned = route_to(track, 5).steps[0].action  # target 5 absent at the near junction
     for plan_says in (planned, Action.LEFT, Action.RIGHT):
-        check(5, [det(1, x=40.0, z=0.2), det(2, x=280.0, z=0.2)], plan_says)
+        check_junction(5, [det(1, x=20.0, z=0.2), det(2, x=140.0, z=0.2)], plan_says)
 
 
 def test_junction_decide_contradiction_raises(track):
     planned = route_to(track, 1).steps[0].action  # route says Left
     with pytest.raises(JunctionContradiction, match="route says left"):
-        check(1, [det(1, x=300.0, z=0.2)], planned)
-    check(1, [det(1, x=300.0, z=0.2)], Action.STOP)  # arriving, not deciding
+        check_junction(1, [det(1, x=150.0, z=0.2)], planned)
+    check_junction(1, [det(1, x=150.0, z=0.2)], Action.STOP)  # arriving, not deciding
 
 
 # ---------------------------------------------------------- phase stepping
@@ -284,7 +280,7 @@ def test_follower_config_requires_pause_point(track):
 def test_mission_config_holds_only_what_the_engine_sets():
     # the fixed thresholds are module constants; a field here is set per run
     assert [f.name for f in fields(MissionConfig)] == [
-        "role", "cart_id", "routes", "returns", "frame_width", "lost_line_ticks",
+        "role", "cart_id", "routes", "returns", "lost_line_ticks",
         "pause_point", "retry_interval"]
 
 

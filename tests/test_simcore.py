@@ -13,6 +13,8 @@ from wardcart.mission import DETECTION_PHASES, MissionPhase, Role, TurnDirection
 from wardcart.simcore import (CONFIG_KEYS, CartOutcome, PoseSample, SimConfig, _deviation_of,
                               _header, config_from_keys, render_svg, run_scenario,
                               trace_to_csv)
+from wardcart.vehicle import V_MAX
+from wardcart.vision.camera import CameraModel
 from wardcart.vision.pipeline import adaptive_binarize, detect_in_binary, undistort_bits
 from wardcart.vision.render import NoiseParams, _scratch, clean_bits, render
 
@@ -100,11 +102,10 @@ def test_no_teleportation(track):
     cfg = SimConfig(wards=(4,), max_ticks=9000, seed=2)
     report = run_scenario(track, cfg)
     prev = None
-    vmax = simcore.VEHICLE.v_max
     for s in report.samples:
         if prev is not None:
             jump = math.hypot(s.x - prev.x, s.y - prev.y)
-            assert jump <= vmax * cfg.dt + 1e-9
+            assert jump <= V_MAX * cfg.dt + 1e-9
         prev = s
 
 
@@ -224,7 +225,7 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
             frame = render(track, pose, cam, config.noise,
                            cards=(card,) if card is not None else ())
             binary = undistort_bits(adaptive_binarize(frame), config.noise.k1)
-            assert sensors.detections == detect_in_binary(binary, cam, templates)
+            assert sensors.detections == detect_in_binary(binary, templates)
         else:
             assert sensors.detections == []
         sensed.append((readable, phase, bool(sensors.detections)))
@@ -291,7 +292,7 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
 
     def step(config=clean):
         before = len(frames), len(detects)
-        sensors = simcore._sense(cart, track, simcore.CAMERA, config, templates)
+        sensors = simcore._sense(cart, track, CameraModel(), config, templates)
         return len(frames) - before[0], len(detects) - before[1], sensors
 
     assert step()[:2] == (1, 1)
@@ -331,15 +332,15 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     cart.turn = simcore._Turn(direction=TurnDirection.LEFT, target=math.pi / 2)
 
     def sense():
-        return simcore._sense(cart, track, simcore.CAMERA, SimConfig(), templates)
+        return simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
 
     assert sense().detections == [] and frames == ["clean_bits"]
     band = cart.seen[2].bits
     assert not cart.seen[4] and not band[:simcore.CONTROL_ROI[0]].any()
     cart.turn = None  # the same pose, now on a tick that reads placards
-    whole = undistort_bits(adaptive_binarize(render(track, start, simcore.CAMERA, NoiseParams(),
+    whole = undistort_bits(adaptive_binarize(render(track, start, CameraModel(), NoiseParams(),
                                                     cards=(cart.card,))), 0.0)
-    want = detect_in_binary(whole, simcore.CAMERA, templates)
+    want = detect_in_binary(whole, templates)
     assert [d.digit for d in want] == [2]
     assert sense().detections == want and frames == ["clean_bits"] * 2 and cart.seen[4]
     kept = cart.seen[2].bits
@@ -379,8 +380,8 @@ def test_render_work_arrays_stay_cached_across_clean_and_noisy_runs(track):
     for _ in range(2):
         run_scenario(track, clean)
         run_scenario(track, noisy)
-        clean_bits(track, start, simcore.CAMERA, 0.0, (), simcore.CONTROL_ROI)
-        clean_bits(track, start, simcore.CAMERA, 0.0, (), None)
+        clean_bits(track, start, 0.0, (), simcore.CONTROL_ROI)
+        clean_bits(track, start, 0.0, (), None)
         misses.append(_scratch.cache_info().misses)
     assert misses[1] == misses[0]
 

@@ -6,23 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardcart import vehicle
-from wardcart.vehicle import (MotorCommand, VehicleParams, VehicleState,
-                              apply_motor, set_leds, set_payload)
+from wardcart.vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, V_MAX, MotorCommand,
+                              VehicleState, apply_motor, set_leds, set_payload)
 
 
-def rk4_oracle(state, cmd, params, dt, steps=4000):
+def rk4_oracle(state, cmd, dt, steps=4000):
     """Independent fine-step integrator for the same continuous model."""
     x, y, th = state.pose
     v_l, v_r = state.wheel_speed
-    tau = params.motor_time_constant
-    vt_l = max(-1.0, min(1.0, cmd.duty_left)) * params.v_max
-    vt_r = max(-1.0, min(1.0, cmd.duty_right)) * params.v_max
+    tau = MOTOR_TIME_CONSTANT
+    vt_l = max(-1.0, min(1.0, cmd.duty_left)) * V_MAX
+    vt_r = max(-1.0, min(1.0, cmd.duty_right)) * V_MAX
     h = dt / steps
 
     def deriv(s):
         x_, y_, th_, vl_, vr_ = s
         v = 0.5 * (vl_ + vr_)
-        w = (vr_ - vl_) / params.track_width
+        w = (vr_ - vl_) / TRACK_WIDTH
         return np.array([v * math.cos(th_), v * math.sin(th_), w,
                          (vt_l - vl_) / tau, (vt_r - vr_) / tau])
 
@@ -36,21 +36,21 @@ def rk4_oracle(state, cmd, params, dt, steps=4000):
     return s
 
 
-def quadrature_reference(state, cmd, params, dt):
+def quadrature_reference(state, cmd, dt):
     """apply_motor's quadrature evaluated node by node over NumPy-scalar
     nodes; the table-driven apply_motor must match it in value and type."""
     def displacement(target, dev, tau, t):
         return target * t + dev * tau * (1.0 - math.exp(-t / tau))
 
-    tau = params.motor_time_constant
-    vt_l = cmd.duty_left * params.v_max
-    vt_r = cmd.duty_right * params.v_max
+    tau = MOTOR_TIME_CONSTANT
+    vt_l = cmd.duty_left * V_MAX
+    vt_r = cmd.duty_right * V_MAX
     v0_l, v0_r = state.wheel_speed
     dev_l = v0_l - vt_l
     dev_r = v0_r - vt_r
     decay = math.exp(-dt / tau)
     x0, y0, th0 = state.pose
-    track = params.track_width
+    track = TRACK_WIDTH
 
     def heading(t):
         return th0 + (displacement(vt_r, dev_r, tau, t)
@@ -77,7 +77,7 @@ def test_pose_position_is_numpy_float64(dt):
     # (NumPy 2 promotion), so a Python-float pose would render differently
     state = VehicleState(pose=(0.5, -0.25, 1.0))
     for cmd in (MotorCommand(0.8, 0.6), MotorCommand(0.0, 0.0)):
-        state = apply_motor(state, cmd, VehicleParams(), dt)
+        state = apply_motor(state, cmd, dt)
         assert type(state.pose[0]) is np.float64
         assert type(state.pose[1]) is np.float64
         assert type(state.pose[2]) is float
@@ -86,68 +86,70 @@ def test_pose_position_is_numpy_float64(dt):
 @pytest.mark.parametrize("dt", [0.02, 0.05, 0.3])
 def test_states_equal_the_per_node_reference_loop(dt):
     rng = np.random.default_rng(round(dt * 1000))
-    params = VehicleParams()
     state = VehicleState(pose=(0.3, -0.2, 0.9))
     for i in range(3000):
         if i % 500 == 0:  # also start from a Python-float pose now and then
             state = VehicleState(pose=tuple(float(v) for v in state.pose),
                                  wheel_speed=state.wheel_speed)
         cmd = MotorCommand(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        pose, wheels = quadrature_reference(state, cmd, params, dt)
-        state = apply_motor(state, cmd, params, dt)
+        pose, wheels = quadrature_reference(state, cmd, dt)
+        state = apply_motor(state, cmd, dt)
         for got, want in zip(state.pose + state.wheel_speed, pose + wheels):
             assert got == want and type(got) is type(want)
 
 
-def test_node_tables_are_per_dt_and_time_constant():
-    a = vehicle._quadrature(0.02, 0.1)
-    assert vehicle._quadrature(0.02, 0.1) is a
-    assert len(a) == 10 and len(vehicle._quadrature(0.3, 0.1)) == 30
+def test_node_tables_are_per_dt():
+    a = vehicle._quadrature(0.02)
+    assert vehicle._quadrature(0.02) is a
+    assert len(a) == 10 and len(vehicle._quadrature(0.3)) == 30
     assert sum(w for _, w, _, _ in a) == pytest.approx(0.02, abs=1e-15)
 
 
 def test_equal_duties_drive_straight():
-    params = VehicleParams(motor_time_constant=1e-9, v_max=1.0)
-    state = apply_motor(VehicleState(), MotorCommand(0.5, 0.5), params, dt=1.0)
+    state = apply_motor(VehicleState(), MotorCommand(0.5, 0.5), dt=1.0)
     x, y, th = state.pose
-    assert x == pytest.approx(0.5, abs=1e-6)
+    # closed form: each wheel covers target * t - target * tau * (1 - exp(-t/tau))
+    target = 0.5 * V_MAX
+    tau = MOTOR_TIME_CONSTANT
+    assert x == pytest.approx(target * (1.0 - tau * (1.0 - math.exp(-1.0 / tau))), abs=1e-12)
     assert y == pytest.approx(0.0, abs=1e-9)
     assert th == pytest.approx(0.0, abs=1e-9)
 
 
 def test_opposite_duties_rotate_in_place():
-    params = VehicleParams(motor_time_constant=1e-9)
-    state = apply_motor(VehicleState(), MotorCommand(-0.5, 0.5), params, dt=0.8)
+    state = apply_motor(VehicleState(), MotorCommand(-0.5, 0.5), dt=0.8)
     x, y, th = state.pose
     assert x == pytest.approx(0.0, abs=1e-12)
     assert y == pytest.approx(0.0, abs=1e-12)
-    assert th > 0.1  # right wheel forward spins the cart counterclockwise
+    # right wheel forward spins the cart counterclockwise, by the wheel
+    # displacement difference over the track width
+    tau = MOTOR_TIME_CONSTANT
+    wheel = 0.5 * V_MAX * (0.8 - tau * (1.0 - math.exp(-0.8 / tau)))
+    assert th == pytest.approx(2 * wheel / TRACK_WIDTH, abs=1e-12)
 
 
 def test_single_wheel_arcs_about_the_stopped_wheel():
-    params = VehicleParams(track_width=0.2, v_max=1.0, motor_time_constant=0.05)
     cmd = MotorCommand(0.0, 1.0)
-    start = VehicleState(wheel_speed=(0.0, 1.0))  # already at commanded speed
-    state = apply_motor(start, cmd, params, dt=0.7)
+    start = VehicleState(wheel_speed=(0.0, V_MAX))  # already at commanded speed
+    state = apply_motor(start, cmd, dt=0.7)
     x, y, th = state.pose
-    # closed form: circle of radius track/2 about the left wheel at (0, 0.1)
-    r = 0.1
-    w = 1.0 / 0.2
+    # closed form: circle of radius track/2 about the left wheel at (0, track/2)
+    r = TRACK_WIDTH / 2
+    w = V_MAX / TRACK_WIDTH
     assert th == pytest.approx(w * 0.7, abs=1e-10)
     assert x == pytest.approx(r * math.sin(w * 0.7), abs=1e-9)
     assert y == pytest.approx(r * (1 - math.cos(w * 0.7)), abs=1e-9)
     # and the independent integrator agrees
-    ox, oy, oth, ovl, ovr = rk4_oracle(start, cmd, params, 0.7)
+    ox, oy, oth, ovl, ovr = rk4_oracle(start, cmd, 0.7)
     assert x == pytest.approx(ox, abs=1e-6)
     assert y == pytest.approx(oy, abs=1e-6)
 
 
 def test_flow_matches_rk4_with_motor_lag():
-    params = VehicleParams(track_width=0.16, v_max=0.5, motor_time_constant=0.12)
     state = VehicleState(pose=(0.3, -0.2, 0.9), wheel_speed=(0.1, -0.2))
     cmd = MotorCommand(0.7, -0.4)
-    got = apply_motor(state, cmd, params, dt=0.5)
-    ox, oy, oth, ovl, ovr = rk4_oracle(state, cmd, params, 0.5, steps=20000)
+    got = apply_motor(state, cmd, dt=0.5)
+    ox, oy, oth, ovl, ovr = rk4_oracle(state, cmd, 0.5, steps=20000)
     assert got.pose[0] == pytest.approx(ox, abs=1e-8)
     assert got.pose[1] == pytest.approx(oy, abs=1e-8)
     assert got.pose[2] == pytest.approx(oth, abs=1e-10)
@@ -157,15 +159,14 @@ def test_flow_matches_rk4_with_motor_lag():
 
 def test_semigroup_property_over_random_commands():
     rng = np.random.default_rng(7)
-    params = VehicleParams()
     for _ in range(200):
         state = VehicleState(
             pose=(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3, 3)),
             wheel_speed=(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
         cmd = MotorCommand(rng.uniform(-1, 1), rng.uniform(-1, 1))
         dt = rng.uniform(0.005, 0.4)
-        once = apply_motor(state, cmd, params, 2 * dt)
-        twice = apply_motor(apply_motor(state, cmd, params, dt), cmd, params, dt)
+        once = apply_motor(state, cmd, 2 * dt)
+        twice = apply_motor(apply_motor(state, cmd, dt), cmd, dt)
         for a, b in zip(once.pose, twice.pose):
             assert a == pytest.approx(b, abs=1e-9)
         for a, b in zip(once.wheel_speed, twice.wheel_speed):
@@ -175,19 +176,18 @@ def test_semigroup_property_over_random_commands():
 @given(dt=st.floats(min_value=1e-3, max_value=5.0))
 @settings(max_examples=40, deadline=None)
 def test_zero_duty_from_rest_stays_put(dt):
-    state = apply_motor(VehicleState(), MotorCommand(0.0, 0.0), VehicleParams(), dt)
+    state = apply_motor(VehicleState(), MotorCommand(0.0, 0.0), dt)
     assert state.pose == (0.0, 0.0, 0.0)
     assert state.wheel_speed == (0.0, 0.0)
 
 
 def test_swapped_duties_mirror_the_trajectory():
     rng = np.random.default_rng(3)
-    params = VehicleParams()
     for _ in range(50):
         dl, dr = rng.uniform(-1, 1), rng.uniform(-1, 1)
         dt = rng.uniform(0.01, 0.5)
-        a = apply_motor(VehicleState(), MotorCommand(dl, dr), params, dt)
-        b = apply_motor(VehicleState(), MotorCommand(dr, dl), params, dt)
+        a = apply_motor(VehicleState(), MotorCommand(dl, dr), dt)
+        b = apply_motor(VehicleState(), MotorCommand(dr, dl), dt)
         assert a.pose[0] == pytest.approx(b.pose[0], abs=1e-9)
         assert a.pose[1] == pytest.approx(-b.pose[1], abs=1e-9)
         assert a.pose[2] == pytest.approx(-b.pose[2], abs=1e-9)
@@ -195,13 +195,12 @@ def test_swapped_duties_mirror_the_trajectory():
 
 def test_wheel_speeds_never_exceed_v_max():
     rng = np.random.default_rng(11)
-    params = VehicleParams()
     state = VehicleState()
     for _ in range(300):
         cmd = MotorCommand(rng.uniform(-2, 2), rng.uniform(-2, 2))  # clamped
-        state = apply_motor(state, cmd, params, rng.uniform(0.005, 0.2))
-        assert abs(state.wheel_speed[0]) <= params.v_max + 1e-12
-        assert abs(state.wheel_speed[1]) <= params.v_max + 1e-12
+        state = apply_motor(state, cmd, rng.uniform(0.005, 0.2))
+        assert abs(state.wheel_speed[0]) <= V_MAX + 1e-12
+        assert abs(state.wheel_speed[1]) <= V_MAX + 1e-12
 
 
 def test_duty_clamping():
@@ -212,14 +211,7 @@ def test_duty_clamping():
 
 def test_dt_must_be_positive():
     with pytest.raises(ValueError):
-        apply_motor(VehicleState(), MotorCommand(0, 0), VehicleParams(), 0.0)
-
-
-def test_params_must_be_positive():
-    with pytest.raises(ValueError):
-        VehicleParams(track_width=0.0)
-    with pytest.raises(ValueError):
-        VehicleParams(v_max=-1.0)
+        apply_motor(VehicleState(), MotorCommand(0, 0), 0.0)
 
 
 def test_payload_switch_thresholds():
@@ -227,7 +219,6 @@ def test_payload_switch_thresholds():
     assert set_payload(s, 200.0).loaded is True
     assert set_payload(s, 0.0).loaded is False
     assert set_payload(s, 150.0).loaded is False
-    assert set_payload(s, 150.0, threshold=100.0).loaded is True
 
 
 def test_negative_payload_rejected():

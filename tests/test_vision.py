@@ -3,6 +3,7 @@ import itertools
 import math
 import types
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from wardcart import vehicle
 from wardcart.arena import PlacardEntry, load_map
-from wardcart.vision import pipeline
+from wardcart.vision import camera, pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
 from wardcart.vision.glyphs import GRID_N, DigitTemplate, glyph_grid
 from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
@@ -139,7 +140,7 @@ def reference_blob_of(members, run_row, run_s, run_e):
                 centroid_x=sum_x / area, centroid_y=sum_y / area)
 
 
-def reference_detect_in_binary(binary, cam, templates):
+def reference_detect_in_binary(binary, templates):
     bits = binary.bits
     h, w = bits.shape
     if h == 0 or w == 0 or not bits.any():
@@ -165,14 +166,14 @@ def reference_detect_in_binary(binary, cam, templates):
         if blob.x0 == 0 or blob.y0 == 0 or blob.x0 + blob.width >= w \
                 or blob.y0 + blob.height >= h:
             continue
-        rectified = pipeline._rectify_on_ground(bits, blob, cam)
+        rectified = pipeline._rectify_on_ground(bits, blob)
         if rectified is None:
             continue
         scored = match_digit(rectified, templates)
         if scored is None:
             continue
         digit, score = scored
-        range_z = pipeline.GLYPH_HEIGHT * cam.focal_px / blob.height
+        range_z = pipeline.GLYPH_HEIGHT * camera.FOCAL_PX / blob.height
         detections.append(DigitDetection(digit=digit, image_x=blob.centroid_x,
                                          image_y=blob.centroid_y,
                                          range_z=range_z, score=score))
@@ -250,12 +251,6 @@ def test_undistort_maps_a_1x1_frame_onto_itself():
         assert out.bits.tolist() == [[ink]]
 
 
-def test_ground_grid_of_a_1x1_camera_keeps_its_center():
-    cam = CameraModel(resolution=(1, 1), distortion_k1=0.1)
-    for got, want in zip(ground_grid(cam, 0.1), ground_grid(cam, 0.0)):
-        assert np.array_equal(got, want)
-
-
 def test_non_monotone_k1_rejected():
     b = BinaryFrame(np.zeros((10, 10), dtype=bool))
     with pytest.raises(ValueError):
@@ -263,6 +258,19 @@ def test_non_monotone_k1_rejected():
     CameraModel(distortion_k1=0.1)  # fine
     with pytest.raises(ValueError):
         CameraModel(distortion_k1=-0.5)
+
+
+def test_lens_distortion_is_the_only_camera_setting():
+    assert [f.name for f in fields(CameraModel)] == ["distortion_k1"]
+
+
+def test_render_takes_its_distortion_from_the_camera(track):
+    pose = (0.05, 0.4, math.pi / 2)
+    bent = render(track, pose, CameraModel(distortion_k1=0.1), NoiseParams())
+    assert np.array_equal(bent.pixels, render(track, pose, CameraModel(distortion_k1=0.1),
+                                              NoiseParams(k1=0.1)).pixels)
+    assert not np.array_equal(bent.pixels, render(track, pose, CameraModel(),
+                                                  NoiseParams(k1=0.1)).pixels)
 
 
 def test_undistorted_radius_inverts_the_model():
@@ -600,8 +608,8 @@ def _typed_fields(detections):
 def test_detect_in_binary_equals_the_reference_detector(cam, templates, line, glyphs,
                                                        speck_seed, speck_density):
     binary = BinaryFrame(_detector_frame(line, glyphs, speck_seed, speck_density))
-    got = detect_in_binary(binary, cam, templates)
-    want = reference_detect_in_binary(binary, cam, templates)
+    got = detect_in_binary(binary, templates)
+    want = reference_detect_in_binary(binary, templates)
     assert _typed_fields(got) == _typed_fields(want)
 
 
@@ -629,16 +637,16 @@ def test_displaced_cart_sees_line_off_center(track, cam):
     assert center > frame.width / 2.0
 
     # oracle: re-derive the projection with plain trigonometry
-    f_px = (frame.width / 2.0) / math.tan(cam.horizontal_fov / 2.0)
+    f_px = (frame.width / 2.0) / math.tan(camera.HORIZONTAL_FOV / 2.0)
     cy = (frame.height - 1) / 2.0
     b = (row - cy) / f_px
-    pitch = cam.pitch
+    pitch = camera.PITCH
     # ground distance ahead for this image row
     elev = pitch + math.atan(b)
-    d = cam.mount_height / math.tan(elev)
+    d = camera.MOUNT_HEIGHT / math.tan(elev)
     # the line sits 0.05 m to the cart's right; right of cart = -gy
     gy = -0.05
-    slant_z = d * math.cos(pitch) + cam.mount_height * math.sin(pitch)
+    slant_z = d * math.cos(pitch) + camera.MOUNT_HEIGHT * math.sin(pitch)
     u = (frame.width - 1) / 2.0 + f_px * (-gy) / slant_z
     assert center == pytest.approx(u, abs=2.0)
 
@@ -664,7 +672,7 @@ def test_render_with_negative_k1_casts_no_out_of_range_index(track):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         frame = render(track, (0.0, 0.4, math.pi / 2), cam, NoiseParams(k1=-0.1))
-    assert frame.pixels.shape == (cam.height, cam.width)
+    assert frame.pixels.shape == (camera.HEIGHT, camera.WIDTH)
 
 
 def test_vision_package_render_is_the_submodule():
@@ -718,9 +726,8 @@ def test_clean_bits_equal_the_render_chain(track, values, types, brightness, car
                           y + 0.22 * math.sin(heading) + 0.10 * math.cos(heading),
                           heading),) if card else ()
     rows = CONTROL_ROI if band else None
-    cam = CameraModel()
-    want = _clean_chain(track, pose, cam, brightness, cards).bits
-    got = clean_bits(track, pose, cam, brightness, cards, rows)
+    want = _clean_chain(track, pose, CameraModel(), brightness, cards).bits
+    got = clean_bits(track, pose, brightness, cards, rows)
     if rows is None:
         assert got is not None and np.array_equal(got.bits, want)
     elif got is not None:
@@ -732,7 +739,7 @@ def test_clean_bits_equal_the_render_chain(track, values, types, brightness, car
 
 def test_clean_bits_reach_the_fallback_and_the_blank_frame(track, cam):
     def bits(brightness, rows):
-        got = clean_bits(track, ON_LINE, cam, brightness, (), rows)
+        got = clean_bits(track, ON_LINE, brightness, (), rows)
         return None if got is None else got.bits
 
     r0, r1 = CONTROL_ROI
@@ -747,12 +754,12 @@ def test_clean_bits_reach_the_fallback_and_the_blank_frame(track, cam):
     assert bits(230.0, CONTROL_ROI) is None
 
 
-def test_clean_bits_are_a_fresh_array(track, cam):
-    first = clean_bits(track, ON_LINE, cam, 0.0, (), CONTROL_ROI)
+def test_clean_bits_are_a_fresh_array(track):
+    first = clean_bits(track, ON_LINE, 0.0, (), CONTROL_ROI)
     kept = first.bits.copy()
     for rows in (CONTROL_ROI, None):
-        clean_bits(track, (0.3, 1.0, 0.0), cam, 0.0, (), rows)
-        clean_bits(track, _pose(ON_LINE, (np.float64,) * 3), cam, 0.0, (), rows)
+        clean_bits(track, (0.3, 1.0, 0.0), 0.0, (), rows)
+        clean_bits(track, _pose(ON_LINE, (np.float64,) * 3), 0.0, (), rows)
     assert np.array_equal(first.bits, kept)
 
 
@@ -818,7 +825,7 @@ def test_ink_sample_matches_masked_reference_at_any_pose(fx, fy, heading, k1):
     # fractions of the raster; outside [0, 1] the view leaves the raster
     px = ink.x0 + fx * ink.nx * WORLD_CELL
     py = ink.y0 + fy * ink.ny * WORLD_CELL
-    gx, gy = ground_grid(CameraModel(distortion_k1=k1), k1)
+    gx, gy = ground_grid(k1)
     c, s = math.cos(heading), math.sin(heading)
     wx = px + gx * c - gy * s
     wy = py + gx * s + gy * c
@@ -843,12 +850,12 @@ def test_ink_sample_matches_masked_reference_at_raster_edges(data, dtype):
     assert same_as_masked_sample(ink, wx, wy)
 
 
-def rectify_reference(bits, blob, cam, k=48):
+def rectify_reference(bits, blob, k=48):
     """The blob's ground square sampled point by point; a sample off the
     frame reads as background."""
     us = np.array([blob.x0 - 0.5, blob.x0 + blob.width - 0.5] * 2)
     vs = np.array([blob.y0 - 0.5] * 2 + [blob.y0 + blob.height - 0.5] * 2)
-    gx, gy = cam.ground_from_pixels(us, vs)
+    gx, gy = CameraModel.ground_from_pixels(us, vs)
     if np.isnan(gx).any() or np.isnan(gy).any():
         return None
     side = max(gx.max() - gx.min(), gy.max() - gy.min())
@@ -859,8 +866,8 @@ def rectify_reference(bits, blob, cam, k=48):
     h, w = bits.shape
     for i in range(k):
         for j in range(k):
-            pu, pv = cam.pixels_from_ground((gx.min() + gx.max()) / 2.0 + offs[i],
-                                            (gy.min() + gy.max()) / 2.0 + offs[j])
+            pu, pv = CameraModel.pixels_from_ground((gx.min() + gx.max()) / 2.0 + offs[i],
+                                                    (gy.min() + gy.max()) / 2.0 + offs[j])
             u, v = int(np.rint(pu)), int(np.rint(pv))
             out[i, j] = 0 <= u < w and 0 <= v < h and bits[v, u]
     return out
@@ -872,8 +879,8 @@ def rectify_reference(bits, blob, cam, k=48):
 def test_rectify_matches_the_pointwise_reference(x0, y0, width, height, seed):
     bits = np.random.default_rng(seed).random((120, 160)) < 0.5
     blob = Blob(x0=x0, y0=y0, width=width, height=height, area=1)
-    got = pipeline._rectify_on_ground(bits, blob, CameraModel())
-    want = rectify_reference(bits, blob, CameraModel())
+    got = pipeline._rectify_on_ground(bits, blob)
+    want = rectify_reference(bits, blob)
     assert (got is None and want is None) or np.array_equal(got, want)
 
 
@@ -889,14 +896,13 @@ def _grids(n):
 
 CACHES = {
     "world_ink": (world_ink, _maps),
-    "ground_grid": (ground_grid,
-                    lambda n: [(CameraModel(), 0.01 * i) for i in range(n)]),
+    "ground_grid": (ground_grid, lambda n: [(0.01 * i,) for i in range(n)]),
     "undistort_map": (pipeline._undistort_map,
                       lambda n: [(160, 120, 0.01 * i) for i in range(n)]),
     "axis_weights": (pipeline._axis_weights, lambda n: [(1 + i, GRID_N) for i in range(n)]),
     "template_stack": (pipeline._template_stack,
                        lambda n: [(((1, g),),) for g in _grids(n)]),
-    "quadrature": (vehicle._quadrature, lambda n: [(0.01 * (1 + i), 0.1) for i in range(n)]),
+    "quadrature": (vehicle._quadrature, lambda n: [(0.01 * (1 + i),) for i in range(n)]),
     "render_scratch": (_scratch, lambda n: [((1 + i,), np.dtype(np.float32), "x")
                                             for i in range(n)]),
 }
