@@ -22,6 +22,7 @@ PLACARD_SETBACK = 0.22
 PLACARD_LATERAL = 0.12
 PLACARD_STAGGER = 0.14
 GLYPH_HEIGHT = 0.12
+ARENA_BOUND = 50.0  # m; every node and placard lies within this of the origin on each axis
 
 
 class MapError(ValueError):
@@ -286,6 +287,9 @@ def load_map(text: str) -> TrackMap:
         raise MapValidationError("no pharmacy node declared")
     if width <= 0:
         raise MapValidationError("corridor width must be positive")
+    for nid, (x, y) in nodes.items():
+        if abs(x) > ARENA_BOUND or abs(y) > ARENA_BOUND:
+            raise MapValidationError(f"node {nid!r} outside plausible arena bounds")
 
     seen_digits: set[int] = set()
     for lineno, digit, _, extras in ward_records:
@@ -315,7 +319,7 @@ def load_map(text: str) -> TrackMap:
     track = replace(skeleton, wards=_build_wards(skeleton, parents, ward_records))
     for w in track.wards:
         for entry in w.placard.entries:
-            if abs(entry.x) > 50 or abs(entry.y) > 50:
+            if abs(entry.x) > ARENA_BOUND or abs(entry.y) > ARENA_BOUND:
                 raise MapValidationError("placard pose outside plausible arena bounds")
     return track
 

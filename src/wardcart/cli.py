@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -112,20 +114,36 @@ def _report_summary(report: TraceReport) -> str:
     return "  ".join(bits)
 
 
-def _write(path: str, text: str) -> None:
+def _open_output(path: str) -> TextIO:
+    """Open an output file for writing before the work that fills it, so an
+    unwritable path fails at once."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _write(out: TextIO, text: str) -> None:
+    try:
+        out.write(text)
+        # a path opened twice (--trace and --svg alike) holds the last text
+        # written to it, not that text over the tail of a longer one
+        out.truncate()
+        out.flush()
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {out.name}: {exc.strerror or exc}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     scn = _apply_overrides(load_scenario(Path(args.scenario)), args)
-    report = run_scenario(scn.track, scn.config)
-    if args.trace:
-        _write(args.trace, trace_to_csv(report))
-    if args.svg:
-        _write(args.svg, render_svg(scn.track, report))
+    with ExitStack() as stack:
+        trace = stack.enter_context(_open_output(args.trace)) if args.trace else None
+        svg = stack.enter_context(_open_output(args.svg)) if args.svg else None
+        report = run_scenario(scn.track, scn.config)
+        if trace is not None:
+            _write(trace, trace_to_csv(report))
+        if svg is not None:
+            _write(svg, render_svg(scn.track, report))
     print(_report_summary(report))
     if scn.expected is not None:
         ok = all(o is scn.expected for o in report.outcomes)
@@ -239,10 +257,10 @@ def cmd_vision_corpus(args: argparse.Namespace) -> int:
     if not 0 <= args.seed < 2 ** 64:  # derive_seed keeps 64 bits of it
         raise ScenarioError("seed must be in [0, 2**64)")
     lines: list[str] = []
-    total, correct, clean_total, clean_correct = run_corpus(
-        k1s, brightnesses, sigmas, seed=args.seed, out_lines=lines)
-    _write(args.output, "label,predicted,score,k1,brightness,noise\n"
-           + "\n".join(lines) + "\n")
+    with _open_output(args.output) as out:
+        total, correct, clean_total, clean_correct = run_corpus(
+            k1s, brightnesses, sigmas, seed=args.seed, out_lines=lines)
+        _write(out, "label,predicted,score,k1,brightness,noise\n" + "\n".join(lines) + "\n")
     accuracy = correct / total
     print(f"samples={total} accuracy={accuracy:.4f}")
     if clean_total:
@@ -253,7 +271,8 @@ def cmd_vision_corpus(args: argparse.Namespace) -> int:
 
 def cmd_render_map(args: argparse.Namespace) -> int:
     track = _load_map(args.map, Path())
-    _write(args.output, render_svg(track))
+    with _open_output(args.output) as out:
+        _write(out, render_svg(track))
     print(f"wrote {args.output}")
     return 0
 

@@ -12,6 +12,7 @@ turns are announced once as a Turn intent and executed by the engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -45,14 +46,6 @@ HALT_PHASES = frozenset({
     MissionPhase.AWAIT_TARGET, MissionPhase.AWAIT_LOAD, MissionPhase.AT_WARD,
     MissionPhase.AWAIT_UNLOAD, MissionPhase.PAUSED_AT_POINT, MissionPhase.DONE,
     MissionPhase.FAULT,
-})
-
-# phases from which one mission_step can read sensors.detections: the
-# target is confirmed in AwaitTarget and junctions are checked in Outbound;
-# AwaitLoad and PausedAtPoint can enter Outbound within the same step
-DETECTION_PHASES = frozenset({
-    MissionPhase.AWAIT_TARGET, MissionPhase.AWAIT_LOAD, MissionPhase.OUTBOUND,
-    MissionPhase.PAUSED_AT_POINT,
 })
 
 
@@ -154,8 +147,10 @@ def check_junction(target: int, detections: list[DigitDetection], planned: Actio
     planned turn or straight (a misread somewhere); a planned Stop and a
     target placard out of range or out of sight pass.
     """
+    if planned is Action.STOP:
+        return
     on_target = [d for d in detections if d.range_z < DECISION_RANGE and d.digit == target]
-    if not on_target or planned is Action.STOP:
+    if not on_target:
         return
     best = min(on_target, key=lambda d: (d.range_z, d.image_x))
     dx = best.image_x - WIDTH / 2.0
@@ -168,6 +163,31 @@ def check_junction(target: int, detections: list[DigitDetection], planned: Actio
     if seen is not planned:
         raise JunctionContradiction(
             f"target {target} placard suggests {seen.value}, route says {planned.value}")
+
+
+def reading_range(state: MissionState, cfg: MissionConfig, loaded: bool) -> float | None:
+    """How far the next mission_step reads placards, or None when it reads none.
+
+    The step reads only detections with range_z below the returned range:
+    every one while the target card is confirmed, and those within
+    DECISION_RANGE when a planned turn or straight is checked at the next
+    junction. AwaitLoad starts Outbound, and checks the leg's first step, in
+    the step the payload arrives. PausedAtPoint can resume in the step a
+    Proceed arrives, so it always counts as about to check its next step.
+    """
+    if state.phase is MissionPhase.AWAIT_TARGET:
+        return math.inf
+    if state.phase is MissionPhase.AWAIT_LOAD:
+        if state.target is None or not loaded:
+            return None
+        actions, cursor = [s.action for s in cfg.routes[state.target].steps], 0
+    elif state.phase in (MissionPhase.OUTBOUND, MissionPhase.PAUSED_AT_POINT):
+        actions, cursor = state.leg_actions, state.cursor
+    else:
+        return None
+    if cursor >= len(actions) or actions[cursor] is Action.STOP:
+        return None
+    return DECISION_RANGE
 
 
 def _begin_leg(st: MissionState, plan: RoutePlan, odometry: float) -> None:

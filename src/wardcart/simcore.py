@@ -38,9 +38,8 @@ from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance,
                     resolve_pause_point, route_to)
 from .comms import Link, Message
 from .controller import PidGains, PidState, pid_step, steer
-from .mission import (DETECTION_PHASES, HALT, IntentKind, MissionConfig,
-                      MissionPhase, MissionState, Role, SensorBundle,
-                      TurnDirection, mission_step)
+from .mission import (HALT, IntentKind, MissionConfig, MissionPhase, MissionState, Role,
+                      SensorBundle, TurnDirection, mission_step, reading_range)
 from .prng import GENERATOR_IDS, derive_seed
 from .vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, MotorCommand, VehicleState,
                       apply_motor, set_leds, set_payload)
@@ -267,7 +266,8 @@ class _Cart:
         self.unload_done = False
         self.await_unload_since: int | None = None
         # last sensed (pose, card, binary frame, detections or None, whether
-        # the frame is whole or only the control band)
+        # the frame is whole or only the control band, the range the
+        # detections cover)
         self.seen: tuple | None = None
 
 
@@ -475,9 +475,11 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
            templates) -> SensorBundle:
     pose = cart.vehicle.pose
     seen = cart.seen
-    # the mission is not stepped during a latched turn and reads placards
-    # only in a few phases
-    reads = cart.turn is None and cart.mission.phase in DETECTION_PHASES
+    # the mission is not stepped during a latched turn, and otherwise reads
+    # only the placards nearer than its reading range
+    reach = (reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
+             if cart.turn is None else None)
+    reads = reach is not None
     # a noise-free frame is a function of the pose and the card alone, so a
     # cart that has not moved since last tick sees the frame it saw then; a
     # noisy frame draws from the cart's noise stream and is always rendered.
@@ -509,15 +511,14 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if cart.turn is None:
         cart.gate_x = line[0] if line is not None else None
-    # a still frame keeps what was read from it
-    detections = seen[3] if still else None
+    # a still frame keeps what was read from it, out to the range read then
+    detections, covered = (seen[3], seen[5]) if still else (None, None)
+    sensed = []
     if reads:
-        if detections is None:
-            detections = detect_in_binary(binary, templates)
-        sensed = detections
-    else:
-        sensed = []
-    cart.seen = (pose, cart.card, binary, detections, whole)
+        if detections is None or covered < reach:
+            detections, covered = detect_in_binary(binary, templates, reach), reach
+        sensed = [d for d in detections if d.range_z < reach]
+    cart.seen = (pose, cart.card, binary, detections, whole, covered)
     return SensorBundle(line=line, detections=sensed,
                         loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)

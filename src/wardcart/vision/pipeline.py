@@ -345,9 +345,13 @@ def detect_placards(frame: Frame, cam: CameraModel,
     return detect_in_binary(binary, templates)
 
 
-def detect_in_binary(binary: BinaryFrame,
-                     templates: dict[int, DigitTemplate]) -> list[DigitDetection]:
-    """Detection stage over an already binarized and undistorted frame."""
+def detect_in_binary(binary: BinaryFrame, templates: dict[int, DigitTemplate],
+                     max_range: float = math.inf) -> list[DigitDetection]:
+    """Detection stage over an already binarized and undistorted frame.
+
+    Only placards with range_z below max_range are read: a farther blob is
+    dropped before it is rectified or matched.
+    """
     bits = binary.bits
     h, w = bits.shape
     if h == 0 or w == 0 or not bits.any():
@@ -364,6 +368,9 @@ def detect_in_binary(binary: BinaryFrame,
         y0 = int(run_row[root])
         height = int(run_row[members[-1]]) - y0 + 1
         if not (_CAND_MIN_H <= height <= _CAND_MAX_H):
+            continue
+        range_z = GLYPH_HEIGHT * FOCAL_PX / height
+        if not range_z < max_range:
             continue
         s, e = run_s[members], run_e[members]
         x0 = int(s.min())
@@ -390,7 +397,6 @@ def detect_in_binary(binary: BinaryFrame,
         if scored is None:
             continue
         digit, score = scored
-        range_z = GLYPH_HEIGHT * FOCAL_PX / blob.height
         detections.append(DigitDetection(digit=digit, image_x=blob.centroid_x,
                                          image_y=blob.centroid_y,
                                          range_z=range_z, score=score))

@@ -108,6 +108,15 @@ def test_non_finite_numbers_rejected(field, value):
     assert exc.value.lineno == (3 if field == "width" else 1)
 
 
+@pytest.mark.parametrize("x, y", [("1e308", "0"), ("0", "-1e308"), ("50.001", "0"),
+                                  ("0", "-50.5")])
+def test_node_outside_arena_bounds_rejected(x, y):
+    # a raster spanning such a node would not fit in memory
+    with pytest.raises(MapValidationError, match="node 'a' outside plausible arena bounds"):
+        load_map(f"node p 0 0\nnode a {x} {y}\nedge e p a\nward 1 a\npharmacy p\n")
+    load_map("node p 0 0\nnode a 50 -50\nedge e p a\nward 1 a\npharmacy p\n")
+
+
 def test_unknown_record_and_bad_references():
     with pytest.raises(MapParseError, match="unknown record"):
         load_map("blob x\n")

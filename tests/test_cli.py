@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from wardcart import cli
 from wardcart.cli import ScenarioError, _apply_overrides, build_parser, load_scenario, main
 from wardcart.simcore import CONFIG_KEYS
 
@@ -26,6 +27,15 @@ edge e p a
 ward 1 a
 pharmacy p
 width nan
+"""
+
+# a node that float() parses but that lies far outside any arena
+FAR_MAP = """\
+node p 0 0
+node a 1e308 0
+edge e p a
+ward 1 a
+pharmacy p
 """
 
 WARD2 = """\
@@ -166,16 +176,18 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("", ["vision-corpus", "{out}", "--seed", "-1"]),
     ("", ["vision-corpus", "{out}", "--seed", "18446744073709551616"]),
     ("map = nan.map\nward = 1\n", ["run", "{scn}"]),
+    ("map = far.map\nward = 1\n", ["run", "{scn}"]),
 ], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg",
         "drop2", "latency_neg", "retry_neg", "max_ticks_inf", "sigma_nan",
         "carts_fraction", "ward_fraction", "seed_fraction", "ward_not_in_map",
         "follower_one_edge_route", "integral_limit_zero", "brightness_nan",
         "corpus_brightness_nan", "kp_nan", "kd_inf", "base_duty_nan",
         "integral_limit_nan", "seed_2_64_plus_1", "seed_neg", "corpus_seed_neg",
-        "corpus_seed_2_64", "map_nan"])
+        "corpus_seed_2_64", "map_nan", "map_far"])
 def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     (tmp_path / "ward3.map").write_text(WARD3_MAP)
     (tmp_path / "nan.map").write_text(NAN_MAP)
+    (tmp_path / "far.map").write_text(FAR_MAP)
     scn = tmp_path / "bad.scn"
     scn.write_text(scenario)
     argv = [a.format(scn=scn, out=tmp_path / "out.csv") for a in argv]
@@ -199,6 +211,32 @@ def test_unwritable_output_path_exits_two(tmp_path, ward2_scn, capsys, argv):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{scn}", "--trace", "{out}"],
+    ["run", "{scn}", "--trace", "{ok}", "--svg", "{out}"],
+    ["vision-corpus", "{out}"],
+], ids=["trace", "svg", "corpus"])
+def test_unwritable_output_path_fails_before_the_work(tmp_path, ward2_scn, capsys,
+                                                     monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before its output was opened")
+
+    monkeypatch.setattr(cli, "run_scenario", never)
+    monkeypatch.setattr(cli, "run_corpus", never)
+    out = tmp_path / "no" / "such" / "dir" / "out.txt"
+    code = main([a.format(scn=ward2_scn, out=out, ok=tmp_path / "ok.csv") for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_trace_and_svg_on_one_path_leave_the_svg(tmp_path, ward2_scn):
+    out = tmp_path / "both.txt"
+    assert main(["run", str(ward2_scn), "--max-ticks", "300",
+                 "--trace", str(out), "--svg", str(out)]) == 1
+    svg = out.read_text()
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
 
 
 def test_render_map_writes_svg(tmp_path):

@@ -1,14 +1,15 @@
+import math
 from dataclasses import fields
 
 import pytest
 
 from wardcart.arena import Action, resolve_pause_point, route_to
 from wardcart.comms import Message, MessageKind
-from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANGE,
-                              DETECTION_PHASES, HALT, STOP_MARGIN, TURN_LEAD, IntentKind,
-                              JunctionContradiction, MissionConfig, MissionPhase,
-                              MissionState, Role, SensorBundle, TurnDirection,
-                              check_junction, mission_step)
+from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANGE, HALT,
+                              STOP_MARGIN, TURN_LEAD, IntentKind, JunctionContradiction,
+                              MissionConfig, MissionPhase, MissionState, Role,
+                              SensorBundle, TurnDirection, check_junction, mission_step,
+                              reading_range)
 from wardcart.vision.pipeline import DigitDetection
 
 
@@ -345,7 +346,7 @@ def returning_state(track, cfg):
     return state
 
 
-# (phase, sensors) cases outside DETECTION_PHASES; the odometry values follow
+# (phase, sensors) cases with no reading range; the odometry values follow
 # test_stop_at_ward_then_unload_then_return on the ward 2 route
 def no_read_cases(track, cfg):
     delivered = dict(target=2, delivered=True)
@@ -370,8 +371,11 @@ def no_read_cases(track, cfg):
 def test_phases_outside_detection_phases_never_read_detections(track, role):
     cfg = make_config(track, role=role)
     cases = no_read_cases(track, cfg)
-    assert {st.phase for st, _ in cases} == set(MissionPhase) - DETECTION_PHASES
+    assert {st.phase for st, _ in cases} == set(MissionPhase) - {
+        MissionPhase.AWAIT_TARGET, MissionPhase.AWAIT_LOAD, MissionPhase.OUTBOUND,
+        MissionPhase.PAUSED_AT_POINT}
     for state, snsr in cases:
+        assert reading_range(state, cfg, snsr.loaded) is None
         step(state, cfg, snsr, tick=100)
 
 
@@ -385,10 +389,12 @@ def test_returning_turns_and_stops_without_reading(track):
 
 def test_await_load_reads_detections_when_loaded(track):
     # the payload starts Outbound, whose junction check reads placards in
-    # the same step: the reason AwaitLoad is a detection phase
+    # the same step; before the payload nothing is read
     cfg = make_config(track)
     state = MissionState(phase=MissionPhase.AWAIT_LOAD, target=2)
-    assert MissionPhase.AWAIT_LOAD in DETECTION_PHASES
+    assert reading_range(state, cfg, False) is None
+    step(state, cfg, unreadable(loaded=False))
+    assert reading_range(state, cfg, True) == DECISION_RANGE
     with pytest.raises(DetectionsRead):
         step(state, cfg, unreadable(loaded=True))
 
@@ -397,7 +403,8 @@ def test_paused_at_point_reads_detections_once_proceed_arrives(track):
     cfg, state = follower_outbound(track)
     _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
     assert state.phase is MissionPhase.PAUSED_AT_POINT
-    assert MissionPhase.PAUSED_AT_POINT in DETECTION_PHASES
+    # a Proceed can arrive in the step's own inbox, so the range stays set
+    assert reading_range(state, cfg, True) == DECISION_RANGE
     # still waiting: nothing read
     step(state, cfg, unreadable(loaded=True, odo=cfg.pause_point[1]))
     with pytest.raises(DetectionsRead):
@@ -410,9 +417,101 @@ def test_paused_at_point_reads_detections_once_proceed_arrives(track):
 
 def test_await_target_and_outbound_read_detections(track):
     cfg = make_config(track)
+    assert reading_range(MissionState(), cfg, False) == math.inf
     with pytest.raises(DetectionsRead):
         step(MissionState(), cfg, unreadable())
     _, _, state = step(MissionState(phase=MissionPhase.AWAIT_LOAD, target=2), cfg,
                        sensors(loaded=True))
+    assert reading_range(state, cfg, True) == DECISION_RANGE
     with pytest.raises(DetectionsRead):
         step(state, cfg, unreadable(loaded=True, odo=0.5))
+
+
+# ------------------------------------------------------- reading contract
+
+def reading_cases(track):
+    """(config, state, loaded, odometry, inbox, expected reading range) over
+    every phase, with and without the payload; on the default map ward 2
+    turns right at 1 m then stops 0.5 m on, and ward 5 goes straight first."""
+    solo, leader = make_config(track), make_config(track, role=Role.LEADER)
+    follower, paused = follower_outbound(track)
+    _, _, paused = step(paused, follower, sensors(loaded=True, odo=follower.pause_point[1]))
+    assert paused.phase is MissionPhase.PAUSED_AT_POINT
+    proceed = [Message(MessageKind.PROCEED, 0, 0)]
+
+    def outbound(ward, odo):
+        _, _, state = step(MissionState(phase=MissionPhase.AWAIT_LOAD, target=ward), solo,
+                           sensors(loaded=True))
+        _, _, state = step(state, solo, sensors(loaded=True, odo=odo))
+        return state
+
+    confirming = MissionState(confirm_digit=2, confirm_count=CONFIRM_FRAMES - 1)
+    past_end = MissionState(phase=MissionPhase.OUTBOUND, target=2,
+                            leg_actions=(Action.RIGHT,), leg_triggers=(1.0,), cursor=1)
+    cases = [
+        (solo, MissionState(), False, 0.0, [], math.inf),
+        (solo, confirming, False, 0.0, [], math.inf),
+        (solo, confirming, True, 0.0, [], math.inf),
+        (leader, confirming, False, 0.0, [], math.inf),
+        (solo, MissionState(phase=MissionPhase.AWAIT_LOAD), True, 0.0, [], None),
+        (solo, MissionState(phase=MissionPhase.AWAIT_LOAD, target=2), False, 0.0, [], None),
+        (solo, MissionState(phase=MissionPhase.AWAIT_LOAD, target=2), True, 0.0, [],
+         DECISION_RANGE),  # the leg's first step is a turn
+        (solo, MissionState(phase=MissionPhase.AWAIT_LOAD, target=5), True, 0.0, [],
+         DECISION_RANGE),  # and here a straight
+        (solo, outbound(2, 0.5), True, 0.8, [], DECISION_RANGE),
+        (solo, outbound(2, 0.5), True, 1.0 - TURN_LEAD, [], DECISION_RANGE),  # the turn fires
+        (solo, outbound(5, 0.5), True, 0.9, [], DECISION_RANGE),
+        (solo, outbound(2, 1.0), True, 1.2, [], None),  # next is the stop
+        (solo, outbound(2, 1.0), True, 1.5, [], None),  # and here it fires
+        (solo, past_end, True, 3.0, [], None),
+        (follower, outbound(4, 0.5), True, 0.8, [], DECISION_RANGE),
+        (follower, paused, True, follower.pause_point[1], [], DECISION_RANGE),
+        (follower, paused, True, follower.pause_point[1], proceed, DECISION_RANGE),
+    ]
+    for cfg in (solo, leader):
+        cases += [(cfg, state, snsr.loaded, snsr.odometry_distance, [], None)
+                  for state, snsr in no_read_cases(track, cfg)]
+    return cases
+
+
+def placard_lists(target):
+    """Detection lists with the target's placard left, centered and right of
+    the frame, nearer and farther than DECISION_RANGE, alone and beside
+    another digit."""
+    near = (0.2, 0.3, 0.34)
+    far = (DECISION_RANGE, 0.6, 1.5)
+    lists = [[]]
+    for x in (20.0, 80.0, 150.0):
+        for z in near + far:
+            lists.append([det(target, x=x, z=z)])
+            lists.append([det(target % 8 + 1, x=80.0, z=0.25), det(target, x=x, z=z)])
+    # a near placard on the planned side and a far one on the wrong side
+    for x_near, x_far in ((20.0, 150.0), (150.0, 20.0), (80.0, 150.0)):
+        for z_far in far:
+            lists.append([det(target, x=x_near, z=0.2), det(target, x=x_far, z=z_far)])
+    return lists
+
+
+def test_reading_range_is_what_the_mission_step_reads(track):
+    """Where the range is None the step reads no detection; otherwise it
+    acts the same on a detection list as on its part nearer than the range."""
+    seen = set()
+    for cfg, state, loaded, odo, inbox, expected in reading_cases(track):
+        reach = reading_range(state, cfg, loaded)
+        assert reach == expected, (state.phase, state.target, state.cursor)
+        seen.add((state.phase, reach is None))
+        if reach is None:
+            step(state, cfg, unreadable(loaded=loaded, odo=odo), inbox=inbox, tick=100)
+            continue
+        for dets in placard_lists(state.target or 2):
+            want = step(state, cfg, sensors(detections=dets, loaded=loaded, odo=odo),
+                        inbox=inbox, tick=100)
+            near = [d for d in dets if d.range_z < reach]
+            assert step(state, cfg, sensors(detections=near, loaded=loaded, odo=odo),
+                        inbox=inbox, tick=100) == want
+    assert {phase for phase, _ in seen} == set(MissionPhase)
+
+
+def test_the_junction_check_reads_nothing_at_a_stop():
+    check_junction(2, Unreadable(), Action.STOP)

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wardcart import simcore
-from wardcart.arena import route_progress, route_to
-from wardcart.mission import DETECTION_PHASES, MissionPhase, Role, TurnDirection
+from wardcart.arena import Action, route_progress, route_to
+from wardcart.mission import (DECISION_RANGE, MissionPhase, MissionState, Role,
+                              TurnDirection, reading_range)
 from wardcart.simcore import (CONFIG_KEYS, CartOutcome, PoseSample, SimConfig, _deviation_of,
                               _header, config_from_keys, render_svg, run_scenario,
                               trace_to_csv)
@@ -210,22 +211,31 @@ def _count_frames(monkeypatch) -> list[str]:
     return frames
 
 
+def _reach(cart):
+    """The range the cart's next mission step reads placards to, or None."""
+    if cart.turn is not None:
+        return None
+    return reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
+
+
 def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
-    """On a cart-tick with no latched turn and a phase in DETECTION_PHASES,
-    _sense supplies the detections of that tick's frame, whether it rendered
-    the frame or reused last tick's; on every other tick it supplies none."""
+    """On a cart-tick with no latched turn and a reading range, _sense
+    supplies the detections of that tick's frame nearer than the range,
+    whether it rendered the frame or reused last tick's; on every other tick
+    it supplies none."""
     sensed = []
     sense = simcore._sense
 
     def spy_sense(cart, track, cam, config, templates):
-        pose, card, phase = cart.vehicle.pose, cart.card, cart.mission.phase
-        readable = cart.turn is None and phase in DETECTION_PHASES
+        pose, card, phase, reach = cart.vehicle.pose, cart.card, cart.mission.phase, _reach(cart)
+        readable = reach is not None
         sensors = sense(cart, track, cam, config, templates)
         if readable:
             frame = render(track, pose, cam, config.noise,
                            cards=(card,) if card is not None else ())
             binary = undistort_bits(adaptive_binarize(frame), config.noise.k1)
-            assert sensors.detections == detect_in_binary(binary, templates)
+            assert sensors.detections == [d for d in detect_in_binary(binary, templates)
+                                          if d.range_z < reach]
         else:
             assert sensors.detections == []
         sensed.append((readable, phase, bool(sensors.detections)))
@@ -250,7 +260,7 @@ def _readable_ticks_and_calls(track, monkeypatch, config, layer):
 
     def spy_sense(cart, *args):
         phases.add(cart.mission.phase)
-        readable.append(cart.turn is None and cart.mission.phase in DETECTION_PHASES)
+        readable.append(_reach(cart) is not None)
         return sense(cart, *args)
 
     def spy_layer(*args, **kwargs):
@@ -352,6 +362,34 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     cart.turn = simcore._Turn(direction=TurnDirection.LEFT, target=math.pi / 2)
     sense()
     assert np.array_equal(band, before[0]) and np.array_equal(kept, before[1])
+
+
+def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkeypatch):
+    frames, ranges = _count_frames(monkeypatch), []
+    detect = simcore.detect_in_binary
+    monkeypatch.setattr(simcore, "detect_in_binary",
+                        lambda binary, t, reach: ranges.append(reach) or detect(binary, t, reach))
+    start = simcore._start_pose(track, 2)
+    cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(0))
+    cart.card = simcore._make_card(2, start)  # read at 0.42 m: beyond DECISION_RANGE
+    at_junction = MissionState(phase=MissionPhase.OUTBOUND, target=2,
+                               leg_actions=(Action.RIGHT, Action.STOP), leg_triggers=(1.0, 1.5))
+    unloaded = MissionState(phase=MissionPhase.AWAIT_LOAD, target=2)
+    frame = render(track, start, CameraModel(), NoiseParams(), cards=(cart.card,))
+    everything = detect_in_binary(adaptive_binarize(frame), templates)
+    assert [(d.digit, d.range_z > DECISION_RANGE) for d in everything] == [(2, True)]
+
+    def sense(mission):
+        cart.mission = mission
+        before = len(frames), len(ranges)
+        sensors = simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
+        return len(frames) - before[0], ranges[before[1]:], sensors.detections
+
+    assert sense(at_junction) == (1, [DECISION_RANGE], [])
+    assert sense(unloaded) == (0, [], [])
+    assert sense(MissionState()) == (0, [math.inf], everything)  # the same frame, read farther
+    assert sense(at_junction) == (0, [], [])
+    assert sense(MissionState()) == (0, [], everything)
 
 
 @pytest.mark.parametrize("k1", (0.0, 0.05))

@@ -592,14 +592,18 @@ def _typed_fields(detections):
 
 
 # a guide line, glyphs at integer scales (some across the border) and specks
+DETECTOR_FRAMES = dict(
+    line=st.none() | st.tuples(st.integers(0, 119), st.integers(-12, 170),
+                               st.floats(-1.5, 1.5), st.integers(2, 12)),
+    glyphs=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
+                              st.integers(-20, 115), st.integers(-20, 155)),
+                    max_size=5),
+    speck_seed=st.integers(0, 2 ** 32 - 1),
+    speck_density=st.sampled_from([0.0, 0.002, 0.01, 0.05]))
+
+
 @settings(max_examples=120, deadline=None)
-@given(line=st.none() | st.tuples(st.integers(0, 119), st.integers(-12, 170),
-                                  st.floats(-1.5, 1.5), st.integers(2, 12)),
-       glyphs=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
-                                 st.integers(-20, 115), st.integers(-20, 155)),
-                       max_size=5),
-       speck_seed=st.integers(0, 2 ** 32 - 1),
-       speck_density=st.sampled_from([0.0, 0.002, 0.01, 0.05]))
+@given(**DETECTOR_FRAMES)
 # two equal glyphs one above the other: equal image x, kept in raster order
 @example(line=(0, 130, 0.0, 7), glyphs=[(4, 1, 1, 50, 60), (4, 1, 1, 90, 60)],
          speck_seed=0, speck_density=0.0)
@@ -611,6 +615,24 @@ def test_detect_in_binary_equals_the_reference_detector(cam, templates, line, gl
     got = detect_in_binary(binary, templates)
     want = reference_detect_in_binary(binary, templates)
     assert _typed_fields(got) == _typed_fields(want)
+
+
+# any range, and each placard's own range and the float just above it
+@settings(max_examples=80, deadline=None)
+@given(max_range=st.floats(0.0, 2.0), **DETECTOR_FRAMES)
+@example(max_range=0.35, line=None,
+         glyphs=[(7, 1, 2, 90, 60), (3, 1, 1, 90, 100), (8, 1, 3, 88, 10)],
+         speck_seed=1, speck_density=0.002)
+def test_detect_in_binary_reads_only_placards_within_its_range(templates, max_range, line,
+                                                              glyphs, speck_seed,
+                                                              speck_density):
+    binary = BinaryFrame(_detector_frame(line, glyphs, speck_seed, speck_density))
+    everything = detect_in_binary(binary, templates)
+    ranges = [max_range, math.inf]
+    ranges += [r for d in everything for r in (d.range_z, math.nextafter(d.range_z, math.inf))]
+    for reach in ranges:
+        want = [d for d in everything if d.range_z < reach]
+        assert _typed_fields(detect_in_binary(binary, templates, reach)) == _typed_fields(want)
 
 
 # ---------------------------------------------------------------- render
