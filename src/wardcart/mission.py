@@ -13,7 +13,7 @@ turns are announced once as a Turn intent and executed by the engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .arena import Action, RoutePlan, Vec2
@@ -123,6 +123,16 @@ class MissionState:
     pause_cleared: bool = False
     out_seq: int = 0
     retry: ProceedRetry = field(default_factory=ProceedRetry)
+
+
+def _copy(state: MissionState) -> MissionState:
+    """A copy of state with its own ProceedRetry, the one mutable field it
+    holds. Copying the attribute dict skips the __init__ that
+    dataclasses.replace runs, about 4 µs of every mission_step."""
+    st = object.__new__(MissionState)
+    st.__dict__.update(state.__dict__)
+    st.retry = ProceedRetry(state.retry.acked, state.retry.last_sent_tick)
+    return st
 
 
 class JunctionContradiction(ValueError):
@@ -265,7 +275,7 @@ def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
                  inbox: list[Message], now_tick: int
                  ) -> tuple[DriveIntent, list[Message], MissionState]:
     """One tick of the mission FSM. Returns (intent, outbox, new state)."""
-    st = replace(state, retry=replace(state.retry))
+    st = _copy(state)
     outbox: list[Message] = []
 
     if cfg.role is Role.FOLLOWER:

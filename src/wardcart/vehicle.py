@@ -96,9 +96,10 @@ def apply_motor(state: VehicleState, cmd: MotorCommand, dt: float) -> VehicleSta
         y += w * v * math.sin(th)
 
     # x and y stay NumPy float64: render computes world coordinates in the
-    # pose's precision, and every trace depends on those being float64
-    return replace(state, pose=(np.float64(x), np.float64(y), th1),
-                   wheel_speed=(v1_l, v1_r))
+    # pose's precision, and every trace depends on those being float64. Built
+    # by the constructor: dataclasses.replace costs several µs a tick
+    return VehicleState((np.float64(x), np.float64(y), th1), (v1_l, v1_r),
+                        state.payload_grams, state.loaded, state.led_red, state.led_yellow)
 
 
 def set_payload(state: VehicleState, grams: float) -> VehicleState:
@@ -110,4 +111,6 @@ def set_payload(state: VehicleState, grams: float) -> VehicleState:
 
 
 def set_leds(state: VehicleState, red: bool, yellow: bool) -> VehicleState:
+    if state.led_red == red and state.led_yellow == yellow:
+        return state  # the usual tick: the state is frozen, so no copy is needed
     return replace(state, led_red=red, led_yellow=yellow)

@@ -163,8 +163,9 @@ def line_centroid(binary: BinaryFrame, roi_rows: tuple[int, int],
     count = int(band.sum())
     if count < min_pixels:
         return None
-    cols = np.nonzero(band)[1]
-    x = float(cols.mean()) + c0
+    # the integer sum is exact and the division correctly rounded, so this
+    # is cols.mean() without NumPy's Python wrapper around it
+    x = int(band.nonzero()[1].sum()) / count + c0
     confidence = min(1.0, count / ((r1 - r0) * EXPECTED_LINE_WIDTH_PX))
     return x, confidence
 

@@ -105,8 +105,10 @@ class _WorldInk:
             # index = int32((w - origin) / WORLD_CELL), in that expression's steps
             work = np.subtract(w, origin, out=_scratch(w.shape, w.dtype, "term"))
             np.copyto(index, np.divide(work, WORLD_CELL, out=work), casting="unsafe")
-        np.clip(ix, -1, self.nx, out=ix)
-        np.clip(iy, -1, self.ny, out=iy)
+        # the method, not np.clip: the same ufunc behind one Python wrapper
+        # fewer, about 1 µs a call
+        ix.clip(-1, self.nx, out=ix)
+        iy.clip(-1, self.ny, out=iy)
         # flat index into the padded raster of grid cell (iy, ix)
         stride = self.nx + 2
         iy *= stride
@@ -185,8 +187,10 @@ def _ink(track: TrackMap, pose: tuple[float, float, float], gx: np.ndarray,
     return ink
 
 
+@lru_cache(maxsize=8)
 def _levels(brightness: float) -> tuple[np.uint8, np.uint8]:
-    """The (ink, background) pixel values of a noise-free frame."""
+    """The (ink, background) pixel values of a noise-free frame. Cached:
+    a run asks for one brightness on every clean frame."""
     return (np.uint8(min(255, max(0, round(INK_LEVEL + brightness)))),
             np.uint8(min(255, max(0, round(BACKGROUND_LEVEL + brightness)))))
 

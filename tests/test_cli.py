@@ -4,7 +4,9 @@ import pytest
 
 from wardcart import cli
 from wardcart.cli import ScenarioError, _apply_overrides, build_parser, load_scenario, main
-from wardcart.simcore import CONFIG_KEYS
+from wardcart.simcore import CONFIG_KEYS, run_scenario
+
+from test_simcore import scalar_deviation
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -77,14 +79,29 @@ def test_same_seed_gives_identical_trace_files(tmp_path, ward2_scn):
     assert t1.read_bytes() == t2.read_bytes()
 
 
-def test_suite_passes_on_good_scenarios(tmp_path, capsys):
-    for w in (1, 2):
-        (tmp_path / f"ward{w}.scn").write_text(WARD2.replace("ward = 2", f"ward = {w}"))
-    code = main(["suite", str(tmp_path)])
+def test_suite_passes_on_good_scenarios(capsys, monkeypatch):
+    # every shipped scenario; each run's line deviations must also equal the
+    # per-sample reference by value and type
+    runs = []
+
+    def run(track, config):
+        report = run_scenario(track, config)
+        runs.append((track, report))
+        return report
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    code = main(["suite", str(REPO / "scenarios")])
     out = capsys.readouterr().out
+    shipped = len(list((REPO / "scenarios").glob("*.scn")))
     assert code == 0
-    assert "2/2 scenarios passed" in out
+    assert f"{shipped}/{shipped} scenarios passed" in out
     assert "near" in out
+    assert len(runs) == shipped
+    for track, report in runs:
+        want = tuple(scalar_deviation(track, report.samples, cart)
+                     for cart in range(len(report.outcomes)))
+        assert report.line_deviations == want
+        assert all(type(d) is float for d in report.line_deviations)
 
 
 def test_suite_empty_directory_is_ok(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import fields
 
@@ -317,6 +318,36 @@ def test_leader_keeps_retrying_after_done_until_acked(track):
     assert len(outbox) == 1
     _, outbox, state = step(state, cfg, sensors(loaded=False, odo=1.0), tick=10)
     assert len(outbox) == 1  # still resending in Done
+
+
+def copy_cases(track):
+    """(config, state, sensors, inbox, tick) of steps that change every
+    kind of field: solo, follower and leader, an ACK and a PROCEED."""
+    solo = make_config(track)
+    yield solo, MissionState(), sensors(detections=[det(4)]), [], 0
+    yield solo, MissionState(phase=MissionPhase.AWAIT_LOAD, target=4), sensors(loaded=True), [], 0
+    cfg, state = follower_outbound(track)
+    yield cfg, state, sensors(loaded=True, odo=cfg.pause_point[1]), [], 0
+    _, _, paused = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
+    assert paused.phase is MissionPhase.PAUSED_AT_POINT
+    yield (cfg, paused, sensors(loaded=True, odo=cfg.pause_point[1]),
+           [Message(MessageKind.PROCEED, 0, 0)], 0)
+    leader = make_config(track, role=Role.LEADER, retry_interval=20)
+    unloading = MissionState(phase=MissionPhase.AWAIT_UNLOAD, target=4, delivered=True)
+    yield leader, unloading, sensors(loaded=False, odo=2.5), [], 100
+    _, _, returning = step(unloading, leader, sensors(loaded=False, odo=2.5), tick=100)
+    assert returning.retry.last_sent_tick == 100
+    yield (leader, returning, sensors(loaded=False, odo=2.6),
+           [Message(MessageKind.ACK, 1, 0)], 140)
+
+
+def test_mission_step_never_mutates_its_input(track):
+    for cfg, state, snsr, inbox, tick in copy_cases(track):
+        before, retry = copy.deepcopy(state), copy.deepcopy(state.retry)
+        _, _, after = step(state, cfg, snsr, inbox, tick=tick)
+        assert after != before  # the step changed something, in its copy only
+        assert state == before and state.retry == retry
+        assert after.retry is not state.retry
 
 
 # ------------------------------------------------------ detection demand

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wardcart import simcore
-from wardcart.arena import Action, route_progress, route_to
+from wardcart.arena import (Action, load_map, nearest_centerline_distance, route_progress,
+                            route_to)
 from wardcart.mission import (DECISION_RANGE, MissionPhase, MissionState, Role,
                               TurnDirection, reading_range)
 from wardcart.simcore import (CONFIG_KEYS, CartOutcome, PoseSample, SimConfig, _deviation_of,
@@ -77,6 +78,64 @@ def test_deviation_ignores_halted_phases(track):
     pts = [(0.25, 0.5)]
     samples = fabricated_samples(pts, phase=MissionPhase.AWAIT_LOAD)
     assert _deviation_of(track, samples, 0) == 0.0
+
+
+def scalar_deviation(track, samples, cart):
+    """The per-sample loop that _deviation_of must equal by value and type."""
+    worst = 0.0
+    for s in samples:
+        if s.cart == cart and s.phase in (MissionPhase.OUTBOUND, MissionPhase.RETURNING):
+            worst = max(worst, nearest_centerline_distance(track, (s.x, s.y)))
+    return worst
+
+
+@st.composite
+def small_maps(draw):
+    """A tree map on a 0.25 m grid, so that samples often lie at equal
+    distances from two segments. The first two edges are collinear on either
+    side of the pharmacy, and the last has length zero."""
+    grid = st.integers(-8, 8).map(lambda v: v / 4)
+    nodes = {"p": (0.0, 0.0), "u": (0.0, 1.0), "d": (0.0, -1.0)}
+    edges = [("p", "u"), ("p", "d")]
+    for i in range(draw(st.integers(0, 4))):
+        edges.append((draw(st.sampled_from(sorted(nodes))), f"n{i}"))
+        nodes[f"n{i}"] = (draw(grid), draw(grid))
+    twin = draw(st.sampled_from(sorted(nodes)))
+    nodes["z"] = nodes[twin]
+    edges.append((twin, "z"))
+    text = "".join(f"node {n} {x!r} {y!r}\n" for n, (x, y) in nodes.items())
+    text += "".join(f"edge e{i} {a} {b}\n" for i, (a, b) in enumerate(edges))
+    return load_map(text + "pharmacy p\n")
+
+
+def pose_samples():
+    """Samples of carts 0 and 1 in any phase; x and y on a 1/8 m grid or
+    anywhere, as Python floats or NumPy float64."""
+    coord = st.integers(-24, 24).map(lambda v: v / 8) | st.floats(-3, 3)
+    sample = st.tuples(st.integers(0, 1), st.sampled_from(list(MissionPhase)), coord, coord,
+                       st.booleans())
+    return st.lists(sample, max_size=40).map(lambda rows: [
+        PoseSample(t, cart, np.float64(x) if wrap else x, np.float64(y) if wrap else y,
+                   0.0, phase, False, False)
+        for t, (cart, phase, x, y, wrap) in enumerate(rows)])
+
+
+# np.hypot of this sample's offset from (0, -1) is one bit below math.hypot's
+HYPOT_DIFFERS = [PoseSample(0, 0, -0.723, -1.882, 0.0, MissionPhase.OUTBOUND, False, False)]
+
+
+@settings(deadline=None)
+@given(track=small_maps(), samples=pose_samples())
+@example(track=load_map("node p 0 0\nnode u 0 1\nnode d 0 -1\nedge pu p u\nedge pd p d\n"
+                        "pharmacy p\n"), samples=HYPOT_DIFFERS)
+def test_deviation_of_equals_the_scalar_reference(track, samples):
+    on_line = (MissionPhase.OUTBOUND, MissionPhase.RETURNING)
+    for cart in (0, 1):
+        got = _deviation_of(track, samples, cart)
+        assert type(got) is float
+        assert got == scalar_deviation(track, samples, cart)
+        if not any(s.cart == cart and s.phase in on_line for s in samples):
+            assert got == 0.0
 
 
 def test_traces_are_byte_identical_for_equal_seeds(track):

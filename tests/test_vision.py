@@ -23,8 +23,8 @@ from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
                                       match_digit, normalize_mask,
                                       undistort_bits)
 from wardcart.simcore import CONTROL_ROI
-from wardcart.vision.render import (WORLD_CELL, NoiseParams, _scratch, _WorldInk, clean_bits,
-                                    render, world_ink)
+from wardcart.vision.render import (WORLD_CELL, NoiseParams, _levels, _scratch, _WorldInk,
+                                    clean_bits, render, world_ink)
 
 EMPTY_MAP = load_map("node p 0 0\npharmacy p\nwidth 0.30\n")
 
@@ -364,6 +364,21 @@ def test_line_centroid_column_window_masks_clutter():
     gated, _ = line_centroid(BinaryFrame(bits), (0, 20), col_window=(38, 63))
     assert abs(gated - 50.0) < 0.6
     assert full < gated  # clutter drags the ungated mean left
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=arrays(bool, st.tuples(st.integers(1, 42), st.integers(1, 160))),
+       window=st.none() | st.tuples(st.integers(-20, 170), st.integers(-20, 170)))
+def test_line_centroid_x_is_the_numpy_mean_of_the_columns(bits, window):
+    got = line_centroid(BinaryFrame(bits), (0, bits.shape[0]), min_pixels=1,
+                        col_window=window)
+    c0 = 0 if window is None else max(0, window[0])
+    band = bits if window is None else bits[:, c0:max(c0, window[1])]
+    if not band.any():
+        assert got is None
+        return
+    want = float(np.nonzero(band)[1].mean()) + c0
+    assert type(got[0]) is float and got[0] == want
 
 
 # -------------------------------------------------------------- contours
@@ -927,6 +942,7 @@ CACHES = {
     "quadrature": (vehicle._quadrature, lambda n: [(0.01 * (1 + i),) for i in range(n)]),
     "render_scratch": (_scratch, lambda n: [((1 + i,), np.dtype(np.float32), "x")
                                             for i in range(n)]),
+    "render_levels": (_levels, lambda n: [(float(i),) for i in range(n)]),
 }
 
 
