@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterator
 
+import numpy as np
+
 Vec2 = tuple[float, float]
 
 # Placard layout constants (meters). Digits sit this far before their
@@ -82,7 +84,6 @@ class PlacardGroup:
 class Ward:
     id: int
     node: str
-    tier: Tier
     placard: PlacardGroup
 
 
@@ -91,14 +92,12 @@ class Edge:
     id: str
     a: str
     b: str
-    polyline: tuple[Vec2, ...]
+    polyline: tuple[Vec2, Vec2]  # the straight segment from node a to node b
 
     @property
     def length(self) -> float:
-        total = 0.0
-        for (x0, y0), (x1, y1) in zip(self.polyline, self.polyline[1:]):
-            total += math.hypot(x1 - x0, y1 - y0)
-        return total
+        (x0, y0), (x1, y1) = self.polyline
+        return math.hypot(x1 - x0, y1 - y0)
 
 
 @dataclass(frozen=True)
@@ -113,14 +112,6 @@ class RouteStep:
 class RoutePlan:
     ward: int
     steps: tuple[RouteStep, ...]
-
-    @property
-    def total_length(self) -> float:
-        return sum(s.length for s in self.steps)
-
-    def junction_actions(self) -> list[Action]:
-        """Actions excluding the final Stop (the turn decisions)."""
-        return [s.action for s in self.steps if s.action is not Action.STOP]
 
     def reversed(self, track: "TrackMap") -> "RoutePlan":
         """Return route: edges reversed, Left and Right swapped, ends in Stop."""
@@ -222,16 +213,16 @@ def load_map(text: str) -> TrackMap:
 
     Grammar (one record per line, ``#`` starts a comment):
         node <id> <x> <y>
-        edge <id> <node-a> <node-b>
+        edge <id> <node-a> <node-b>           one straight segment
         ward <digit> <node> [<digit2> ...]
         pharmacy <node>
-        width <meters>
+        width <meters>                        at most once; 0.30 if absent
     """
     nodes: dict[str, Vec2] = {}
     edges: list[Edge] = []
     ward_records: list[tuple[int, int, str, list[int]]] = []  # lineno, digit, node, extras
     pharmacy: str | None = None
-    width = 0.30
+    width: float | None = None
     saw_any = False
 
     for lineno, toks in iter_records(text):
@@ -277,6 +268,8 @@ def load_map(text: str) -> TrackMap:
         elif kind == "width":
             if len(args) != 1:
                 raise MapParseError(lineno, "width wants: width <meters>")
+            if width is not None:
+                raise MapParseError(lineno, "more than one width record")
             width = _parse_float(args[0], lineno, "width")
         else:
             raise MapParseError(lineno, f"unknown record {kind!r}")
@@ -285,6 +278,8 @@ def load_map(text: str) -> TrackMap:
         raise MapParseError(1, "empty map text")
     if pharmacy is None:
         raise MapValidationError("no pharmacy node declared")
+    if width is None:
+        width = 0.30
     if width <= 0:
         raise MapValidationError("corridor width must be positive")
     for nid, (x, y) in nodes.items():
@@ -402,7 +397,7 @@ def _build_wards(skeleton: TrackMap, parents: dict[str, tuple[str, str]],
     wards: list[Ward] = []
     for _, digit, node, _ in ward_records:
         junction = parents[node][0] if node in parents else node
-        wards.append(Ward(digit, node, classify_ward(digit), built[junction]))
+        wards.append(Ward(digit, node, built[junction]))
     return tuple(sorted(wards, key=lambda w: w.id))
 
 
@@ -538,7 +533,7 @@ def resolve_pause_point(track: TrackMap, ward_id: int) -> tuple[Vec2, float]:
     before = edges[:-1]
     dist = sum(s.length for s in before[:-1]) + before[-1].length / 2.0
     mid_edge = track.edge(before[-1].edge_id)
-    (x0, y0), (x1, y1) = mid_edge.polyline[0], mid_edge.polyline[-1]
+    (x0, y0), (x1, y1) = mid_edge.polyline
     return ((x0 + x1) / 2.0, (y0 + y1) / 2.0), dist
 
 
@@ -553,15 +548,26 @@ def _project(a: Vec2, b: Vec2, p: Vec2) -> tuple[float, float]:
     return t, math.hypot(px - (ax + t * vx), py - (ay + t * vy))
 
 
+def segments(track: TrackMap) -> np.ndarray:
+    """The guide line as (edges x 4) float64 rows ax, ay, bx, by."""
+    return np.array([e.polyline for e in track.edges], dtype=np.float64).reshape(-1, 4)
+
+
+def project_offsets(ax, ay, bx, by, px, py) -> tuple[np.ndarray, np.ndarray]:
+    """_project's clamped projection on broadcast arrays: the offset
+    (dx, dy) of point p from its foot point on segment ab, in _project's
+    steps. A zero-length segment projects at t = 0, without dividing."""
+    vx, vy = bx - ax, by - ay
+    L2 = vx * vx + vy * vy
+    dot = (px - ax) * vx + (py - ay) * vy
+    t = np.divide(dot, L2, out=np.zeros_like(dot), where=L2 > 0)
+    t = np.maximum(0.0, np.minimum(1.0, t))
+    return px - (ax + t * vx), py - (ay + t * vy)
+
+
 def nearest_centerline_distance(track: TrackMap, point: Vec2) -> float:
     """Distance from a point to the nearest guide-line centerline."""
-    best = math.inf
-    for e in track.edges:
-        for a, b in zip(e.polyline, e.polyline[1:]):
-            _, d = _project(a, b, point)
-            if d < best:
-                best = d
-    return best
+    return min((_project(*e.polyline, point)[1] for e in track.edges), default=math.inf)
 
 
 def route_progress(track: TrackMap, plan: RoutePlan, point: Vec2) -> float:

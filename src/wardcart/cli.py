@@ -53,6 +53,8 @@ def _parse_kv(text: str, path: str) -> dict[str, str]:
         key, val = key.strip(), val.strip()
         if not (sep and key and val):
             raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
+        if key in values:
+            raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = val
     return values
 

@@ -34,8 +34,8 @@ from enum import Enum
 
 import numpy as np
 
-from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance,
-                    resolve_pause_point, route_to)
+from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance, project_offsets,
+                    resolve_pause_point, route_to, segments)
 from .comms import Link, Message
 from .controller import PidGains, PidState, pid_step, steer
 from .mission import (HALT, IntentKind, MissionConfig, MissionPhase, MissionState, Role,
@@ -582,27 +582,18 @@ def _advance_turn(cart: _Cart) -> None:
 def _deviation_of(track: TrackMap, samples: list[PoseSample], cart: int) -> float:
     """Max distance from one cart's Outbound/Returning samples to the guide line.
 
-    One (samples x segments) NumPy pass, arena._project's steps on arrays,
-    only screens the samples. np.hypot can differ from math.hypot in the last
-    bit, so the value is the max of nearest_centerline_distance over the
-    samples within a relative 1e-12 of the screen's largest distance.
+    One (samples x segments) pass of arena.project_offsets only screens the
+    samples. np.hypot can differ from math.hypot in the last bit, so the
+    value is the max of nearest_centerline_distance over the samples within
+    a relative 1e-12 of the screen's largest distance.
     """
     points = [(s.x, s.y) for s in samples
               if s.cart == cart and s.phase in (MissionPhase.OUTBOUND, MissionPhase.RETURNING)]
     if not points:
         return 0.0
     p = np.array(points, dtype=np.float64)
-    px, py = p[:, :1], p[:, 1:]
-    ax, ay, bx, by = np.array([a + b for e in track.edges
-                               for a, b in zip(e.polyline, e.polyline[1:])],
-                              dtype=np.float64).reshape(-1, 4).T
-    vx, vy = bx - ax, by - ay
-    L2 = vx * vx + vy * vy
-    # a zero-length segment projects at t = 0, as in _project
-    t = np.divide((px - ax) * vx + (py - ay) * vy, L2,
-                  out=np.zeros((len(points), len(L2))), where=L2 > 0)
-    t = np.maximum(0.0, np.minimum(1.0, t))
-    nearest = np.hypot(px - (ax + t * vx), py - (ay + t * vy)).min(axis=1, initial=np.inf)
+    dx, dy = project_offsets(*segments(track).T, p[:, :1], p[:, 1:])
+    nearest = np.hypot(dx, dy).min(axis=1, initial=np.inf)
     rows = np.flatnonzero(nearest >= nearest.max() * (1.0 - 1e-12))
     return max(nearest_centerline_distance(track, points[i]) for i in rows)
 
@@ -643,8 +634,8 @@ def render_svg(track: TrackMap, report: TraceReport | None = None) -> str:
     y0, y1 = min(ys) - pad, max(ys) + pad
     scale = 200.0
 
-    def pt(x: float, y: float) -> str:
-        return f"{(x - x0) * scale:.1f},{(y1 - y) * scale:.1f}"
+    def xy(x: float, y: float) -> tuple[str, str]:
+        return f"{(x - x0) * scale:.1f}", f"{(y1 - y) * scale:.1f}"
 
     w = (x1 - x0) * scale
     h = (y1 - y0) * scale
@@ -652,24 +643,22 @@ def render_svg(track: TrackMap, report: TraceReport | None = None) -> str:
              f'height="{h:.0f}" viewBox="0 0 {w:.0f} {h:.0f}">',
              f'<rect width="{w:.0f}" height="{h:.0f}" fill="#f8f8f4"/>']
     for e in track.edges:
-        (ax, ay), (bx, by) = e.polyline[0], e.polyline[-1]
-        parts.append(f'<line x1="{pt(ax, ay).split(",")[0]}" y1="{pt(ax, ay).split(",")[1]}" '
-                     f'x2="{pt(bx, by).split(",")[0]}" y2="{pt(bx, by).split(",")[1]}" '
+        (sx1, sy1), (sx2, sy2) = (xy(*end) for end in e.polyline)
+        parts.append(f'<line x1="{sx1}" y1="{sy1}" x2="{sx2}" y2="{sy2}" '
                      f'stroke="#b33" stroke-width="4"/>')
     for nid, (nx, ny) in track.nodes:
-        cx, cy = pt(nx, ny).split(",")
+        cx, cy = xy(nx, ny)
         fill = "#26c" if nid == track.pharmacy else "#333"
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="{fill}"/>')
     for ward in track.wards:
-        nx, ny = track.node_pos(ward.node)
-        cx, cy = pt(nx, ny).split(",")
+        cx, cy = xy(*track.node_pos(ward.node))
         parts.append(f'<text x="{cx}" y="{cy}" dx="8" dy="-8" '
                      f'font-size="16" fill="#222">{ward.id}</text>')
     if report is not None:
         colors = ["#2a7", "#a2c"]
         by_cart: dict[int, list[str]] = {}
         for s in report.samples:
-            by_cart.setdefault(s.cart, []).append(pt(s.x, s.y))
+            by_cart.setdefault(s.cart, []).append(",".join(xy(s.x, s.y)))
         for cart, pts in sorted(by_cart.items()):
             parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                          f'stroke="{colors[cart % 2]}" stroke-width="1.5"/>')

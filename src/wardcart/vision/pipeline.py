@@ -27,13 +27,6 @@ MATCH_MARGIN = 0.05         # and beat the runner-up digit by this
 BINARIZE_MARGIN = 30.0      # ink is this much darker than the frame mean
 EXPECTED_LINE_WIDTH_PX = 7.0
 
-# Bottom rows looking (almost) straight down. Perspective shifts the line's
-# apparent center by ~d*tan(heading error); in this band d is small enough
-# that the centroid stays within a pixel of truth for headings up to 5 deg.
-# Controllers that want lookahead use a taller band and accept the skew.
-NADIR_ROI = (118, 120)
-NADIR_MIN_PIXELS = 8
-
 # image-space gates a blob must pass to be scored as a digit candidate
 _CAND_MIN_H, _CAND_MAX_H = 6, 60
 _CAND_MIN_W, _CAND_MAX_W = 3, 80

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arena import GLYPH_HEIGHT, PlacardEntry, TrackMap
+from ..arena import GLYPH_HEIGHT, PlacardEntry, TrackMap, Vec2, project_offsets
 from .camera import CameraModel, check_k1, ground_grid
 from .glyphs import GRID_N, glyph_grid
 from .pipeline import BINARIZE_MARGIN, BinaryFrame, Frame
@@ -61,8 +61,7 @@ class _WorldInk:
         self._padded = np.zeros((self.ny + 2, self.nx + 2), dtype=bool)
         self.grid = self._padded[1:-1, 1:-1]
         for edge in track.edges:
-            for (ax, ay), (bx, by) in zip(edge.polyline, edge.polyline[1:]):
-                self._paint_segment(ax, ay, bx, by)
+            self._paint_segment(*edge.polyline)
         for group in track.placard_groups():
             for entry in group.entries:
                 self._paint_glyph(entry)
@@ -76,18 +75,15 @@ class _WorldInk:
         ys = self.y0 + (np.arange(iy0, iy1) + 0.5) * WORLD_CELL
         return ix0, ix1, iy0, iy1, xs[None, :], ys[:, None]
 
-    def _paint_segment(self, ax, ay, bx, by) -> None:
-        # arena._project's clamped projection, vectorized: it runs once per raster cell
+    def _paint_segment(self, a: Vec2, b: Vec2) -> None:
+        (ax, ay), (bx, by) = a, b
+        vx, vy = bx - ax, by - ay
+        if vx * vx + vy * vy == 0:  # also ends so close that the square underflows
+            return
         r = LINE_HALF_WIDTH
         ix0, ix1, iy0, iy1, xs, ys = self._cells(min(ax, bx) - r, max(ax, bx) + r,
                                                  min(ay, by) - r, max(ay, by) + r)
-        vx, vy = bx - ax, by - ay
-        L2 = vx * vx + vy * vy
-        if L2 == 0:
-            return
-        t = np.clip(((xs - ax) * vx + (ys - ay) * vy) / L2, 0.0, 1.0)
-        dx = xs - (ax + t * vx)
-        dy = ys - (ay + t * vy)
+        dx, dy = project_offsets(ax, ay, bx, by, xs, ys)
         self.grid[iy0:iy1, ix0:ix1] |= dx * dx + dy * dy <= r * r
 
     def _paint_glyph(self, entry: PlacardEntry) -> None:

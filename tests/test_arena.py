@@ -4,14 +4,15 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardcart.arena import (Action, MapParseError, MapValidationError, Tier, _project,
                             classify_ward, load_map,
-                            nearest_centerline_distance, resolve_pause_point,
-                            route_to, serialize_map)
+                            nearest_centerline_distance, project_offsets,
+                            resolve_pause_point, route_to, serialize_map)
 
 TINY_MAP = """
 node p 0 0
@@ -96,6 +97,9 @@ def test_parse_errors_carry_line_numbers():
         assert exc.lineno == 1
     else:
         pytest.fail("expected MapParseError")
+    with pytest.raises(MapParseError, match="more than one width record") as exc:
+        load_map("node p 0 0\nwidth 0.3\npharmacy p\nwidth 0.1\n")
+    assert exc.value.lineno == 4
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -175,23 +179,16 @@ def test_classify_ward_rejects_out_of_range():
             classify_ward(bad)
 
 
-def test_map_ward_tiers_agree_with_classifier(track):
-    for w in track.wards:
-        assert w.tier is classify_ward(w.id)
-
-
 # --------------------------------------------------------------- routing
 
 def test_route_lengths_follow_tiers(track):
-    l1 = route_to(track, 1).total_length
-    l3 = route_to(track, 3).total_length
-    l5 = route_to(track, 5).total_length
+    l1, l3, l5 = (sum(s.length for s in route_to(track, w).steps) for w in (1, 3, 5))
     assert l1 < l3 < l5
 
 
 def test_route_length_monotone_in_tier_order(track):
     order = [1, 2, 3, 4, 5, 6, 7, 8]
-    lengths = [route_to(track, w).total_length for w in order]
+    lengths = [sum(s.length for s in route_to(track, w).steps) for w in order]
     tiers = [classify_ward(w) for w in order]
     for i in range(len(order) - 1):
         if tiers[i] != tiers[i + 1]:
@@ -203,13 +200,13 @@ def test_route_length_monotone_in_tier_order(track):
 
 def test_route_to_ward_two_turns_right(track):
     plan = route_to(track, 2)
-    assert plan.junction_actions() == [Action.RIGHT]
+    assert [s.action for s in plan.steps if s.action is not Action.STOP] == [Action.RIGHT]
     assert plan.steps[-1].action is Action.STOP
 
 
 def test_route_to_ward_one_turns_left(track):
     plan = route_to(track, 1)
-    assert plan.junction_actions() == [Action.LEFT]
+    assert [s.action for s in plan.steps if s.action is not Action.STOP] == [Action.LEFT]
 
 
 def test_route_matches_bfs_oracle_for_every_ward(track):
@@ -225,7 +222,7 @@ def test_zero_length_route_is_just_stop():
     m = load_map("node p 0 0\nnode a 0 1\nedge e p a\nward 5 p\npharmacy p\n")
     plan = route_to(m, 5)
     assert [s.action for s in plan.steps] == [Action.STOP]
-    assert plan.total_length == 0.0
+    assert sum(s.length for s in plan.steps) == 0.0
 
 
 def test_missing_ward_is_an_error(track):
@@ -247,7 +244,8 @@ def test_reversed_plan_swaps_left_right(track):
         assert back_actions == [swap[a] for a in reversed(fwd_actions)]
         assert back.steps[-1].action is Action.STOP
         assert back.steps[-1].end_node == track.pharmacy
-        assert math.isclose(back.total_length, plan.total_length)
+        assert math.isclose(sum(s.length for s in back.steps),
+                            sum(s.length for s in plan.steps))
 
 
 def test_reversed_graph_route_matches_reversed_plan(track):
@@ -313,6 +311,12 @@ def test_project_is_the_nearest_point_of_the_segment(a, b, p):
                 for k in range(n + 1))
     assert d <= brute + 1e-12
     assert brute - d <= math.dist(a, b) / n + 1e-12
+    # the array form gives the offset from the same foot point
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    foot = (px - (ax + t * (bx - ax)), py - (ay + t * (by - ay)))
+    dx, dy = project_offsets(ax, ay, bx, by, np.array([px]), np.array([py]))
+    assert (float(dx[0]), float(dy[0])) == foot
+    assert math.hypot(*foot) == d
 
 
 def test_equal_maps_hash_equal(track):

@@ -194,17 +194,20 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("", ["vision-corpus", "{out}", "--seed", "18446744073709551616"]),
     ("map = nan.map\nward = 1\n", ["run", "{scn}"]),
     ("map = far.map\nward = 1\n", ["run", "{scn}"]),
+    ("map = width2.map\nward = 3\n", ["run", "{scn}"]),
+    ("ward = 1\nward = 3\n", ["run", "{scn}"]),
 ], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg",
         "drop2", "latency_neg", "retry_neg", "max_ticks_inf", "sigma_nan",
         "carts_fraction", "ward_fraction", "seed_fraction", "ward_not_in_map",
         "follower_one_edge_route", "integral_limit_zero", "brightness_nan",
         "corpus_brightness_nan", "kp_nan", "kd_inf", "base_duty_nan",
         "integral_limit_nan", "seed_2_64_plus_1", "seed_neg", "corpus_seed_neg",
-        "corpus_seed_2_64", "map_nan", "map_far"])
+        "corpus_seed_2_64", "map_nan", "map_far", "map_width_twice", "key_twice"])
 def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     (tmp_path / "ward3.map").write_text(WARD3_MAP)
     (tmp_path / "nan.map").write_text(NAN_MAP)
     (tmp_path / "far.map").write_text(FAR_MAP)
+    (tmp_path / "width2.map").write_text(WARD3_MAP + "width 0.10\n")
     scn = tmp_path / "bad.scn"
     scn.write_text(scenario)
     argv = [a.format(scn=scn, out=tmp_path / "out.csv") for a in argv]
@@ -280,7 +283,10 @@ def test_run_flag_equals_its_scenario_key(tmp_path, ward2_scn, flag, value, key)
     args = build_parser().parse_args(["run", str(ward2_scn), flag, value])
     overridden = _apply_overrides(load_scenario(ward2_scn), args).config
     in_file = tmp_path / "in_file.scn"
-    in_file.write_text(WARD2 + f"{key} = {value}\n")
+    # a key may appear once, so the file's own line gives way to the new one
+    kept = [line for line in WARD2.splitlines(keepends=True)
+            if line.partition("=")[0].strip() != key]
+    in_file.write_text("".join(kept) + f"{key} = {value}\n")
     assert overridden == load_scenario(in_file).config
     assert overridden != load_scenario(ward2_scn).config
 

@@ -12,21 +12,28 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wardcart import vehicle
-from wardcart.arena import PlacardEntry, load_map
+from wardcart.arena import GLYPH_HEIGHT, PlacardEntry, default_map, load_map
 from wardcart.vision import camera, pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
 from wardcart.vision.glyphs import GRID_N, DigitTemplate, glyph_grid
-from wardcart.vision.pipeline import (NADIR_MIN_PIXELS, NADIR_ROI, BinaryFrame,
-                                      Blob, DigitDetection, Frame, _label_runs,
+from wardcart.vision.pipeline import (BinaryFrame, Blob, DigitDetection, Frame, _label_runs,
                                       adaptive_binarize, detect_in_binary,
                                       detect_placards, line_centroid,
                                       match_digit, normalize_mask,
                                       undistort_bits)
 from wardcart.simcore import CONTROL_ROI
-from wardcart.vision.render import (WORLD_CELL, NoiseParams, _levels, _scratch, _WorldInk,
-                                    clean_bits, render, world_ink)
+from wardcart.vision.render import (LINE_HALF_WIDTH, WORLD_CELL, NoiseParams, _glyph_ink,
+                                    _levels, _scratch, _WorldInk, clean_bits, render,
+                                    world_ink)
 
 EMPTY_MAP = load_map("node p 0 0\npharmacy p\nwidth 0.30\n")
+
+# Bottom rows looking (almost) straight down. Perspective shifts the line's
+# apparent center by ~d*tan(heading error); in this band d is small enough
+# that the centroid stays within a pixel of truth for headings up to 5 deg.
+# Controllers that want lookahead use a taller band and accept the skew.
+NADIR_ROI = (118, 120)
+NADIR_MIN_PIXELS = 8
 
 
 def flood_fill_oracle(bits):
@@ -885,6 +892,67 @@ def test_ink_sample_matches_masked_reference_at_raster_edges(data, dtype):
     wy = data.draw(arrays(np.float64, (3, 5),
                           elements=_edge_coords(ink.y0, ink.ny * WORLD_CELL))).astype(dtype)
     assert same_as_masked_sample(ink, wx, wy)
+
+
+def reference_ink(ink, track):
+    """The map's ink painted into a raster of ink's geometry, segment by
+    segment with np.clip on t; a segment whose squared length is 0 paints
+    nothing. Then the placard glyphs."""
+    grid = np.zeros_like(ink.grid)
+    r = LINE_HALF_WIDTH
+    for e in track.edges:
+        for (ax, ay), (bx, by) in zip(e.polyline, e.polyline[1:]):
+            ix0, ix1, iy0, iy1, xs, ys = ink._cells(min(ax, bx) - r, max(ax, bx) + r,
+                                                    min(ay, by) - r, max(ay, by) + r)
+            vx, vy = bx - ax, by - ay
+            L2 = vx * vx + vy * vy
+            if L2 == 0:
+                continue
+            t = np.clip(((xs - ax) * vx + (ys - ay) * vy) / L2, 0.0, 1.0)
+            dx = xs - (ax + t * vx)
+            dy = ys - (ay + t * vy)
+            grid[iy0:iy1, ix0:ix1] |= dx * dx + dy * dy <= r * r
+    pad = GLYPH_HEIGHT / 2.0 * 1.5
+    for group in track.placard_groups():
+        for entry in group.entries:
+            ix0, ix1, iy0, iy1, xs, ys = ink._cells(entry.x - pad, entry.x + pad,
+                                                    entry.y - pad, entry.y + pad)
+            grid[iy0:iy1, ix0:ix1] |= _glyph_ink(xs, ys, entry)
+    return grid
+
+
+@st.composite
+def straight_edge_maps(draw):
+    """A tree map within 1 m of the pharmacy. Its first two edges are
+    collinear on either side of the pharmacy; then come branches to nodes
+    on a 0.25 m grid or anywhere, a zero-length edge to a twin node and a
+    self-loop."""
+    coord = st.integers(-4, 4).map(lambda v: v / 4) | st.floats(-1, 1)
+    nodes = {"p": (0.0, 0.0), "u": (0.0, 0.5), "d": (0.0, -0.5)}
+    edges = [("p", "u"), ("p", "d")]
+    for i in range(draw(st.integers(0, 4))):
+        edges.append((draw(st.sampled_from(sorted(nodes))), f"n{i}"))
+        nodes[f"n{i}"] = (draw(coord), draw(coord))
+    twin = draw(st.sampled_from(sorted(nodes)))
+    nodes["z"] = nodes[twin]
+    edges.append((twin, "z"))
+    edges.append((draw(st.sampled_from(sorted(nodes))),) * 2)
+    text = "".join(f"node {n} {x!r} {y!r}\n" for n, (x, y) in nodes.items())
+    text += "".join(f"edge e{i} {a} {b}\n" for i, (a, b) in enumerate(edges))
+    return load_map(text + "pharmacy p\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(track=straight_edge_maps())
+@example(track=default_map())
+@example(track=load_map("node p 0 0\nedge s p p\npharmacy p\n"))
+# ends 1e-200 apart: the squared length underflows to 0, so nothing is painted
+@example(track=load_map("node p 0 0\nnode q 1e-200 0\nedge e p q\npharmacy p\n"))
+def test_world_ink_equals_the_reference_painter(track):
+    for e in track.edges:
+        assert e.polyline == (track.node_pos(e.a), track.node_pos(e.b))
+    ink = _WorldInk(track)
+    assert np.array_equal(ink.grid, reference_ink(ink, track))
 
 
 def rectify_reference(bits, blob, k=48):
