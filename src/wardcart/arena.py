@@ -261,7 +261,7 @@ def load_map(text: str) -> TrackMap:
             if len(args) != 1:
                 raise MapParseError(lineno, "pharmacy wants: pharmacy <node>")
             if pharmacy is not None:
-                raise MapValidationError("more than one pharmacy node")
+                raise MapParseError(lineno, "more than one pharmacy record")
             if args[0] not in nodes:
                 raise MapParseError(lineno, f"pharmacy references unknown node {args[0]!r}")
             pharmacy = args[0]

@@ -265,9 +265,9 @@ class _Cart:
         self.load_done = False
         self.unload_done = False
         self.await_unload_since: int | None = None
-        # last sensed (pose, card, binary frame, detections or None, whether
-        # the frame is whole or only the control band, the range the
-        # detections cover)
+        # last sensed (pose, card, (HEIGHT, WIDTH) bool bits, detections or
+        # None, whether the bits are the whole frame or only the control
+        # band, the range the detections cover)
         self.seen: tuple | None = None
 
 

@@ -11,8 +11,6 @@ component, so it extracts as a single blob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 GRID_N = 16
@@ -45,16 +43,6 @@ _DIGIT_STROKES = {
 }
 
 
-@dataclass(frozen=True)
-class DigitTemplate:
-    digit: int
-    grid: np.ndarray  # (GRID_N, GRID_N) bool
-
-    def __post_init__(self):
-        if self.grid.shape != (GRID_N, GRID_N):
-            raise ValueError("template grid must be 16x16")
-
-
 def glyph_grid(digit: int) -> np.ndarray:
     """The 16x16 boolean canvas for one digit."""
     if digit not in _DIGIT_STROKES:
@@ -66,6 +54,6 @@ def glyph_grid(digit: int) -> np.ndarray:
     return grid
 
 
-def default_templates() -> dict[int, DigitTemplate]:
-    """One template per digit 1..8."""
-    return {d: DigitTemplate(d, glyph_grid(d)) for d in range(1, 9)}
+def default_templates() -> dict[int, np.ndarray]:
+    """The (GRID_N, GRID_N) bool template of each digit 1..8."""
+    return {d: glyph_grid(d) for d in range(1, 9)}

@@ -1,7 +1,8 @@
 """Recognition pipeline: binarize, undistort, line centroid, blobs, digits.
 
-All operations are pure; frames and binary frames are thin wrappers over
-numpy arrays. Connected components are labeled over row runs under
+All operations are pure and pass plain numpy arrays: a frame is the
+(height, width) uint8 pixels, and a binary frame is the (height, width) bool
+bits, True for ink. Connected components are labeled over row runs under
 8-connectivity, so diagonal contact joins blobs: each run points at the
 first run it touches in the row above, pointer jumping carries every run to
 the top of its chain, and only the few runs that touch two or more runs
@@ -19,7 +20,7 @@ import numpy as np
 
 from ..arena import GLYPH_HEIGHT
 from .camera import FOCAL_PX, CameraModel, check_k1
-from .glyphs import GRID_N, DigitTemplate
+from .glyphs import GRID_N
 
 MIN_AREA = 9                # pixels; smaller blobs are never scored
 ACCEPT_THRESHOLD = 0.85     # a match must score at least this
@@ -37,47 +38,6 @@ _SUPERSAMPLE = 3
 
 
 @dataclass(frozen=True)
-class Frame:
-    pixels: np.ndarray  # (height, width) uint8
-
-    def __post_init__(self):
-        if self.pixels.ndim != 2:
-            raise ValueError("frame must be a 2-d intensity grid")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-
-@dataclass(frozen=True)
-class BinaryFrame:
-    bits: np.ndarray  # (height, width) bool, True = ink/foreground
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-
-@dataclass(frozen=True)
-class Blob:
-    x0: int
-    y0: int
-    width: int
-    height: int
-    area: int
-    centroid_x: float = 0.0
-    centroid_y: float = 0.0
-
-
-@dataclass(frozen=True)
 class DigitDetection:
     digit: int
     image_x: float
@@ -86,14 +46,14 @@ class DigitDetection:
     score: float
 
 
-def adaptive_binarize(frame: Frame) -> BinaryFrame:
+def adaptive_binarize(pixels: np.ndarray) -> np.ndarray:
     """Foreground = pixels darker than (frame mean - BINARIZE_MARGIN).
 
     The mean-relative threshold makes the result invariant to any global
     brightness offset that does not clip at 0 or 255.
     """
-    threshold = float(frame.pixels.mean()) - BINARIZE_MARGIN
-    return BinaryFrame(frame.pixels < threshold)
+    threshold = float(pixels.mean()) - BINARIZE_MARGIN
+    return pixels < threshold
 
 
 # --------------------------------------------------------------------------
@@ -122,17 +82,18 @@ def _undistort_map(width: int, height: int, k1: float) -> tuple[np.ndarray, np.n
     return flat, valid
 
 
-def undistort_bits(binary: BinaryFrame, k1: float) -> BinaryFrame:
+def undistort_bits(bits: np.ndarray, k1: float) -> np.ndarray:
     """Reverse-map the one-parameter radial distortion (nearest neighbor);
     pixels that map from outside the frame read as background."""
     check_k1(k1)
     if k1 == 0.0:
-        return binary
-    flat, valid = _undistort_map(binary.width, binary.height, k1)
-    return BinaryFrame(np.logical_and(binary.bits.take(flat), valid))
+        return bits
+    height, width = bits.shape
+    flat, valid = _undistort_map(width, height, k1)
+    return np.logical_and(bits.take(flat), valid)
 
 
-def line_centroid(binary: BinaryFrame, roi_rows: tuple[int, int],
+def line_centroid(bits: np.ndarray, roi_rows: tuple[int, int],
                   min_pixels: int = 12,
                   col_window: tuple[int, int] | None = None
                   ) -> tuple[float, float] | None:
@@ -145,14 +106,14 @@ def line_centroid(binary: BinaryFrame, roi_rows: tuple[int, int],
     out of the average); the returned x stays in full-frame coordinates.
     """
     r0, r1 = roi_rows
-    if not (0 <= r0 < r1 <= binary.height):
-        raise ValueError(f"roi rows {roi_rows} outside frame of {binary.height} rows")
+    if not (0 <= r0 < r1 <= len(bits)):
+        raise ValueError(f"roi rows {roi_rows} outside frame of {len(bits)} rows")
     c0 = 0
     if col_window is not None:
         c0 = max(0, col_window[0])
-        band = binary.bits[r0:r1, c0:max(c0, col_window[1])]
+        band = bits[r0:r1, c0:max(c0, col_window[1])]
     else:
-        band = binary.bits[r0:r1]
+        band = bits[r0:r1]
     count = int(band.sum())
     if count < min_pixels:
         return None
@@ -268,7 +229,7 @@ def _template_stack(grids: tuple[tuple[int, bytes], ...]) -> tuple[tuple[int, ..
     return digits, stack
 
 
-def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate]
+def match_digit(mask: np.ndarray, templates: dict[int, np.ndarray]
                 ) -> tuple[int, float] | None:
     """Best-scoring digit for a glyph mask, or None when ambiguous or poor.
 
@@ -279,7 +240,7 @@ def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate]
     norm = normalize_mask(mask)
     cells = norm.size
     digits, stack = _template_stack(tuple(
-        (digit, templates[digit].grid.astype(bool, copy=False).tobytes())
+        (digit, templates[digit].astype(bool, copy=False).tobytes())
         for digit in sorted(templates)))
     misses = np.logical_xor(norm, stack).sum(axis=(1, 2)).tolist()
     best_digit, best, second = 0, -1.0, -1.0
@@ -297,13 +258,12 @@ def match_digit(mask: np.ndarray, templates: dict[int, DigitTemplate]
 # --------------------------------------------------------------------------
 # placard detection
 
-def _rectify_on_ground(bits: np.ndarray, blob: Blob) -> np.ndarray | None:
-    """Resample a blob as seen from straight above, assuming it lies flat on
-    the ground with its top pointing away from the cart."""
-    us = np.array([blob.x0 - 0.5, blob.x0 + blob.width - 0.5,
-                   blob.x0 - 0.5, blob.x0 + blob.width - 0.5])
-    vs = np.array([blob.y0 - 0.5, blob.y0 - 0.5,
-                   blob.y0 + blob.height - 0.5, blob.y0 + blob.height - 0.5])
+def _rectify_on_ground(bits: np.ndarray, x0: int, y0: int, width: int,
+                       height: int) -> np.ndarray | None:
+    """Resample the blob in a pixel box as seen from straight above, assuming
+    it lies flat on the ground with its top pointing away from the cart."""
+    us = np.array([x0 - 0.5, x0 + width - 0.5, x0 - 0.5, x0 + width - 0.5])
+    vs = np.array([y0 - 0.5, y0 - 0.5, y0 + height - 0.5, y0 + height - 0.5])
     gx, gy = CameraModel.ground_from_pixels(us, vs)
     gx, gy = gx.tolist(), gy.tolist()
     if any(math.isnan(g) for g in gx + gy):
@@ -325,8 +285,8 @@ def _rectify_on_ground(bits: np.ndarray, blob: Blob) -> np.ndarray | None:
     return np.logical_and(bits.take(iv * w + iu, mode="clip"), ok)
 
 
-def detect_placards(frame: Frame, cam: CameraModel,
-                    templates: dict[int, DigitTemplate]) -> list[DigitDetection]:
+def detect_placards(pixels: np.ndarray, cam: CameraModel,
+                    templates: dict[int, np.ndarray]) -> list[DigitDetection]:
     """Full pipeline: binarize, undistort, blobs, rectify, match.
 
     Range is estimated from the apparent blob height through the pinhole
@@ -334,19 +294,17 @@ def detect_placards(frame: Frame, cam: CameraModel,
     is all the junction gating needs. Detections come back sorted by
     image x.
     """
-    binary = adaptive_binarize(frame)
-    binary = undistort_bits(binary, cam.distortion_k1)
-    return detect_in_binary(binary, templates)
+    bits = undistort_bits(adaptive_binarize(pixels), cam.distortion_k1)
+    return detect_in_binary(bits, templates)
 
 
-def detect_in_binary(binary: BinaryFrame, templates: dict[int, DigitTemplate],
+def detect_in_binary(bits: np.ndarray, templates: dict[int, np.ndarray],
                      max_range: float = math.inf) -> list[DigitDetection]:
     """Detection stage over an already binarized and undistorted frame.
 
     Only placards with range_z below max_range are read: a farther blob is
     dropped before it is rectified or matched.
     """
-    bits = binary.bits
     h, w = bits.shape
     if h == 0 or w == 0 or not bits.any():
         return []
@@ -379,20 +337,18 @@ def detect_in_binary(binary: BinaryFrame, templates: dict[int, DigitTemplate],
             continue
         if x0 == 0 or y0 == 0 or x0 + width >= w or y0 + height >= h:
             continue  # clipped at a frame border; not a readable placard
-        cnt = run_len[members]
-        # twice the x sum is an integer, so halving it is exact
-        blob = Blob(x0=x0, y0=y0, width=width, height=height, area=area,
-                    centroid_x=int(cnt @ (s + e - 1)) / 2.0 / area,
-                    centroid_y=int(cnt @ run_row[members]) / area)
-        rectified = _rectify_on_ground(bits, blob)
+        rectified = _rectify_on_ground(bits, x0, y0, width, height)
         if rectified is None:
             continue
         scored = match_digit(rectified, templates)
         if scored is None:
             continue
         digit, score = scored
-        detections.append(DigitDetection(digit=digit, image_x=blob.centroid_x,
-                                         image_y=blob.centroid_y,
+        cnt = run_len[members]
+        # twice the x sum is an integer, so halving it is exact
+        detections.append(DigitDetection(digit=digit,
+                                         image_x=int(cnt @ (s + e - 1)) / 2.0 / area,
+                                         image_y=int(cnt @ run_row[members]) / area,
                                          range_z=range_z, score=score))
     detections.sort(key=lambda d: d.image_x)
     return detections

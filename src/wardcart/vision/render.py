@@ -23,7 +23,7 @@ import numpy as np
 from ..arena import GLYPH_HEIGHT, PlacardEntry, TrackMap, Vec2, project_offsets
 from .camera import CameraModel, check_k1, ground_grid
 from .glyphs import GRID_N, glyph_grid
-from .pipeline import BINARIZE_MARGIN, BinaryFrame, Frame
+from .pipeline import BINARIZE_MARGIN
 
 BACKGROUND_LEVEL = 200.0
 INK_LEVEL = 30.0
@@ -194,8 +194,9 @@ def _levels(brightness: float) -> tuple[np.uint8, np.uint8]:
 def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
            noise: NoiseParams = NoiseParams(),
            rng: np.random.Generator | None = None,
-           cards: Sequence[PlacardEntry] = ()) -> Frame:
-    """Render the ground plane seen from a cart pose.
+           cards: Sequence[PlacardEntry] = ()) -> np.ndarray:
+    """Render the ground plane seen from a cart pose: the (HEIGHT, WIDTH)
+    uint8 pixels.
 
     ``cards`` adds free-standing glyphs (the digit card shown at mission
     start, corpus scenes) on top of the map's placards. The lens distortion
@@ -218,15 +219,15 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
         img += BACKGROUND_LEVEL + noise.brightness
         img.put(inked, at_ink)
         np.clip(np.rint(img, out=img), 0, 255, out=img)
-        return Frame(img.astype(np.uint8))
+        return img.astype(np.uint8)
     ink_u8, back_u8 = _levels(noise.brightness)
-    return Frame(np.where(ink, ink_u8, back_u8))
+    return np.where(ink, ink_u8, back_u8)
 
 
 def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: float, cards: Sequence[PlacardEntry],
-               rows: tuple[int, int] | None) -> BinaryFrame | None:
+               rows: tuple[int, int] | None) -> np.ndarray | None:
     """``adaptive_binarize(render(...))`` of a noise-free frame without
-    distortion, without building the frame.
+    distortion, without building the frame: the (HEIGHT, WIDTH) bool bits.
 
     With ``rows=None`` the whole frame is sampled. Its pixel sum is an
     integer far below 2**53, so the mean taken from the ink count equals
@@ -254,9 +255,9 @@ def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: fl
     if rows is None:
         if not dark:
             ink.fill(False)
-        return BinaryFrame(ink)
+        return ink
     if not dark:
         return None
     bits = np.zeros(shape, dtype=bool)
     bits[rows[0]:rows[1]] = ink
-    return BinaryFrame(bits)
+    return bits

@@ -120,7 +120,7 @@ def test_criterion_5_line_centroid_precision():
             got = line_centroid(adaptive_binarize(frame), NADIR_ROI,
                                 min_pixels=NADIR_MIN_PIXELS)
             assert got is not None
-            worst = max(worst, abs(got[0] - frame.width / 2.0))
+            worst = max(worst, abs(got[0] - frame.shape[1] / 2.0))
     assert worst <= 1.0, f"worst centroid error {worst:.2f} px"
     ok_line(5, "line centroid precision", f"worst {worst:.2f} px over +-5 deg")
 

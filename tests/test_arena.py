@@ -100,6 +100,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(MapParseError, match="more than one width record") as exc:
         load_map("node p 0 0\nwidth 0.3\npharmacy p\nwidth 0.1\n")
     assert exc.value.lineno == 4
+    with pytest.raises(MapParseError, match="more than one pharmacy record") as exc:
+        load_map("node p 0 0\nnode q 1 0\npharmacy p\nedge e p q\npharmacy q\n")
+    assert exc.value.lineno == 5
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

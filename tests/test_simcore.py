@@ -404,7 +404,7 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
         return simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
 
     assert sense().detections == [] and frames == ["clean_bits"]
-    band = cart.seen[2].bits
+    band = cart.seen[2]
     assert not cart.seen[4] and not band[:simcore.CONTROL_ROI[0]].any()
     cart.turn = None  # the same pose, now on a tick that reads placards
     whole = undistort_bits(adaptive_binarize(render(track, start, CameraModel(), NoiseParams(),
@@ -412,8 +412,8 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     want = detect_in_binary(whole, templates)
     assert [d.digit for d in want] == [2]
     assert sense().detections == want and frames == ["clean_bits"] * 2 and cart.seen[4]
-    kept = cart.seen[2].bits
-    assert np.array_equal(kept, whole.bits)
+    kept = cart.seen[2]
+    assert np.array_equal(kept, whole)
     # the kept frames are the engine's own, not work arrays a later frame reuses
     before = band.copy(), kept.copy()
     cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1] + 0.3, start[2]))

@@ -3,6 +3,7 @@ import itertools
 import math
 import types
 import warnings
+from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
@@ -15,8 +16,8 @@ from wardcart import vehicle
 from wardcart.arena import GLYPH_HEIGHT, PlacardEntry, default_map, load_map
 from wardcart.vision import camera, pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
-from wardcart.vision.glyphs import GRID_N, DigitTemplate, glyph_grid
-from wardcart.vision.pipeline import (BinaryFrame, Blob, DigitDetection, Frame, _label_runs,
+from wardcart.vision.glyphs import GRID_N, glyph_grid
+from wardcart.vision.pipeline import (DigitDetection, _label_runs,
                                       adaptive_binarize, detect_in_binary,
                                       detect_placards, line_centroid,
                                       match_digit, normalize_mask,
@@ -122,6 +123,10 @@ def reference_label_runs(bits):
     return run_row, run_s, run_e, list(grouped.values())
 
 
+# a component's bounding box, pixel count and centroid
+RefBlob = namedtuple("RefBlob", "x0 y0 width height area centroid_x centroid_y")
+
+
 def reference_blob_of(members, run_row, run_s, run_e):
     area = 0
     x0 = y0 = 1 << 30
@@ -143,12 +148,10 @@ def reference_blob_of(members, run_row, run_s, run_e):
         if r > y1:
             y1 = r
     bw, bh = x1 - x0, y1 - y0 + 1
-    return Blob(x0=x0, y0=y0, width=bw, height=bh, area=area,
-                centroid_x=sum_x / area, centroid_y=sum_y / area)
+    return RefBlob(x0, y0, bw, bh, area, sum_x / area, sum_y / area)
 
 
-def reference_detect_in_binary(binary, templates):
-    bits = binary.bits
+def reference_detect_in_binary(bits, templates):
     h, w = bits.shape
     if h == 0 or w == 0 or not bits.any():
         return []
@@ -173,7 +176,7 @@ def reference_detect_in_binary(binary, templates):
         if blob.x0 == 0 or blob.y0 == 0 or blob.x0 + blob.width >= w \
                 or blob.y0 + blob.height >= h:
             continue
-        rectified = pipeline._rectify_on_ground(bits, blob)
+        rectified = pipeline._rectify_on_ground(bits, *blob[:4])
         if rectified is None:
             continue
         scored = match_digit(rectified, templates)
@@ -205,14 +208,13 @@ def reference_normalize_mask(mask, n=GRID_N):
 # ------------------------------------------------------------- binarize
 
 def test_uniform_frame_has_no_foreground():
-    f = Frame(np.full((20, 30), 200, dtype=np.uint8))
-    assert not adaptive_binarize(f).bits.any()
+    assert not adaptive_binarize(np.full((20, 30), 200, dtype=np.uint8)).any()
 
 
 def test_half_dark_half_bright_splits():
     px = np.zeros((10, 10), dtype=np.uint8)
     px[:, 5:] = 255
-    bits = adaptive_binarize(Frame(px)).bits
+    bits = adaptive_binarize(px)
     assert bits[:, :5].all()
     assert not bits[:, 5:].any()
 
@@ -220,9 +222,9 @@ def test_half_dark_half_bright_splits():
 def test_brightness_offset_invariance_exact():
     rng = np.random.default_rng(0)
     base = rng.integers(60, 200, size=(40, 50)).astype(np.uint8)
-    a = adaptive_binarize(Frame(base))
-    b = adaptive_binarize(Frame(base + np.uint8(30)))
-    assert np.array_equal(a.bits, b.bits)
+    a = adaptive_binarize(base)
+    b = adaptive_binarize(base + np.uint8(30))
+    assert np.array_equal(a, b)
 
 
 @given(offset=st.integers(min_value=-40, max_value=40))
@@ -231,37 +233,36 @@ def test_brightness_invariance_property(offset):
     rng = np.random.default_rng(5)
     base = rng.integers(50, 200, size=(24, 24)).astype(np.int64)
     shifted = (base + offset).astype(np.uint8)
-    assert np.array_equal(adaptive_binarize(Frame(base.astype(np.uint8))).bits,
-                          adaptive_binarize(Frame(shifted)).bits)
+    assert np.array_equal(adaptive_binarize(base.astype(np.uint8)),
+                          adaptive_binarize(shifted))
 
 
 # ------------------------------------------------------------ undistort
 
 def test_undistort_zero_is_identity():
     rng = np.random.default_rng(1)
-    b = BinaryFrame(rng.random((60, 80)) < 0.5)
-    assert np.array_equal(undistort_bits(b, 0.0).bits, b.bits)
+    b = rng.random((60, 80)) < 0.5
+    assert np.array_equal(undistort_bits(b, 0.0), b)
 
 
 def test_undistort_keeps_center_pixel():
     bits = np.zeros((61, 81), dtype=bool)
     bits[30, 40] = True  # the exact center, radius zero
     for k1 in (0.05, 0.1, 0.2):
-        out = undistort_bits(BinaryFrame(bits), k1)
-        assert out.bits[30, 40]
+        out = undistort_bits(bits, k1)
+        assert out[30, 40]
 
 
 def test_undistort_maps_a_1x1_frame_onto_itself():
     # the only pixel is the center, at radius 0 under any half-diagonal
     for ink in (False, True):
-        out = undistort_bits(BinaryFrame(np.full((1, 1), ink)), 0.1)
-        assert out.bits.tolist() == [[ink]]
+        out = undistort_bits(np.full((1, 1), ink), 0.1)
+        assert out.tolist() == [[ink]]
 
 
 def test_non_monotone_k1_rejected():
-    b = BinaryFrame(np.zeros((10, 10), dtype=bool))
     with pytest.raises(ValueError):
-        undistort_bits(b, -0.4)
+        undistort_bits(np.zeros((10, 10), dtype=bool), -0.4)
     CameraModel(distortion_k1=0.1)  # fine
     with pytest.raises(ValueError):
         CameraModel(distortion_k1=-0.5)
@@ -274,10 +275,9 @@ def test_lens_distortion_is_the_only_camera_setting():
 def test_render_takes_its_distortion_from_the_camera(track):
     pose = (0.05, 0.4, math.pi / 2)
     bent = render(track, pose, CameraModel(distortion_k1=0.1), NoiseParams())
-    assert np.array_equal(bent.pixels, render(track, pose, CameraModel(distortion_k1=0.1),
-                                              NoiseParams(k1=0.1)).pixels)
-    assert not np.array_equal(bent.pixels, render(track, pose, CameraModel(),
-                                                  NoiseParams(k1=0.1)).pixels)
+    assert np.array_equal(bent, render(track, pose, CameraModel(distortion_k1=0.1),
+                                       NoiseParams(k1=0.1)))
+    assert not np.array_equal(bent, render(track, pose, CameraModel(), NoiseParams(k1=0.1)))
 
 
 def test_undistorted_radius_inverts_the_model():
@@ -318,15 +318,15 @@ def test_undistort_straightens_an_offset_line():
     frame = render(LINE_MAP, pose, CameraModel(distortion_k1=k1), NoiseParams(k1=k1))
     distorted = adaptive_binarize(frame)
     fixed = undistort_bits(distorted, k1)
-    before = _fit_residual(distorted.bits, rows)
-    after = _fit_residual(fixed.bits, rows)
+    before = _fit_residual(distorted, rows)
+    after = _fit_residual(fixed, rows)
     assert after < before
     assert after < 0.5
 
     k1 = 0.1
     frame = render(LINE_MAP, pose, CameraModel(distortion_k1=k1), NoiseParams(k1=k1))
     fixed = undistort_bits(adaptive_binarize(frame), k1)
-    assert _fit_residual(fixed.bits, rows) < 0.5
+    assert _fit_residual(fixed, rows) < 0.5
 
 
 # --------------------------------------------------------- line centroid
@@ -334,14 +334,14 @@ def test_undistort_straightens_an_offset_line():
 def test_line_centroid_mean_of_columns():
     bits = np.zeros((20, 100), dtype=bool)
     bits[:, 30:35] = True
-    x, conf = line_centroid(BinaryFrame(bits), (0, 20))
+    x, conf = line_centroid(bits, (0, 20))
     assert x == pytest.approx(32.0)
     assert conf > 0.5
 
 
 def test_line_centroid_empty_roi_is_none():
     bits = np.zeros((20, 100), dtype=bool)
-    assert line_centroid(BinaryFrame(bits), (0, 20)) is None
+    assert line_centroid(bits, (0, 20)) is None
 
 
 def test_line_centroid_two_segments_averages_to_midpoint():
@@ -351,24 +351,24 @@ def test_line_centroid_two_segments_averages_to_midpoint():
     # independent oracle: direct mean over the constructed mask
     cols = np.nonzero(bits)[1]
     want = cols.mean()
-    x, _ = line_centroid(BinaryFrame(bits), (0, 12))
+    x, _ = line_centroid(bits, (0, 12))
     assert x == pytest.approx(want) == pytest.approx(40.0)
 
 
 def test_line_centroid_roi_bounds_checked():
     bits = np.zeros((20, 100), dtype=bool)
     with pytest.raises(ValueError):
-        line_centroid(BinaryFrame(bits), (0, 21))
+        line_centroid(bits, (0, 21))
     with pytest.raises(ValueError):
-        line_centroid(BinaryFrame(bits), (5, 5))
+        line_centroid(bits, (5, 5))
 
 
 def test_line_centroid_column_window_masks_clutter():
     bits = np.zeros((20, 100), dtype=bool)
     bits[:, 48:53] = True   # the line
     bits[:, 10:14] = True   # clutter far left
-    full, _ = line_centroid(BinaryFrame(bits), (0, 20))
-    gated, _ = line_centroid(BinaryFrame(bits), (0, 20), col_window=(38, 63))
+    full, _ = line_centroid(bits, (0, 20))
+    gated, _ = line_centroid(bits, (0, 20), col_window=(38, 63))
     assert abs(gated - 50.0) < 0.6
     assert full < gated  # clutter drags the ungated mean left
 
@@ -377,8 +377,7 @@ def test_line_centroid_column_window_masks_clutter():
 @given(bits=arrays(bool, st.tuples(st.integers(1, 42), st.integers(1, 160))),
        window=st.none() | st.tuples(st.integers(-20, 170), st.integers(-20, 170)))
 def test_line_centroid_x_is_the_numpy_mean_of_the_columns(bits, window):
-    got = line_centroid(BinaryFrame(bits), (0, bits.shape[0]), min_pixels=1,
-                        col_window=window)
+    got = line_centroid(bits, (0, bits.shape[0]), min_pixels=1, col_window=window)
     c0 = 0 if window is None else max(0, window[0])
     band = bits if window is None else bits[:, c0:max(c0, window[1])]
     if not band.any():
@@ -550,7 +549,7 @@ def test_detect_placards_empty_scene(cam, templates):
     frame = render(EMPTY_MAP, (0.0, 0.0, math.pi / 2), cam, NoiseParams())
     assert detect_placards(frame, cam, templates) == []
     # and the frame really is blank
-    assert not adaptive_binarize(frame).bits.any()
+    assert not adaptive_binarize(frame).any()
 
 
 def test_detect_single_placard_end_to_end(cam, templates):
@@ -633,9 +632,9 @@ DETECTOR_FRAMES = dict(
          speck_seed=1, speck_density=0.002)
 def test_detect_in_binary_equals_the_reference_detector(cam, templates, line, glyphs,
                                                        speck_seed, speck_density):
-    binary = BinaryFrame(_detector_frame(line, glyphs, speck_seed, speck_density))
-    got = detect_in_binary(binary, templates)
-    want = reference_detect_in_binary(binary, templates)
+    bits = _detector_frame(line, glyphs, speck_seed, speck_density)
+    got = detect_in_binary(bits, templates)
+    want = reference_detect_in_binary(bits, templates)
     assert _typed_fields(got) == _typed_fields(want)
 
 
@@ -648,24 +647,24 @@ def test_detect_in_binary_equals_the_reference_detector(cam, templates, line, gl
 def test_detect_in_binary_reads_only_placards_within_its_range(templates, max_range, line,
                                                               glyphs, speck_seed,
                                                               speck_density):
-    binary = BinaryFrame(_detector_frame(line, glyphs, speck_seed, speck_density))
-    everything = detect_in_binary(binary, templates)
+    bits = _detector_frame(line, glyphs, speck_seed, speck_density)
+    everything = detect_in_binary(bits, templates)
     ranges = [max_range, math.inf]
     ranges += [r for d in everything for r in (d.range_z, math.nextafter(d.range_z, math.inf))]
     for reach in ranges:
         want = [d for d in everything if d.range_z < reach]
-        assert _typed_fields(detect_in_binary(binary, templates, reach)) == _typed_fields(want)
+        assert _typed_fields(detect_in_binary(bits, templates, reach)) == _typed_fields(want)
 
 
 # ---------------------------------------------------------------- render
 
 def test_centered_line_bottom_row_run(track, cam):
     frame = render(track, (0.0, 0.4, math.pi / 2), cam, NoiseParams())
-    bits = adaptive_binarize(frame).bits
+    bits = adaptive_binarize(frame)
     cols = np.nonzero(bits[-1])[0]
     assert len(cols) > 0
     center = (cols.min() + cols.max()) / 2.0
-    assert abs(center - frame.width / 2.0) <= 1.0
+    assert abs(center - camera.WIDTH / 2.0) <= 1.0
 
 
 def test_displaced_cart_sees_line_off_center(track, cam):
@@ -673,16 +672,16 @@ def test_displaced_cart_sees_line_off_center(track, cam):
     # near an independently projected column
     pose = (-0.05, 0.4, math.pi / 2)
     frame = render(track, pose, cam, NoiseParams())
-    bits = adaptive_binarize(frame).bits
-    row = frame.height - 1
+    bits = adaptive_binarize(frame)
+    row = camera.HEIGHT - 1
     cols = np.nonzero(bits[row])[0]
     assert len(cols) > 0
     center = float(cols.mean())
-    assert center > frame.width / 2.0
+    assert center > camera.WIDTH / 2.0
 
     # oracle: re-derive the projection with plain trigonometry
-    f_px = (frame.width / 2.0) / math.tan(camera.HORIZONTAL_FOV / 2.0)
-    cy = (frame.height - 1) / 2.0
+    f_px = (camera.WIDTH / 2.0) / math.tan(camera.HORIZONTAL_FOV / 2.0)
+    cy = (camera.HEIGHT - 1) / 2.0
     b = (row - cy) / f_px
     pitch = camera.PITCH
     # ground distance ahead for this image row
@@ -691,7 +690,7 @@ def test_displaced_cart_sees_line_off_center(track, cam):
     # the line sits 0.05 m to the cart's right; right of cart = -gy
     gy = -0.05
     slant_z = d * math.cos(pitch) + camera.MOUNT_HEIGHT * math.sin(pitch)
-    u = (frame.width - 1) / 2.0 + f_px * (-gy) / slant_z
+    u = (camera.WIDTH - 1) / 2.0 + f_px * (-gy) / slant_z
     assert center == pytest.approx(u, abs=2.0)
 
 
@@ -702,7 +701,7 @@ def test_nadir_band_precision_under_heading_error(track, cam):
         got = line_centroid(adaptive_binarize(frame), NADIR_ROI,
                             min_pixels=NADIR_MIN_PIXELS)
         assert got is not None
-        assert abs(got[0] - frame.width / 2.0) <= 1.0
+        assert abs(got[0] - camera.WIDTH / 2.0) <= 1.0
 
 
 def test_render_needs_rng_for_noise(track, cam):
@@ -716,7 +715,7 @@ def test_render_with_negative_k1_casts_no_out_of_range_index(track):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         frame = render(track, (0.0, 0.4, math.pi / 2), cam, NoiseParams(k1=-0.1))
-    assert frame.pixels.shape == (camera.HEIGHT, camera.WIDTH)
+    assert frame.shape == (camera.HEIGHT, camera.WIDTH)
 
 
 def test_vision_package_render_is_the_submodule():
@@ -732,13 +731,13 @@ def test_noisy_render_is_normal_noise_on_the_two_levels(track):
         cam = CameraModel(distortion_k1=k1)
         pose = (np.float64(0.02), np.float64(0.6), np.float64(math.pi / 2 + 0.1))
         card = (PlacardEntry(4, -0.08, 0.85, math.pi / 2),)
-        ink = render(track, pose, cam, NoiseParams(k1=k1), cards=card).pixels == 30
+        ink = render(track, pose, cam, NoiseParams(k1=k1), cards=card) == 30
         want = np.where(ink, 30.0, 200.0) + brightness
         want = want + np.random.default_rng(seed).normal(0.0, sigma, size=want.shape)
         want = np.clip(np.rint(want), 0, 255).astype(np.uint8)
         got = render(track, pose, cam, NoiseParams(brightness, sigma, k1),
                      rng=np.random.default_rng(seed), cards=card)
-        assert got.pixels.dtype == np.uint8 and np.array_equal(got.pixels, want)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 def _pose(values, types):
@@ -770,41 +769,55 @@ def test_clean_bits_equal_the_render_chain(track, values, types, brightness, car
                           y + 0.22 * math.sin(heading) + 0.10 * math.cos(heading),
                           heading),) if card else ()
     rows = CONTROL_ROI if band else None
-    want = _clean_chain(track, pose, CameraModel(), brightness, cards).bits
+    want = _clean_chain(track, pose, CameraModel(), brightness, cards)
     got = clean_bits(track, pose, brightness, cards, rows)
     if rows is None:
-        assert got is not None and np.array_equal(got.bits, want)
+        assert got is not None and np.array_equal(got, want)
     elif got is not None:
         r0, r1 = rows
-        assert got.bits.shape == want.shape
-        assert np.array_equal(got.bits[r0:r1], want[r0:r1])
-        assert not got.bits[:r0].any() and not got.bits[r1:].any()
+        assert got.shape == want.shape
+        assert np.array_equal(got[r0:r1], want[r0:r1])
+        assert not got[:r0].any() and not got[r1:].any()
 
 
 def test_clean_bits_reach_the_fallback_and_the_blank_frame(track, cam):
     def bits(brightness, rows):
-        got = clean_bits(track, ON_LINE, brightness, (), rows)
-        return None if got is None else got.bits
+        return clean_bits(track, ON_LINE, brightness, (), rows)
 
     r0, r1 = CONTROL_ROI
-    line = _clean_chain(track, ON_LINE, cam, -30.0, ()).bits
+    line = _clean_chain(track, ON_LINE, cam, -30.0, ())
     assert line[r0:r1].any() and np.array_equal(bits(-30.0, CONTROL_ROI)[r0:r1], line[r0:r1])
     # ink 180 on 255: the frame reads the line, but the band alone cannot tell
-    assert _clean_chain(track, ON_LINE, cam, 150.0, ()).bits.any()
+    assert _clean_chain(track, ON_LINE, cam, 150.0, ()).any()
     assert bits(150.0, CONTROL_ROI) is None
     # ink and background both clip to 255: nothing falls under the threshold
-    assert not _clean_chain(track, ON_LINE, cam, 230.0, ()).bits.any()
+    assert not _clean_chain(track, ON_LINE, cam, 230.0, ()).any()
     assert not bits(230.0, None).any()
     assert bits(230.0, CONTROL_ROI) is None
 
 
+def test_vision_stages_pass_plain_arrays(track):
+    shape = (camera.HEIGHT, camera.WIDTH)
+    cam = CameraModel(distortion_k1=0.05)
+    pixels = render(track, ON_LINE, cam, NoiseParams(k1=0.05))
+    bits = adaptive_binarize(pixels)
+    stages = [(pixels, np.uint8), (bits, bool), (undistort_bits(bits, 0.05), bool),
+              (clean_bits(track, ON_LINE, 0.0, (), None), bool)]
+    for got, dtype in stages:
+        assert type(got) is np.ndarray and got.dtype == dtype and got.shape == shape
+    band = clean_bits(track, ON_LINE, 0.0, (), CONTROL_ROI)
+    assert type(band) is np.ndarray and band.dtype == bool and band.shape == shape
+    r0, r1 = CONTROL_ROI
+    assert band[r0:r1].any() and not band[:r0].any() and not band[r1:].any()
+
+
 def test_clean_bits_are_a_fresh_array(track):
     first = clean_bits(track, ON_LINE, 0.0, (), CONTROL_ROI)
-    kept = first.bits.copy()
+    kept = first.copy()
     for rows in (CONTROL_ROI, None):
         clean_bits(track, (0.3, 1.0, 0.0), 0.0, (), rows)
         clean_bits(track, _pose(ON_LINE, (np.float64,) * 3), 0.0, (), rows)
-    assert np.array_equal(first.bits, kept)
+    assert np.array_equal(first, kept)
 
 
 @settings(max_examples=30, deadline=None)
@@ -814,7 +827,7 @@ def test_undistort_bits_equal_the_two_index_gather(k1, seed, shape):
     h, w = shape
     bits = np.random.default_rng(seed).random(shape) < 0.5
     if k1 == 0.0:
-        assert undistort_bits(BinaryFrame(bits), k1).bits is bits
+        assert undistort_bits(bits, k1) is bits
         return
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     vv, uu = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float),
@@ -827,7 +840,7 @@ def test_undistort_bits_equal_the_two_index_gather(k1, seed, shape):
         for u in range(w):
             if 0 <= su[v, u] < w and 0 <= sv[v, u] < h:
                 want[v, u] = bits[int(sv[v, u]), int(su[v, u])]
-    assert np.array_equal(undistort_bits(BinaryFrame(bits), k1).bits, want)
+    assert np.array_equal(undistort_bits(bits, k1), want)
 
 
 def same_as_masked_sample(ink, wx, wy):
@@ -955,11 +968,12 @@ def test_world_ink_equals_the_reference_painter(track):
     assert np.array_equal(ink.grid, reference_ink(ink, track))
 
 
-def rectify_reference(bits, blob, k=48):
-    """The blob's ground square sampled point by point; a sample off the
-    frame reads as background."""
-    us = np.array([blob.x0 - 0.5, blob.x0 + blob.width - 0.5] * 2)
-    vs = np.array([blob.y0 - 0.5] * 2 + [blob.y0 + blob.height - 0.5] * 2)
+def rectify_reference(bits, box, k=48):
+    """The ground square of a pixel box (x0, y0, width, height) sampled point
+    by point; a sample off the frame reads as background."""
+    x0, y0, width, height = box
+    us = np.array([x0 - 0.5, x0 + width - 0.5] * 2)
+    vs = np.array([y0 - 0.5] * 2 + [y0 + height - 0.5] * 2)
     gx, gy = CameraModel.ground_from_pixels(us, vs)
     if np.isnan(gx).any() or np.isnan(gy).any():
         return None
@@ -983,9 +997,8 @@ def rectify_reference(bits, blob, k=48):
        height=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
 def test_rectify_matches_the_pointwise_reference(x0, y0, width, height, seed):
     bits = np.random.default_rng(seed).random((120, 160)) < 0.5
-    blob = Blob(x0=x0, y0=y0, width=width, height=height, area=1)
-    got = pipeline._rectify_on_ground(bits, blob)
-    want = rectify_reference(bits, blob)
+    got = pipeline._rectify_on_ground(bits, x0, y0, width, height)
+    want = rectify_reference(bits, (x0, y0, width, height))
     assert (got is None and want is None) or np.array_equal(got, want)
 
 
@@ -1025,7 +1038,7 @@ def test_module_caches_are_bounded(name):
 
 
 def test_normalized_template_is_cached_by_grid(templates):
-    copy = {d: DigitTemplate(d, t.grid.copy()) for d, t in templates.items()}
+    copy = {d: grid.copy() for d, grid in templates.items()}
     mask = glyph_grid(3)
     assert match_digit(mask, templates) == match_digit(mask, copy) == (3, 1.0)
     before = pipeline._template_stack.cache_info()
@@ -1033,7 +1046,7 @@ def test_normalized_template_is_cached_by_grid(templates):
     after = pipeline._template_stack.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     digits, stack = pipeline._template_stack(
-        tuple((d, templates[d].grid.tobytes()) for d in sorted(templates)))
+        tuple((d, templates[d].tobytes()) for d in sorted(templates)))
     assert digits == tuple(sorted(templates)) and not stack.flags.writeable
     for digit, norm in zip(digits, stack):
-        assert np.array_equal(norm, normalize_mask(templates[digit].grid))
+        assert np.array_equal(norm, normalize_mask(templates[digit]))
