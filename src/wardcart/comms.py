@@ -3,7 +3,8 @@
 Stands in for the Bluetooth pairing between the carts. The protocol is a
 minimal pause/proceed handshake: the lead cart announces Proceed when it
 starts its return run and repeats it on a fixed interval until the waiting
-cart acknowledges, so any drop rate below 1 is survivable.
+cart acknowledges, so any drop rate below 1 is survivable. The resend
+schedule is part of the leader's mission state (``mission.mission_step``).
 """
 
 from __future__ import annotations
@@ -58,29 +59,3 @@ class Link:
         due = sorted(t for t in self.in_flight if t[0] <= now_tick)
         self.in_flight = [t for t in self.in_flight if t[0] > now_tick]
         return [msg for _, _, msg in due]
-
-
-@dataclass
-class ProceedRetry:
-    """Leader-side resend schedule: fire every ``interval`` ticks until acked.
-
-    interval = 0 disables resending (the first announcement, if any, is
-    still made by the mission logic).
-    """
-    acked: bool = False
-    last_sent_tick: int | None = None
-
-    def should_send(self, now_tick: int, interval: int) -> bool:
-        if self.acked:
-            return False
-        if self.last_sent_tick is None:
-            return True
-        if interval <= 0:
-            return False
-        return now_tick - self.last_sent_tick >= interval
-
-    def mark_sent(self, now_tick: int) -> None:
-        self.last_sent_tick = now_tick
-
-    def mark_acked(self) -> None:
-        self.acked = True

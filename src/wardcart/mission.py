@@ -6,8 +6,8 @@ decisions), optional PausedAtPoint for the trailing cart, AtWard/AwaitUnload
 at the destination, Returning, Done. Fault is reachable from anywhere.
 
 The transition function is pure: it never touches the world, it only maps
-(state, sensors, inbox) to (drive intent, outbox, new state). Junction
-turns are announced once as a Turn intent and executed by the engine.
+(state, sensors, inbox) to (drive intent, outbox, new state). A turn is
+announced once as a LEFT, RIGHT or AROUND intent and executed by the engine.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .arena import Action, RoutePlan, Vec2
-from .comms import Message, MessageKind, ProceedRetry
+from .comms import Message, MessageKind
 from .vision.camera import WIDTH
 from .vision.pipeline import DigitDetection
 
@@ -55,30 +55,14 @@ class Role(Enum):
     FOLLOWER = "follower"
 
 
-class IntentKind(Enum):
+class Intent(Enum):
+    """What one mission step asks of the drive. A turn's value is the
+    direction the ``turn=`` trace event names."""
     FOLLOW = "follow"
-    TURN = "turn"
     HALT = "halt"
-
-
-class TurnDirection(Enum):
     LEFT = "left"
     RIGHT = "right"
     AROUND = "around"
-
-
-@dataclass(frozen=True)
-class DriveIntent:
-    kind: IntentKind
-    turn: TurnDirection | None = None
-
-
-FOLLOW = DriveIntent(IntentKind.FOLLOW)
-HALT = DriveIntent(IntentKind.HALT)
-
-
-def turn_intent(direction: TurnDirection) -> DriveIntent:
-    return DriveIntent(IntentKind.TURN, direction)
 
 
 @dataclass(frozen=True)
@@ -122,16 +106,16 @@ class MissionState:
     proceed_received: bool = False
     pause_cleared: bool = False
     out_seq: int = 0
-    retry: ProceedRetry = field(default_factory=ProceedRetry)
+    proceed_acked: bool = False          # leader: the follower acknowledged a Proceed
+    proceed_sent_tick: int | None = None  # leader: tick of the last Proceed sent
 
 
 def _copy(state: MissionState) -> MissionState:
-    """A copy of state with its own ProceedRetry, the one mutable field it
-    holds. Copying the attribute dict skips the __init__ that
+    """A copy of state. Every field holds an immutable value, so the copy is
+    shallow; copying the attribute dict skips the __init__ that
     dataclasses.replace runs, about 4 µs of every mission_step."""
     st = object.__new__(MissionState)
     st.__dict__.update(state.__dict__)
-    st.retry = ProceedRetry(state.retry.acked, state.retry.last_sent_tick)
     return st
 
 
@@ -219,7 +203,7 @@ def _fault(st: MissionState, reason: str) -> None:
     st.fault_reason = reason
 
 
-def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> DriveIntent:
+def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Intent:
     """Line following plus junction/stop handling for Outbound/Returning."""
     leg_dist = sensors.odometry_distance - st.leg_odo_base
 
@@ -227,7 +211,7 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
         st.lost_line += 1
         if st.lost_line > cfg.lost_line_ticks:
             _fault(st, "guide line lost")
-            return HALT
+            return Intent.HALT
     else:
         st.lost_line = 0
 
@@ -239,7 +223,7 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
             st.contradictions += 1
             if st.contradictions >= CONTRADICTION_LIMIT:
                 _fault(st, str(exc))
-                return HALT
+                return Intent.HALT
         else:
             st.contradictions = 0
 
@@ -250,7 +234,7 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
                 st.pause_cleared = True
             else:
                 st.phase = MissionPhase.PAUSED_AT_POINT
-                return HALT
+                return Intent.HALT
 
     if st.cursor < len(st.leg_triggers):
         action = st.leg_actions[st.cursor]
@@ -263,17 +247,17 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Drive
                     st.delivered = True
                 else:
                     st.phase = MissionPhase.DONE
-                return HALT
+                return Intent.HALT
             if action is Action.LEFT:
-                return turn_intent(TurnDirection.LEFT)
+                return Intent.LEFT
             if action is Action.RIGHT:
-                return turn_intent(TurnDirection.RIGHT)
-    return FOLLOW
+                return Intent.RIGHT
+    return Intent.FOLLOW
 
 
 def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
                  inbox: list[Message], now_tick: int
-                 ) -> tuple[DriveIntent, list[Message], MissionState]:
+                 ) -> tuple[Intent, list[Message], MissionState]:
     """One tick of the mission FSM. Returns (intent, outbox, new state)."""
     st = _copy(state)
     outbox: list[Message] = []
@@ -286,9 +270,9 @@ def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
                 st.out_seq += 1
     elif cfg.role is Role.LEADER:
         if any(m.kind is MessageKind.ACK for m in inbox):
-            st.retry.mark_acked()
+            st.proceed_acked = True
 
-    intent = HALT
+    intent = Intent.HALT
 
     if st.phase is MissionPhase.AWAIT_TARGET:
         st.confirm_digit, st.confirm_count = _confirm_update(
@@ -313,21 +297,24 @@ def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
     elif st.phase is MissionPhase.AWAIT_UNLOAD and not sensors.loaded:
         _begin_leg(st, cfg.returns[st.target], sensors.odometry_distance)
         st.phase = MissionPhase.RETURNING
-        intent = turn_intent(TurnDirection.AROUND)
+        intent = Intent.AROUND
 
     if st.phase in (MissionPhase.OUTBOUND, MissionPhase.RETURNING) \
-            and intent.kind is not IntentKind.TURN:
+            and intent is not Intent.AROUND:
         intent = _drive(st, cfg, sensors)
 
-    # leader announces Proceed once returning, resending until acked; kept
-    # alive through Done so a lossy link cannot strand the follower
+    # leader announces Proceed once returning and resends it every
+    # retry_interval ticks (0: never) until acked; kept alive through Done so
+    # a lossy link cannot strand the follower
     if (cfg.role is Role.LEADER
-            and st.phase in (MissionPhase.RETURNING, MissionPhase.DONE)):
-        if st.retry.should_send(now_tick, cfg.retry_interval):
-            outbox.append(Message(MessageKind.PROCEED, cfg.cart_id, st.out_seq))
-            st.out_seq += 1
-            st.retry.mark_sent(now_tick)
+            and st.phase in (MissionPhase.RETURNING, MissionPhase.DONE)
+            and not st.proceed_acked
+            and (st.proceed_sent_tick is None
+                 or 0 < cfg.retry_interval <= now_tick - st.proceed_sent_tick)):
+        outbox.append(Message(MessageKind.PROCEED, cfg.cart_id, st.out_seq))
+        st.out_seq += 1
+        st.proceed_sent_tick = now_tick
 
-    if st.phase in HALT_PHASES and intent.kind is not IntentKind.HALT:
-        intent = HALT
+    if st.phase in HALT_PHASES:
+        intent = Intent.HALT
     return intent, outbox, st

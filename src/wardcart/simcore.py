@@ -3,10 +3,10 @@
 Per tick and per cart, in a fixed order: deliver due link messages, apply
 the scenario schedule (digit card, payload on/off), render and run the
 recognition pipeline, step the mission, drive (PID line following, latched
-junction turns, or halt), integrate the vehicle, update LEDs, record the
-trace. Cart 1 always steps before cart 2 and messages sent in a tick are
-deliverable from the next tick on, so a (map, config) pair fully determines
-the byte-level trace.
+junction turns, or halt), integrate the vehicle, record the trace. The LEDs
+follow from the mission phase. Cart 1 always steps before cart 2 and
+messages sent in a tick are deliverable from the next tick on, so a (map,
+config) pair fully determines the byte-level trace.
 
 A tick gets its binary frame by one of three paths, each exact:
 
@@ -38,11 +38,11 @@ from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance, project
                     resolve_pause_point, route_to, segments)
 from .comms import Link, Message
 from .controller import PidGains, PidState, pid_step, steer
-from .mission import (HALT, IntentKind, MissionConfig, MissionPhase, MissionState, Role,
-                      SensorBundle, TurnDirection, mission_step, reading_range)
+from .mission import (Intent, MissionConfig, MissionPhase, MissionState, Role, SensorBundle,
+                      mission_step, reading_range)
 from .prng import GENERATOR_IDS, derive_seed
 from .vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, MotorCommand, VehicleState,
-                      apply_motor, set_leds, set_payload)
+                      apply_motor, set_payload)
 from .vision.camera import WIDTH, CameraModel
 from .vision.glyphs import default_templates
 from .vision.pipeline import adaptive_binarize, detect_in_binary, line_centroid, undistort_bits
@@ -88,8 +88,8 @@ class SimConfig:
     base_duty: float = 0.8
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
+        if not 0 < self.dt < math.inf or not math.isfinite(1.0 / self.dt):
+            raise ValueError("dt must be positive and finite, and 1/dt finite")
         if self.max_ticks < 0:
             raise ValueError("max_ticks must be nonnegative")
         if not 0 <= self.seed < 2 ** 64:  # derive_seed keeps 64 bits of it
@@ -237,7 +237,7 @@ class TraceReport:
 
 @dataclass
 class _Turn:
-    direction: TurnDirection
+    direction: Intent  # LEFT, RIGHT or AROUND
     target: float
     progress: float = 0.0
     prev_heading: float = 0.0
@@ -299,6 +299,12 @@ def _start_pose(track: TrackMap, ward: int) -> tuple[float, float, float]:
     return (px, py, math.atan2(oy - py, ox - px))
 
 
+def _leds(phase: MissionPhase) -> tuple[bool, bool]:
+    """(red, yellow): red at the ward, yellow while paused for the lead cart."""
+    return (phase in (MissionPhase.AT_WARD, MissionPhase.AWAIT_UNLOAD),
+            phase is MissionPhase.PAUSED_AT_POINT)
+
+
 def _empty_sensors(cart: _Cart) -> SensorBundle:
     return SensorBundle(line=None, detections=[], loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)
@@ -341,8 +347,6 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
         for cart in carts:
             inbox = [m for m in inbox_all if m.sender != cart.idx]
             phase_before = cart.mission.phase
-            red_before = cart.vehicle.led_red
-            yellow_before = cart.vehicle.led_yellow
 
             _apply_schedule(cart, carts, tick, config, log)
 
@@ -358,7 +362,7 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
                 cart.pending_inbox = []
                 outbox_queue.extend(outbox)
             else:
-                intent = HALT  # engine owns the cart while a turn is latched;
+                intent = Intent.HALT  # engine owns the cart while a turn is latched;
                 # inbox messages wait in pending_inbox until it resumes
 
             cmd = _drive_command(cart, intent, sensors, gains, config, tick, log)
@@ -369,10 +373,7 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
             _advance_turn(cart)
 
             phase = cart.mission.phase
-            red = phase in (MissionPhase.AT_WARD, MissionPhase.AWAIT_UNLOAD)
-            yellow = phase is MissionPhase.PAUSED_AT_POINT
-            cart.vehicle = set_leds(cart.vehicle, red, yellow)
-
+            red, yellow = _leds(phase)
             if phase is not phase_before:
                 if phase is MissionPhase.FAULT:
                     log(tick, cart.idx, f"phase={phase.value}:{cart.mission.fault_reason}")
@@ -380,10 +381,11 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
                     log(tick, cart.idx, f"phase={phase.value}")
                 if phase_before is MissionPhase.AWAIT_TARGET and cart.mission.target:
                     log(tick, cart.idx, f"target={cart.mission.target}")
-            if red != red_before:
-                log(tick, cart.idx, f"led_red={'on' if red else 'off'}")
-            if yellow != yellow_before:
-                log(tick, cart.idx, f"led_yellow={'on' if yellow else 'off'}")
+                red_before, yellow_before = _leds(phase_before)
+                if red != red_before:
+                    log(tick, cart.idx, f"led_red={'on' if red else 'off'}")
+                if yellow != yellow_before:
+                    log(tick, cart.idx, f"led_yellow={'on' if yellow else 'off'}")
 
             x, y, heading = cart.vehicle.pose
             samples.append(PoseSample(tick, cart.idx, x, y, heading, phase, red, yellow))
@@ -524,21 +526,15 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
                         odometry_distance=cart.odometry)
 
 
-def _drive_command(cart: _Cart, intent, sensors: SensorBundle, gains: PidGains,
+def _drive_command(cart: _Cart, intent: Intent, sensors: SensorBundle, gains: PidGains,
                    config: SimConfig, tick: int, log) -> MotorCommand:
     if cart.turn is not None:
         return _turn_command(cart.turn)
 
-    if intent.kind is IntentKind.TURN:
-        cart.turn = _Turn(direction=intent.turn,
-                          target=math.pi if intent.turn is TurnDirection.AROUND else math.pi / 2,
-                          prev_heading=cart.vehicle.pose[2])
-        cart.pid = PidState()
-        cart.gate_x = None
-        log(tick, cart.idx, f"turn={intent.turn.value}")
-        return _turn_command(cart.turn)
+    if intent is Intent.HALT:
+        return MotorCommand(0.0, 0.0)
 
-    if intent.kind is IntentKind.FOLLOW:
+    if intent is Intent.FOLLOW:
         if sensors.line is None:
             return MotorCommand(config.base_duty, config.base_duty)
         half = WIDTH / 2.0
@@ -546,13 +542,19 @@ def _drive_command(cart: _Cart, intent, sensors: SensorBundle, gains: PidGains,
         u, cart.pid = pid_step(cart.pid, gains, error)
         return steer(u, config.base_duty)
 
-    return MotorCommand(0.0, 0.0)
+    cart.turn = _Turn(direction=intent,
+                      target=math.pi if intent is Intent.AROUND else math.pi / 2,
+                      prev_heading=cart.vehicle.pose[2])
+    cart.pid = PidState()
+    cart.gate_x = None
+    log(tick, cart.idx, f"turn={intent.value}")
+    return _turn_command(cart.turn)
 
 
 def _turn_command(turn: _Turn) -> MotorCommand:
     if turn.braking:
         return MotorCommand(0.0, 0.0)
-    if turn.direction is TurnDirection.RIGHT:
+    if turn.direction is Intent.RIGHT:
         return MotorCommand(TURN_DUTY, -TURN_DUTY)
     return MotorCommand(-TURN_DUTY, TURN_DUTY)  # LEFT and AROUND rotate counterclockwise
 

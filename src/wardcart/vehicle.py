@@ -1,4 +1,4 @@
-"""Differential-drive cart: PWM-style motor model, pose flow, payload, LEDs.
+"""Differential-drive cart: PWM-style motor model, pose flow, payload switch.
 
 Wheel speeds relax toward ``duty * V_MAX`` with a first-order lag. The pose
 is advanced by integrating the true continuous-time unicycle flow of those
@@ -38,10 +38,7 @@ class MotorCommand:
 class VehicleState:
     pose: tuple[float, float, float] = (0.0, 0.0, 0.0)  # x m, y m, heading rad
     wheel_speed: tuple[float, float] = (0.0, 0.0)       # left, right m/s
-    payload_grams: float = 0.0
-    loaded: bool = False
-    led_red: bool = False
-    led_yellow: bool = False
+    loaded: bool = False  # the contact switch under the payload
 
 
 @lru_cache(maxsize=16)
@@ -98,8 +95,7 @@ def apply_motor(state: VehicleState, cmd: MotorCommand, dt: float) -> VehicleSta
     # x and y stay NumPy float64: render computes world coordinates in the
     # pose's precision, and every trace depends on those being float64. Built
     # by the constructor: dataclasses.replace costs several µs a tick
-    return VehicleState((np.float64(x), np.float64(y), th1), (v1_l, v1_r),
-                        state.payload_grams, state.loaded, state.led_red, state.led_yellow)
+    return VehicleState((np.float64(x), np.float64(y), th1), (v1_l, v1_r), state.loaded)
 
 
 def set_payload(state: VehicleState, grams: float) -> VehicleState:
@@ -107,10 +103,4 @@ def set_payload(state: VehicleState, grams: float) -> VehicleState:
     SWITCH_THRESHOLD."""
     if grams < 0:
         raise ValueError("payload mass cannot be negative")
-    return replace(state, payload_grams=grams, loaded=grams >= SWITCH_THRESHOLD)
-
-
-def set_leds(state: VehicleState, red: bool, yellow: bool) -> VehicleState:
-    if state.led_red == red and state.led_yellow == yellow:
-        return state  # the usual tick: the state is frozen, so no copy is needed
-    return replace(state, led_red=red, led_yellow=yellow)
+    return replace(state, loaded=grams >= SWITCH_THRESHOLD)

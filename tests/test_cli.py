@@ -196,13 +196,15 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("map = far.map\nward = 1\n", ["run", "{scn}"]),
     ("map = width2.map\nward = 3\n", ["run", "{scn}"]),
     ("ward = 1\nward = 3\n", ["run", "{scn}"]),
+    ("dt = 5e-324\npid.kd = 0\n", ["run", "{scn}"]),
 ], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg",
         "drop2", "latency_neg", "retry_neg", "max_ticks_inf", "sigma_nan",
         "carts_fraction", "ward_fraction", "seed_fraction", "ward_not_in_map",
         "follower_one_edge_route", "integral_limit_zero", "brightness_nan",
         "corpus_brightness_nan", "kp_nan", "kd_inf", "base_duty_nan",
         "integral_limit_nan", "seed_2_64_plus_1", "seed_neg", "corpus_seed_neg",
-        "corpus_seed_2_64", "map_nan", "map_far", "map_width_twice", "key_twice"])
+        "corpus_seed_2_64", "map_nan", "map_far", "map_width_twice", "key_twice",
+        "dt_subnormal"])
 def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     (tmp_path / "ward3.map").write_text(WARD3_MAP)
     (tmp_path / "nan.map").write_text(NAN_MAP)

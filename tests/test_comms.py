@@ -1,7 +1,7 @@
 import pytest
 
 from wardcart.arena import route_progress
-from wardcart.comms import Link, Message, MessageKind, ProceedRetry
+from wardcart.comms import Link, Message, MessageKind
 from wardcart.prng import MASK64, derive_seed, splitmix64
 from wardcart.simcore import CartOutcome, SimConfig, run_scenario
 
@@ -95,23 +95,6 @@ def test_seed_derivation_is_stable_and_label_sensitive():
     assert derive_seed(1, "link") != derive_seed(2, "link")
     assert derive_seed(1, "link") != derive_seed(1, "noise/cart0")
     assert 0 <= splitmix64(12345) <= MASK64
-
-
-def test_proceed_retry_schedule():
-    retry = ProceedRetry()
-    assert retry.should_send(100, 20)
-    retry.mark_sent(100)
-    assert not retry.should_send(110, 20)
-    assert retry.should_send(120, 20)
-    retry.mark_acked()
-    assert not retry.should_send(200, 20)
-
-
-def test_retry_disabled_sends_once():
-    retry = ProceedRetry()
-    assert retry.should_send(0, 0)
-    retry.mark_sent(0)
-    assert not retry.should_send(1000, 0)
 
 
 # ------------------------------------------------- protocol over scenarios

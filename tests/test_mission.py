@@ -6,11 +6,10 @@ import pytest
 
 from wardcart.arena import Action, resolve_pause_point, route_to
 from wardcart.comms import Message, MessageKind
-from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANGE, HALT,
-                              STOP_MARGIN, TURN_LEAD, IntentKind, JunctionContradiction,
+from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANGE,
+                              STOP_MARGIN, TURN_LEAD, Intent, JunctionContradiction,
                               MissionConfig, MissionPhase, MissionState, Role,
-                              SensorBundle, TurnDirection, check_junction, mission_step,
-                              reading_range)
+                              SensorBundle, check_junction, mission_step, reading_range)
 from wardcart.vision.pipeline import DigitDetection
 
 
@@ -127,7 +126,7 @@ def test_await_target_confirms_then_waits_for_load(track):
     state = MissionState()
     for t in range(CONFIRM_FRAMES):
         intent, _, state = step(state, cfg, sensors(detections=[det(2, z=0.4)]), tick=t)
-        assert intent is HALT
+        assert intent is Intent.HALT
     assert state.phase is MissionPhase.AWAIT_LOAD
     assert state.target == 2
 
@@ -137,7 +136,7 @@ def test_load_starts_outbound_with_follow_intent(track):
     state = MissionState(phase=MissionPhase.AWAIT_LOAD, target=2)
     intent, _, state = step(state, cfg, sensors(loaded=True))
     assert state.phase is MissionPhase.OUTBOUND
-    assert intent.kind is IntentKind.FOLLOW
+    assert intent is Intent.FOLLOW
 
 
 def test_outbound_turn_fires_at_junction_distance(track):
@@ -146,10 +145,9 @@ def test_outbound_turn_fires_at_junction_distance(track):
     _, _, state = step(state, cfg, sensors(loaded=True))
     # approach the junction: trigger sits TURN_LEAD short of 1.0 m
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=0.9))
-    assert intent.kind is IntentKind.FOLLOW
+    assert intent is Intent.FOLLOW
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=1.0 - TURN_LEAD))
-    assert intent.kind is IntentKind.TURN
-    assert intent.turn is TurnDirection.RIGHT
+    assert intent is Intent.RIGHT
 
 
 def test_stop_at_ward_then_unload_then_return(track):
@@ -159,20 +157,20 @@ def test_stop_at_ward_then_unload_then_return(track):
     _, _, state = step(state, cfg, sensors(loaded=True, odo=1.0))  # turn emitted
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=1.5))
     assert state.phase is MissionPhase.AT_WARD
-    assert state.delivered and intent is HALT
+    assert state.delivered and intent is Intent.HALT
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=1.5))
     assert state.phase is MissionPhase.AWAIT_UNLOAD
-    assert intent is HALT
+    assert intent is Intent.HALT
     # payload removed: return leg starts with a half-turn
     intent, _, state = step(state, cfg, sensors(loaded=False, odo=1.5))
     assert state.phase is MissionPhase.RETURNING
-    assert intent.kind is IntentKind.TURN and intent.turn is TurnDirection.AROUND
+    assert intent is Intent.AROUND
     # back down the stub, turn onto the spine (mirrored: Left), then stop home
     intent, _, state = step(state, cfg, sensors(loaded=False, odo=2.0))
-    assert intent.kind is IntentKind.TURN and intent.turn is TurnDirection.LEFT
+    assert intent is Intent.LEFT
     intent, _, state = step(state, cfg, sensors(loaded=False, odo=3.0))
     assert state.phase is MissionPhase.DONE
-    assert intent is HALT
+    assert intent is Intent.HALT
 
 
 def test_line_loss_times_out_to_fault(track):
@@ -216,7 +214,7 @@ def test_halt_phases_never_move(track):
                   MissionPhase.AWAIT_UNLOAD, MissionPhase.DONE, MissionPhase.FAULT):
         state = MissionState(phase=phase, target=2, delivered=True)
         intent, _, _ = step(state, cfg, sensors(loaded=True))
-        assert intent is HALT, phase
+        assert intent is Intent.HALT, phase
 
 
 # --------------------------------------------------------------- follower
@@ -235,7 +233,7 @@ def test_follower_pauses_at_pause_point(track):
     assert state.phase is MissionPhase.OUTBOUND
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=pause_dist - STOP_MARGIN))
     assert state.phase is MissionPhase.PAUSED_AT_POINT
-    assert intent is HALT
+    assert intent is Intent.HALT
 
 
 def test_follower_resumes_on_proceed_and_acks(track):
@@ -245,7 +243,7 @@ def test_follower_resumes_on_proceed_and_acks(track):
     intent, outbox, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]),
                                  inbox=[Message(MessageKind.PROCEED, 0, 0)])
     assert state.phase is MissionPhase.OUTBOUND
-    assert intent.kind is IntentKind.FOLLOW
+    assert intent is Intent.FOLLOW
     assert [m.kind for m in outbox] == [MessageKind.ACK]
 
 
@@ -320,6 +318,33 @@ def test_leader_keeps_retrying_after_done_until_acked(track):
     assert len(outbox) == 1  # still resending in Done
 
 
+def proceeds_sent(track, retry_interval, ticks, ack_tick=None):
+    """Ticks at which a leader that starts its return at ticks[0] sends a
+    Proceed, and its last state; the follower's ACK arrives at ack_tick."""
+    cfg = make_config(track, role=Role.LEADER, retry_interval=retry_interval)
+    state = MissionState(phase=MissionPhase.AWAIT_UNLOAD, target=4, delivered=True)
+    sent = []
+    for tick in ticks:
+        inbox = [Message(MessageKind.ACK, 1, 0)] if tick == ack_tick else []
+        _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.5),
+                                inbox=inbox, tick=tick)
+        sent += [tick for m in outbox if m.kind is MessageKind.PROCEED]
+    return sent, state
+
+
+def test_proceed_retry_schedule(track):
+    sent, state = proceeds_sent(track, 20, [100, 110, 120, 130, 200], ack_tick=130)
+    assert sent == [100, 120]
+    assert state.phase is MissionPhase.RETURNING
+    assert state.proceed_acked and state.proceed_sent_tick == 120
+
+
+def test_retry_disabled_sends_once(track):
+    sent, state = proceeds_sent(track, 0, [100, 1000])
+    assert sent == [100]
+    assert not state.proceed_acked and state.proceed_sent_tick == 100
+
+
 def copy_cases(track):
     """(config, state, sensors, inbox, tick) of steps that change every
     kind of field: solo, follower and leader, an ACK and a PROCEED."""
@@ -336,18 +361,25 @@ def copy_cases(track):
     unloading = MissionState(phase=MissionPhase.AWAIT_UNLOAD, target=4, delivered=True)
     yield leader, unloading, sensors(loaded=False, odo=2.5), [], 100
     _, _, returning = step(unloading, leader, sensors(loaded=False, odo=2.5), tick=100)
-    assert returning.retry.last_sent_tick == 100
+    assert returning.proceed_sent_tick == 100
     yield (leader, returning, sensors(loaded=False, odo=2.6),
            [Message(MessageKind.ACK, 1, 0)], 140)
 
 
 def test_mission_step_never_mutates_its_input(track):
     for cfg, state, snsr, inbox, tick in copy_cases(track):
-        before, retry = copy.deepcopy(state), copy.deepcopy(state.retry)
+        before = copy.deepcopy(state)
         _, _, after = step(state, cfg, snsr, inbox, tick=tick)
         assert after != before  # the step changed something, in its copy only
-        assert state == before and state.retry == retry
-        assert after.retry is not state.retry
+        assert state == before
+
+
+def test_every_mission_state_field_is_immutable(track):
+    # mission_step copies its input state shallowly, so a mutable field
+    # would be shared between the input and the state it returns
+    for _, state, _, _, _ in copy_cases(track):
+        for f in fields(MissionState):
+            hash(getattr(state, f.name))
 
 
 # ------------------------------------------------------ detection demand
@@ -413,7 +445,7 @@ def test_phases_outside_detection_phases_never_read_detections(track, role):
 def test_returning_turns_and_stops_without_reading(track):
     cfg = make_config(track)
     intent, _, state = step(returning_state(track, cfg), cfg, unreadable(odo=2.0))
-    assert intent.kind is IntentKind.TURN and intent.turn is TurnDirection.LEFT
+    assert intent is Intent.LEFT
     _, _, state = step(state, cfg, unreadable(odo=3.0))
     assert state.phase is MissionPhase.DONE
 

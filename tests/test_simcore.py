@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from wardcart import simcore
 from wardcart.arena import (Action, load_map, nearest_centerline_distance, route_progress,
                             route_to)
-from wardcart.mission import (DECISION_RANGE, MissionPhase, MissionState, Role,
-                              TurnDirection, reading_range)
-from wardcart.simcore import (CONFIG_KEYS, CartOutcome, PoseSample, SimConfig, _deviation_of,
-                              _header, config_from_keys, render_svg, run_scenario,
-                              trace_to_csv)
+from wardcart.mission import (DECISION_RANGE, Intent, MissionPhase, MissionState, Role,
+                              reading_range)
+from wardcart.simcore import (CONFIG_KEYS, CartOutcome, PoseSample, SimConfig, TraceReport,
+                              _deviation_of, _header, config_from_keys, render_svg,
+                              run_scenario, trace_to_csv)
 from wardcart.vehicle import V_MAX
 from wardcart.vision.camera import CameraModel
 from wardcart.vision.pipeline import adaptive_binarize, detect_in_binary, undistort_bits
@@ -249,6 +249,19 @@ def test_config_validation():
     assert SimConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
+                    allow_subnormal=True),
+       kd=st.sampled_from([0.0, 14.0]))
+@example(dt=5e-324, kd=0.0)  # 1/dt overflows to inf, which round() cannot take
+def test_a_positive_dt_is_rejected_or_runs(track, dt, kd):
+    try:
+        config = SimConfig(dt=dt, kd=kd, max_ticks=3)
+    except ValueError:
+        return
+    assert isinstance(run_scenario(track, config), TraceReport)
+
+
 def _count_frames(monkeypatch) -> list[str]:
     """A list that gains the maker's name for every frame the engine makes:
     a render, or clean bits that the band bound did not decline."""
@@ -380,7 +393,7 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     assert step()[:2] == (1, 1)
     # a tick that cannot read placards supplies none; a still frame keeps
     # the detections it has, and a new one is read on the first tick that can
-    cart.turn = simcore._Turn(direction=TurnDirection.LEFT, target=math.pi / 2)
+    cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
     assert step()[:2] == (0, 0) and step()[2].detections == []
     cart.vehicle = replace(cart.vehicle, pose=(start[0] + 2e-9, start[1], start[2]))
     assert step()[:2] == (1, 0)
@@ -398,7 +411,7 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     start = simcore._start_pose(track, 2)
     cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(0))
     cart.card = simcore._make_card(2, start)
-    cart.turn = simcore._Turn(direction=TurnDirection.LEFT, target=math.pi / 2)
+    cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
 
     def sense():
         return simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
@@ -418,7 +431,7 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     before = band.copy(), kept.copy()
     cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1] + 0.3, start[2]))
     sense()
-    cart.turn = simcore._Turn(direction=TurnDirection.LEFT, target=math.pi / 2)
+    cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
     sense()
     assert np.array_equal(band, before[0]) and np.array_equal(kept, before[1])
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wardcart import vehicle
 from wardcart.vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, V_MAX, MotorCommand,
-                              VehicleState, apply_motor, set_leds, set_payload)
+                              VehicleState, apply_motor, set_payload)
 
 
 def rk4_oracle(state, cmd, dt, steps=4000):
@@ -228,28 +228,18 @@ def test_negative_payload_rejected():
         set_payload(VehicleState(), -1.0)
 
 
-def test_led_flags():
-    s = VehicleState()
-    assert set_leds(s, False, False) == s
-    assert set_leds(s, True, False).led_red is True
-    lit = set_leds(s, False, True)
-    assert lit.led_yellow is True and lit.led_red is False
-
-
 def test_state_updates_carry_every_field_they_do_not_set():
     def others(state, *changed):
         return {f.name: getattr(state, f.name) for f in fields(VehicleState)
                 if f.name not in changed}
 
-    for grams, loaded, red, yellow in itertools.product((0.0, 150.0, 250.0), (False, True),
-                                                        (False, True), (False, True)):
-        s = VehicleState(pose=(0.1, -0.2, 0.3), wheel_speed=(0.2, -0.1), payload_grams=grams,
-                         loaded=loaded, led_red=red, led_yellow=yellow)
+    for loaded, grams in itertools.product((False, True), (0.0, 150.0, 250.0)):
+        s = VehicleState(pose=(0.1, -0.2, 0.3), wheel_speed=(0.2, -0.1), loaded=loaded)
         moved = apply_motor(s, MotorCommand(0.5, 0.4), 0.02)
         assert others(moved, "pose", "wheel_speed") == others(s, "pose", "wheel_speed")
-        assert others(set_payload(s, 200.0), "payload_grams", "loaded") == \
-            others(s, "payload_grams", "loaded")
-        lit = set_leds(s, not red, yellow)
-        assert (lit.led_red, lit.led_yellow) == (not red, yellow)
-        assert others(lit, "led_red", "led_yellow") == others(s, "led_red", "led_yellow")
-        assert set_leds(s, red, yellow) is s
+        assert others(set_payload(s, grams), "loaded") == others(s, "loaded")
+
+
+def test_vehicle_state_holds_only_what_the_engine_reads():
+    # the LEDs follow from the mission phase, and only the switch reads the payload
+    assert [f.name for f in fields(VehicleState)] == ["pose", "wheel_speed", "loaded"]
