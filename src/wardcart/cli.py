@@ -68,7 +68,7 @@ def _load_map(ref: str, directory: Path) -> TrackMap:
         return load_map(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"map not found: {path}") from exc
-    except MapError as exc:
+    except (MapError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"bad map {path}: {exc}") from exc
 
 
@@ -78,6 +78,8 @@ def load_scenario(path: Path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"scenario not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"bad scenario {path}: {exc}") from exc
     kv = _parse_kv(text, str(path))
     track = _load_map(kv.pop("map", "builtin:default"), path.parent.resolve())
 
@@ -98,7 +100,7 @@ def load_scenario(path: Path) -> Scenario:
 
 
 def _apply_overrides(scn: Scenario, args: argparse.Namespace) -> Scenario:
-    keys = {key for key, _, _ in CONFIG_KEYS}
+    keys = {key for key, _ in CONFIG_KEYS}
     values = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     try:
         return replace(scn, config=config_from_keys(values, scn.config))

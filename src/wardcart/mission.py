@@ -27,6 +27,7 @@ JUNCTION_CENTER_TOLERANCE = 10.0  # px off the frame center still read as straig
 CONTRADICTION_LIMIT = 3     # contradicting frames in a row that fault the cart
 STOP_MARGIN = 0.05          # m; stops and the pause point trigger this far early
 TURN_LEAD = 0.04            # m; turns trigger this far before the junction
+PROCEED_RETRY_TICKS = 20    # the leader resends an unacked Proceed this often
 
 
 class MissionPhase(Enum):
@@ -82,7 +83,6 @@ class MissionConfig:
     returns: dict[int, RoutePlan] = field(default_factory=dict)
     lost_line_ticks: int = 50
     pause_point: tuple[Vec2, float] | None = None  # (position, route distance)
-    retry_interval: int = 20
 
     def __post_init__(self):
         if self.role is Role.FOLLOWER and self.pause_point is None:
@@ -304,13 +304,13 @@ def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
         intent = _drive(st, cfg, sensors)
 
     # leader announces Proceed once returning and resends it every
-    # retry_interval ticks (0: never) until acked; kept alive through Done so
-    # a lossy link cannot strand the follower
+    # PROCEED_RETRY_TICKS until acked; kept alive through Done so a lossy
+    # link cannot strand the follower
     if (cfg.role is Role.LEADER
             and st.phase in (MissionPhase.RETURNING, MissionPhase.DONE)
             and not st.proceed_acked
             and (st.proceed_sent_tick is None
-                 or 0 < cfg.retry_interval <= now_tick - st.proceed_sent_tick)):
+                 or now_tick - st.proceed_sent_tick >= PROCEED_RETRY_TICKS)):
         outbox.append(Message(MessageKind.PROCEED, cfg.cart_id, st.out_seq))
         st.out_seq += 1
         st.proceed_sent_tick = now_tick

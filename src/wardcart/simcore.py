@@ -38,8 +38,8 @@ from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance, project
                     resolve_pause_point, route_to, segments)
 from .comms import Link, Message
 from .controller import PidGains, PidState, pid_step, steer
-from .mission import (Intent, MissionConfig, MissionPhase, MissionState, Role, SensorBundle,
-                      mission_step, reading_range)
+from .mission import (PROCEED_RETRY_TICKS, Intent, MissionConfig, MissionPhase, MissionState,
+                      Role, SensorBundle, mission_step, reading_range)
 from .prng import GENERATOR_IDS, derive_seed
 from .vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, MotorCommand, VehicleState,
                       apply_motor, set_payload)
@@ -49,7 +49,9 @@ from .vision.pipeline import adaptive_binarize, detect_in_binary, line_centroid,
 from .vision.render import NoiseParams, clean_bits, render
 
 PAYLOAD_GRAMS = 200.0
-REFERENCE_DT = 0.02  # tick length the default gains are quoted at
+REFERENCE_DT = 0.02  # tick length GAINS are quoted at
+GAINS = PidGains(kp=0.5, ki=0.01, kd=14.0, integral_limit=0.3, output_limit=0.9)
+BASE_DUTY = 0.8      # wheel duty on a straight line
 CARD_AHEAD = 0.22    # digit card shown this far in front of the cart
 CARD_LEFT = 0.10     # and this far to its left, off the guide line
 GATE_HALF_PX = 12    # tracking gate: centroid columns around the last fix
@@ -79,17 +81,12 @@ class SimConfig:
     wards: tuple[int, ...] = (2,)
     link_latency: int = 3
     link_drop: float = 0.0
-    retry_interval: int = 20
-    kp: float = 0.5
-    ki: float = 0.01
-    kd: float = 14.0
-    integral_limit: float = 0.3
-    output_limit: float = 0.9
-    base_duty: float = 0.8
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf or not math.isfinite(1.0 / self.dt):
-            raise ValueError("dt must be positive and finite, and 1/dt finite")
+        # 1/dt sets the lost-line limit, and dt / REFERENCE_DT rescales GAINS
+        if not (0 < self.dt < math.inf and math.isfinite(1.0 / self.dt)
+                and math.isfinite(self.dt / REFERENCE_DT)):
+            raise ValueError("dt must be positive and finite, and 1/dt and dt/0.02 finite")
         if self.max_ticks < 0:
             raise ValueError("max_ticks must be nonnegative")
         if not 0 <= self.seed < 2 ** 64:  # derive_seed keeps 64 bits of it
@@ -105,50 +102,33 @@ class SimConfig:
             raise ValueError("link_latency must be nonnegative")
         if not 0 <= self.link_drop <= 1:
             raise ValueError("link_drop must be in [0, 1]")
-        if self.retry_interval < 0:
-            raise ValueError("retry_interval must be nonnegative (0: no resends)")
-        if not math.isfinite(self.base_duty):
-            raise ValueError("base_duty must be finite")
-        self.gains()  # PidGains rejects a gain that is not finite, a limit not positive
 
     def gains(self) -> PidGains:
-        """Controller gains at the configured tick length.
+        """GAINS at the configured tick length.
 
-        kp/ki/kd are quoted at the reference period (0.02 s); the integral
-        and derivative gains rescale with dt exactly as the classical
-        kp*(T/Ti) and kp*(Td/T) terms do, so changing dt keeps the same
-        continuous-time behavior.
+        The integral and derivative gains rescale with dt exactly as the
+        classical kp*(T/Ti) and kp*(Td/T) terms do, so changing dt keeps the
+        same continuous-time behavior.
         """
         scale = self.dt / REFERENCE_DT
-        return PidGains(kp=self.kp, ki=self.ki * scale, kd=self.kd / scale,
-                        integral_limit=self.integral_limit,
-                        output_limit=self.output_limit)
+        return replace(GAINS, ki=GAINS.ki * scale, kd=GAINS.kd / scale)
 
 
-# Every scenario key: (key, SimConfig field, trace-header key or None). A
-# "noise.x" field is a NoiseParams field; ward and ward2 are the two entries
-# of wards. A value takes the type of the field's default. The header keeps
-# the spellings base_duty and "wards=1,2" and leaves out ward2 and the PID
-# limits: fixing any of that changes every trace digest.
-CONFIG_KEYS: tuple[tuple[str, str, str | None], ...] = (
-    ("dt", "dt", "dt"),
-    ("max_ticks", "max_ticks", "max_ticks"),
-    ("seed", "seed", "seed"),
-    ("carts", "carts", "carts"),
-    ("ward", "wards", "wards"),
-    ("ward2", "wards", None),
-    ("noise.brightness", "noise.brightness", "noise.brightness"),
-    ("noise.sigma", "noise.sigma", "noise.sigma"),
-    ("noise.k1", "noise.k1", "noise.k1"),
-    ("link.latency", "link_latency", "link.latency"),
-    ("link.drop", "link_drop", "link.drop"),
-    ("link.retry_interval", "retry_interval", "link.retry_interval"),
-    ("pid.kp", "kp", "pid.kp"),
-    ("pid.ki", "ki", "pid.ki"),
-    ("pid.kd", "kd", "pid.kd"),
-    ("pid.integral_limit", "integral_limit", None),
-    ("pid.output_limit", "output_limit", None),
-    ("drive.base_duty", "base_duty", "base_duty"),
+# Every scenario key: (key, SimConfig field). A "noise.x" field is a
+# NoiseParams field; ward and ward2 are the two entries of wards. A value
+# takes the type of the field's default.
+CONFIG_KEYS: tuple[tuple[str, str], ...] = (
+    ("dt", "dt"),
+    ("max_ticks", "max_ticks"),
+    ("seed", "seed"),
+    ("carts", "carts"),
+    ("ward", "wards"),
+    ("ward2", "wards"),
+    ("noise.brightness", "noise.brightness"),
+    ("noise.sigma", "noise.sigma"),
+    ("noise.k1", "noise.k1"),
+    ("link.latency", "link_latency"),
+    ("link.drop", "link_drop"),
 )
 _DEFAULTS = SimConfig()  # the source of each key's type
 
@@ -179,11 +159,11 @@ def _parse(key: str, raw: str, default) -> int | float:
 def config_from_keys(values: dict[str, str], base: SimConfig = _DEFAULTS) -> SimConfig:
     """Apply scenario ``key = value`` strings to base; the result passes the
     range checks. Raises ValueError on an unknown key or a bad value."""
-    unknown = sorted(set(values) - {key for key, _, _ in CONFIG_KEYS})
+    unknown = sorted(set(values) - {key for key, _ in CONFIG_KEYS})
     if unknown:
         raise ValueError(f"unknown keys {unknown}")
     updates, noise, wards = {}, {}, list(base.wards)
-    for key, name, _ in CONFIG_KEYS:
+    for key, name in CONFIG_KEYS:
         if key not in values:
             continue
         value = _parse(key, values[key], _field(_DEFAULTS, name))
@@ -256,14 +236,11 @@ class _Cart:
         self.rng = rng
         self.start = start
         self.card: PlacardEntry | None = None
-        self.card_allowed = cfg.role is not Role.FOLLOWER
         self.gate_x: float | None = None
         self.turn: _Turn | None = None
         self.pending_inbox: list[Message] = []
         self.load_tick: int | None = None
         self.unload_tick: int | None = None
-        self.load_done = False
-        self.unload_done = False
         self.await_unload_since: int | None = None
         # last sensed (pose, card, (HEIGHT, WIDTH) bool bits, detections or
         # None, whether the bits are the whole frame or only the control
@@ -326,7 +303,6 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
         role = Role.SOLO if config.carts == 1 else (Role.LEADER if i == 0 else Role.FOLLOWER)
         pause = resolve_pause_point(track, ward) if role is Role.FOLLOWER else None
         mcfg = MissionConfig(role=role, cart_id=i, routes=routes, returns=returns,
-                             retry_interval=config.retry_interval,
                              lost_line_ticks=max(1, round(1.0 / config.dt)),
                              pause_point=pause)
         rng = np.random.default_rng(derive_seed(config.seed, f"noise/cart{i}"))
@@ -430,14 +406,16 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
 
 def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfig,
                     log) -> None:
-    """Scenario choreography: card display, payload on, payload off."""
+    """Scenario choreography: card display, payload on, payload off.
+
+    The mission leaves AwaitLoad and AwaitUnload in the tick the payload
+    changes, and never returns to AwaitTarget, so each happens once.
+    """
     m = cart.mission
     if m.phase is MissionPhase.AWAIT_TARGET:
-        if not cart.card_allowed and cart.mission_cfg.role is Role.FOLLOWER:
-            leader = carts[0]
-            if leader.mission.delivered:
-                cart.card_allowed = True  # trailing cart starts once the lead arrived
-        if cart.card_allowed and cart.card is None:
+        # the trailing cart starts once the lead cart has delivered
+        if cart.card is None and (cart.mission_cfg.role is not Role.FOLLOWER
+                                  or carts[0].mission.delivered):
             ward = config.wards[cart.idx]
             cart.card = _make_card(ward, cart.start)
             log(tick, cart.idx, f"card_shown={ward}")
@@ -445,12 +423,12 @@ def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfi
         cart.card = None
         log(tick, cart.idx, "card_removed")
 
-    if m.phase is MissionPhase.AWAIT_LOAD and cart.load_tick is None:
-        cart.load_tick = tick + LOAD_DELAY_TICKS
-    if cart.load_tick is not None and tick >= cart.load_tick and not cart.load_done:
-        cart.load_done = True
-        cart.vehicle = set_payload(cart.vehicle, PAYLOAD_GRAMS)
-        log(tick, cart.idx, "payload=on")
+    if m.phase is MissionPhase.AWAIT_LOAD:
+        if cart.load_tick is None:
+            cart.load_tick = tick + LOAD_DELAY_TICKS
+        if tick >= cart.load_tick:
+            cart.vehicle = set_payload(cart.vehicle, PAYLOAD_GRAMS)
+            log(tick, cart.idx, "payload=on")
 
     if m.phase is MissionPhase.AWAIT_UNLOAD:
         if cart.await_unload_since is None:
@@ -467,8 +445,7 @@ def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfi
                     cart.unload_tick = tick
             else:
                 cart.unload_tick = tick + UNLOAD_DWELL_TICKS
-        if cart.unload_tick is not None and tick >= cart.unload_tick and not cart.unload_done:
-            cart.unload_done = True
+        if cart.unload_tick is not None and tick >= cart.unload_tick:
             cart.vehicle = set_payload(cart.vehicle, 0.0)
             log(tick, cart.idx, "payload=off")
 
@@ -536,11 +513,11 @@ def _drive_command(cart: _Cart, intent: Intent, sensors: SensorBundle, gains: Pi
 
     if intent is Intent.FOLLOW:
         if sensors.line is None:
-            return MotorCommand(config.base_duty, config.base_duty)
+            return MotorCommand(BASE_DUTY, BASE_DUTY)
         half = WIDTH / 2.0
         error = (sensors.line[0] - half) / half
         u, cart.pid = pid_step(cart.pid, gains, error)
-        return steer(u, config.base_duty)
+        return steer(u, BASE_DUTY)
 
     cart.turn = _Turn(direction=intent,
                       target=math.pi if intent is Intent.AROUND else math.pi / 2,
@@ -601,13 +578,17 @@ def _deviation_of(track: TrackMap, samples: list[PoseSample], cart: int) -> floa
 
 
 def _header(config: SimConfig) -> tuple[tuple[str, str], ...]:
+    """Each key under its own name, but both wards as ``wards=1,2``, then
+    the fixed Proceed resend period and controller."""
     items = [("generator", GENERATOR_IDS)]
-    for _, name, echo in CONFIG_KEYS:
-        if echo is not None:
+    for key, name in CONFIG_KEYS:
+        if key != "ward2":
             value = _field(config, name)
             entries = value if isinstance(value, tuple) else (value,)
-            items.append((echo, ",".join(repr(v) for v in entries)))
-    return tuple(items)
+            items.append((name if key == "ward" else key, ",".join(map(repr, entries))))
+    fixed = (("link.retry_interval", PROCEED_RETRY_TICKS), ("pid.kp", GAINS.kp),
+             ("pid.ki", GAINS.ki), ("pid.kd", GAINS.kd), ("base_duty", BASE_DUTY))
+    return tuple(items + [(key, repr(value)) for key, value in fixed])
 
 
 def trace_to_csv(report: TraceReport) -> str:

@@ -59,6 +59,8 @@ class _WorldInk:
         # one false cell on every side: sample clips a cell index that falls
         # off the raster onto that border instead of masking it out
         self._padded = np.zeros((self.ny + 2, self.nx + 2), dtype=bool)
+        # int32 clip bounds: Python ints cost the clip two iinfo lookups a call
+        self._lo, self._hi_x, self._hi_y = np.int32(-1), np.int32(self.nx), np.int32(self.ny)
         self.grid = self._padded[1:-1, 1:-1]
         for edge in track.edges:
             self._paint_segment(*edge.polyline)
@@ -103,8 +105,8 @@ class _WorldInk:
             np.copyto(index, np.divide(work, WORLD_CELL, out=work), casting="unsafe")
         # the method, not np.clip: the same ufunc behind one Python wrapper
         # fewer, about 1 µs a call
-        ix.clip(-1, self.nx, out=ix)
-        iy.clip(-1, self.ny, out=iy)
+        ix.clip(self._lo, self._hi_x, out=ix)
+        iy.clip(self._lo, self._hi_y, out=iy)
         # flat index into the padded raster of grid cell (iy, ix)
         stride = self.nx + 2
         iy *= stride

@@ -118,7 +118,6 @@ ward = 3
 seed = 0
 max_ticks = 1200
 link.drop = 1.0
-link.retry_interval = 0
 expected = delivered_and_returned
 """)
     code = main(["suite", str(tmp_path)])
@@ -173,7 +172,6 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("", ["vision-corpus", "{out}", "--noise", "-1"]),
     ("link.drop = 2\n", ["run", "{scn}"]),
     ("", ["run", "{scn}", "--latency", "-1"]),
-    ("link.retry_interval = -3\n", ["run", "{scn}"]),
     ("max_ticks = inf\n", ["run", "{scn}"]),
     ("noise.sigma = nan\n", ["run", "{scn}"]),
     ("carts = 1.7\n", ["run", "{scn}"]),
@@ -181,13 +179,8 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("", ["run", "{scn}", "--seed", "1.5"]),
     ("map = ward3.map\nward = 2\n", ["run", "{scn}"]),
     ("map = ward3.map\ncarts = 2\nward = 3\n", ["run", "{scn}"]),
-    ("pid.integral_limit = 0\n", ["run", "{scn}"]),
     ("noise.brightness = nan\n", ["run", "{scn}"]),
     ("", ["vision-corpus", "{out}", "--brightness", "nan"]),
-    ("pid.kp = nan\n", ["run", "{scn}"]),
-    ("pid.kd = inf\n", ["run", "{scn}"]),
-    ("drive.base_duty = nan\n", ["run", "{scn}"]),
-    ("pid.integral_limit = nan\n", ["run", "{scn}"]),
     ("seed = 18446744073709551617\n", ["run", "{scn}"]),
     ("seed = -1\n", ["run", "{scn}"]),
     ("", ["vision-corpus", "{out}", "--seed", "-1"]),
@@ -196,15 +189,16 @@ def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
     ("map = far.map\nward = 1\n", ["run", "{scn}"]),
     ("map = width2.map\nward = 3\n", ["run", "{scn}"]),
     ("ward = 1\nward = 3\n", ["run", "{scn}"]),
-    ("dt = 5e-324\npid.kd = 0\n", ["run", "{scn}"]),
+    ("dt = 5e-324\n", ["run", "{scn}"]),
+    ("dt = 1e308\n", ["run", "{scn}"]),
+    ("pid.kp = 0.5\n", ["run", "{scn}"]),
 ], ids=["carts3", "ward9", "sigma_neg", "dt0", "k1_neg", "corpus_sigma_neg",
-        "drop2", "latency_neg", "retry_neg", "max_ticks_inf", "sigma_nan",
+        "drop2", "latency_neg", "max_ticks_inf", "sigma_nan",
         "carts_fraction", "ward_fraction", "seed_fraction", "ward_not_in_map",
-        "follower_one_edge_route", "integral_limit_zero", "brightness_nan",
-        "corpus_brightness_nan", "kp_nan", "kd_inf", "base_duty_nan",
-        "integral_limit_nan", "seed_2_64_plus_1", "seed_neg", "corpus_seed_neg",
+        "follower_one_edge_route", "brightness_nan", "corpus_brightness_nan",
+        "seed_2_64_plus_1", "seed_neg", "corpus_seed_neg",
         "corpus_seed_2_64", "map_nan", "map_far", "map_width_twice", "key_twice",
-        "dt_subnormal"])
+        "dt_subnormal", "dt_huge", "folded_key"])
 def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     (tmp_path / "ward3.map").write_text(WARD3_MAP)
     (tmp_path / "nan.map").write_text(NAN_MAP)
@@ -219,6 +213,37 @@ def test_bad_input_exits_two(tmp_path, capsys, scenario, argv):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+# the cart's tuning values are module constants, and setting one is an error
+@pytest.mark.parametrize("key", ["link.retry_interval", "pid.kp", "pid.ki", "pid.kd",
+                                 "pid.integral_limit", "pid.output_limit", "drive.base_duty"])
+def test_a_fixed_tuning_value_is_not_a_key(tmp_path, capsys, key):
+    scn = tmp_path / "tuned.scn"
+    scn.write_text(f"ward = 2\n{key} = 0.5\n")
+    assert main(["run", str(scn), "--max-ticks", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"unknown keys ['{key}']" in err
+
+
+# a Latin-1 byte in a comment: the files are read as UTF-8
+NOT_UTF8 = b"# caf\xe9\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{dir}/latin1.scn"],
+    ["run", "{dir}/latin1_map.scn"],
+    ["suite", "{dir}"],
+    ["render-map", "--map", "{dir}/latin1.map", "{dir}/out.svg"],
+], ids=["scenario", "scenario_map", "suite", "render_map"])
+def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys, argv):
+    (tmp_path / "latin1.scn").write_bytes(b"ward = 2\n" + NOT_UTF8)
+    (tmp_path / "latin1_map.scn").write_bytes(b"map = latin1.map\nward = 3\n")
+    (tmp_path / "latin1.map").write_bytes(WARD3_MAP.encode() + NOT_UTF8)
+    code = main([a.format(dir=tmp_path) for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and "latin1." in err and "utf-8" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,10 +327,11 @@ def test_shipped_scenario_loads(path):
 
 
 def test_readme_lists_every_scenario_key():
+    # exactly the keys, so a folded key cannot linger in the documented block
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Scenario files", 1)[1].split("```")[1]
-    listed = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
-    assert {key for key, _, _ in CONFIG_KEYS} <= listed
+    listed = [line.split("=")[0].strip() for line in block.splitlines() if "=" in line]
+    assert sorted(listed) == sorted({key for key, _ in CONFIG_KEYS} | {"map", "expected"})
 
 
 def test_one_cart_run_ignores_ward2(tmp_path, capsys):

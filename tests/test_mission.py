@@ -7,9 +7,9 @@ import pytest
 from wardcart.arena import Action, resolve_pause_point, route_to
 from wardcart.comms import Message, MessageKind
 from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANGE,
-                              STOP_MARGIN, TURN_LEAD, Intent, JunctionContradiction,
-                              MissionConfig, MissionPhase, MissionState, Role,
-                              SensorBundle, check_junction, mission_step, reading_range)
+                              PROCEED_RETRY_TICKS, STOP_MARGIN, TURN_LEAD, Intent,
+                              JunctionContradiction, MissionConfig, MissionPhase, MissionState,
+                              Role, SensorBundle, check_junction, mission_step, reading_range)
 from wardcart.vision.pipeline import DigitDetection
 
 
@@ -281,47 +281,50 @@ def test_mission_config_holds_only_what_the_engine_sets():
     # the fixed thresholds are module constants; a field here is set per run
     assert [f.name for f in fields(MissionConfig)] == [
         "role", "cart_id", "routes", "returns", "lost_line_ticks",
-        "pause_point", "retry_interval"]
+        "pause_point"]
 
 
 # ----------------------------------------------------------------- leader
 
+R = PROCEED_RETRY_TICKS
+
+
 def test_leader_announces_proceed_on_returning_and_retries(track):
-    cfg = make_config(track, role=Role.LEADER, retry_interval=20)
+    cfg = make_config(track, role=Role.LEADER)
     state = MissionState(phase=MissionPhase.AWAIT_UNLOAD, target=4, delivered=True)
     _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.5), tick=100)
     assert state.phase is MissionPhase.RETURNING
     assert [m.kind for m in outbox] == [MessageKind.PROCEED]
-    # not due again until the retry interval elapses
-    _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.6), tick=110)
+    # not due again until the retry period elapses
+    _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.6), tick=100 + R - 1)
     assert outbox == []
-    _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.7), tick=120)
+    _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.7), tick=100 + R)
     assert [m.kind for m in outbox] == [MessageKind.PROCEED]
     assert [m.seq for m in outbox] == [1]
     # an ack stops the stream
     _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.8),
-                            inbox=[Message(MessageKind.ACK, 1, 0)], tick=140)
+                            inbox=[Message(MessageKind.ACK, 1, 0)], tick=100 + 2 * R)
     assert outbox == []
-    _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.9), tick=200)
+    _, outbox, state = step(state, cfg, sensors(loaded=False, odo=2.9), tick=100 + 5 * R)
     assert outbox == []
 
 
 def test_leader_keeps_retrying_after_done_until_acked(track):
-    cfg = make_config(track, role=Role.LEADER, retry_interval=10)
+    cfg = make_config(track, role=Role.LEADER)
     state = MissionState(phase=MissionPhase.RETURNING, target=4, delivered=True)
     state.leg_triggers = (0.5,)
     state.leg_actions = (Action.STOP,)
     _, outbox, state = step(state, cfg, sensors(loaded=False, odo=1.0), tick=0)
     assert state.phase is MissionPhase.DONE
     assert len(outbox) == 1
-    _, outbox, state = step(state, cfg, sensors(loaded=False, odo=1.0), tick=10)
+    _, outbox, state = step(state, cfg, sensors(loaded=False, odo=1.0), tick=R)
     assert len(outbox) == 1  # still resending in Done
 
 
-def proceeds_sent(track, retry_interval, ticks, ack_tick=None):
+def proceeds_sent(track, ticks, ack_tick=None):
     """Ticks at which a leader that starts its return at ticks[0] sends a
     Proceed, and its last state; the follower's ACK arrives at ack_tick."""
-    cfg = make_config(track, role=Role.LEADER, retry_interval=retry_interval)
+    cfg = make_config(track, role=Role.LEADER)
     state = MissionState(phase=MissionPhase.AWAIT_UNLOAD, target=4, delivered=True)
     sent = []
     for tick in ticks:
@@ -333,16 +336,13 @@ def proceeds_sent(track, retry_interval, ticks, ack_tick=None):
 
 
 def test_proceed_retry_schedule(track):
-    sent, state = proceeds_sent(track, 20, [100, 110, 120, 130, 200], ack_tick=130)
-    assert sent == [100, 120]
+    # due every R ticks (one tick early is not), and never again once acked
+    ticks = [100, 99 + R, 100 + R, 99 + 2 * R, 100 + 2 * R, 101 + 2 * R, 100 + 3 * R,
+             100 + 10 * R]
+    sent, state = proceeds_sent(track, ticks, ack_tick=101 + 2 * R)
+    assert sent == [100, 100 + R, 100 + 2 * R]
     assert state.phase is MissionPhase.RETURNING
-    assert state.proceed_acked and state.proceed_sent_tick == 120
-
-
-def test_retry_disabled_sends_once(track):
-    sent, state = proceeds_sent(track, 0, [100, 1000])
-    assert sent == [100]
-    assert not state.proceed_acked and state.proceed_sent_tick == 100
+    assert state.proceed_acked and state.proceed_sent_tick == 100 + 2 * R
 
 
 def copy_cases(track):
@@ -357,7 +357,7 @@ def copy_cases(track):
     assert paused.phase is MissionPhase.PAUSED_AT_POINT
     yield (cfg, paused, sensors(loaded=True, odo=cfg.pause_point[1]),
            [Message(MessageKind.PROCEED, 0, 0)], 0)
-    leader = make_config(track, role=Role.LEADER, retry_interval=20)
+    leader = make_config(track, role=Role.LEADER)
     unloading = MissionState(phase=MissionPhase.AWAIT_UNLOAD, target=4, delivered=True)
     yield leader, unloading, sensors(loaded=False, odo=2.5), [], 100
     _, _, returning = step(unloading, leader, sensors(loaded=False, odo=2.5), tick=100)

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from wardcart import simcore
 from wardcart.arena import (Action, load_map, nearest_centerline_distance, route_progress,
                             route_to)
-from wardcart.mission import (DECISION_RANGE, Intent, MissionPhase, MissionState, Role,
-                              reading_range)
-from wardcart.simcore import (CONFIG_KEYS, CartOutcome, PoseSample, SimConfig, TraceReport,
-                              _deviation_of, _header, config_from_keys, render_svg,
-                              run_scenario, trace_to_csv)
+from wardcart.mission import (DECISION_RANGE, PROCEED_RETRY_TICKS, Intent, MissionPhase,
+                              MissionState, Role, mission_step, reading_range)
+from wardcart.simcore import (BASE_DUTY, CONFIG_KEYS, GAINS, CartOutcome, PoseSample,
+                              SimConfig, TraceReport, _deviation_of, _header, config_from_keys,
+                              render_svg, run_scenario, trace_to_csv)
 from wardcart.vehicle import V_MAX
 from wardcart.vision.camera import CameraModel
 from wardcart.vision.pipeline import adaptive_binarize, detect_in_binary, undistort_bits
 from wardcart.vision.render import NoiseParams, _scratch, clean_bits, render
+
+from test_golden import GOLDEN
 
 LEGAL_NEXT = {
     MissionPhase.AWAIT_TARGET: {MissionPhase.AWAIT_LOAD, MissionPhase.FAULT},
@@ -199,6 +201,50 @@ def test_phase_sequence_is_the_legal_chain(track):
             seen.add(p)
 
 
+def _leader_faults_in(phase):
+    """mission_step, except that the leader faults in its step from phase."""
+    def step(state, cfg, sensors, inbox, tick):
+        intent, outbox, new = mission_step(state, cfg, sensors, inbox, tick)
+        if cfg.role is Role.LEADER and state.phase is phase:
+            new.phase, new.fault_reason, intent = MissionPhase.FAULT, "forced", Intent.HALT
+        return intent, outbox, new
+    return step
+
+
+@pytest.mark.parametrize("label, fault_in", [
+    ("clean_ward1", None), ("noisy_ward2", None), ("twocart_1_2", None),
+    ("twocart_1_2", MissionPhase.AT_WARD), ("twocart_1_2", MissionPhase.RETURNING)])
+def test_the_schedule_shows_the_card_and_moves_the_payload_once(track, monkeypatch, label,
+                                                                 fault_in):
+    config = GOLDEN[label][0]
+    if fault_in is not None:
+        monkeypatch.setattr(simcore, "mission_step", _leader_faults_in(fault_in))
+        config = replace(config, link_drop=0.0, max_ticks=4000)
+    report = run_scenario(track, config)
+    assert (report.outcomes[0] is CartOutcome.FAULT) == (fault_in is not None)
+    began, last = {}, {}  # (tick, cart) -> the phase the cart began that tick in
+    for s in report.samples:
+        began[s.tick, s.cart] = last.get(s.cart, MissionPhase.AWAIT_TARGET)
+        last[s.cart] = s.phase
+    delivered_at = min(s.tick for s in report.samples
+                       if s.cart == 0 and s.phase is MissionPhase.AT_WARD)
+    for cart in range(config.carts):
+        events = [(ev.tick, ev.text.partition("=")[0] if ev.text.startswith("card") else ev.text)
+                  for ev in report.events if ev.cart == cart
+                  and ev.text.startswith(("card_shown=", "payload="))]
+        kinds = [kind for _, kind in events]
+        assert len(kinds) == len(set(kinds)), kinds
+        for tick, kind in events:
+            if kind == "payload=on":
+                assert began[tick, cart] is MissionPhase.AWAIT_LOAD
+            elif kind == "payload=off":
+                assert began[tick, cart] is MissionPhase.AWAIT_UNLOAD
+            elif cart == 1:  # the follower's card shows once the lead cart has delivered
+                assert tick >= delivered_at
+        if report.outcomes[cart] is CartOutcome.DELIVERED_AND_RETURNED:
+            assert sorted(kinds) == ["card_shown", "payload=off", "payload=on"]
+
+
 def test_outcome_consistent_with_final_phase(track):
     report = run_scenario(track, SimConfig(wards=(6,), max_ticks=9000, seed=5))
     final = [s for s in report.samples if s.cart == 0][-1]
@@ -251,12 +297,12 @@ def test_config_validation():
 
 @settings(max_examples=40, deadline=None)
 @given(dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
-                    allow_subnormal=True),
-       kd=st.sampled_from([0.0, 14.0]))
-@example(dt=5e-324, kd=0.0)  # 1/dt overflows to inf, which round() cannot take
-def test_a_positive_dt_is_rejected_or_runs(track, dt, kd):
+                    allow_subnormal=True))
+@example(dt=5e-324)  # 1/dt overflows to inf, which round() cannot take
+@example(dt=1e308)   # dt / REFERENCE_DT overflows, and with it the rescaled ki
+def test_a_positive_dt_is_rejected_or_runs(track, dt):
     try:
-        config = SimConfig(dt=dt, kd=kd, max_ticks=3)
+        config = SimConfig(dt=dt, max_ticks=3)
     except ValueError:
         return
     assert isinstance(run_scenario(track, config), TraceReport)
@@ -499,7 +545,6 @@ def test_render_work_arrays_stay_cached_across_clean_and_noisy_runs(track):
 # Written out here, not read from CONFIG_KEYS, so that a row naming the wrong
 # field or header key fails: scenario key -> (valid values, where the value
 # lands, header key or None).
-_FLOATS = dict(allow_nan=False, allow_infinity=False)
 KEY_SPEC = {
     "dt": (st.floats(1e-4, 1.0), lambda c: c.dt, "dt"),
     "max_ticks": (st.integers(0, 10 ** 6), lambda c: c.max_ticks, "max_ticks"),
@@ -513,25 +558,25 @@ KEY_SPEC = {
     "noise.k1": (st.floats(-0.3, 0.3), lambda c: c.noise.k1, "noise.k1"),
     "link.latency": (st.integers(0, 100), lambda c: c.link_latency, "link.latency"),
     "link.drop": (st.floats(0, 1), lambda c: c.link_drop, "link.drop"),
-    "link.retry_interval": (st.integers(0, 100), lambda c: c.retry_interval,
-                            "link.retry_interval"),
-    "pid.kp": (st.floats(-1e3, 1e3, **_FLOATS), lambda c: c.kp, "pid.kp"),
-    "pid.ki": (st.floats(-1e3, 1e3, **_FLOATS), lambda c: c.ki, "pid.ki"),
-    "pid.kd": (st.floats(-1e3, 1e3, **_FLOATS), lambda c: c.kd, "pid.kd"),
-    "pid.integral_limit": (st.floats(1e-3, 1e3), lambda c: c.integral_limit, None),
-    "pid.output_limit": (st.floats(1e-3, 1e3), lambda c: c.output_limit, None),
-    "drive.base_duty": (st.floats(0, 1), lambda c: c.base_duty, "base_duty"),
 }
+# after the keys, the header echoes the fixed resend period and controller
+FIXED_HEADER = (("link.retry_interval", repr(PROCEED_RETRY_TICKS)), ("pid.kp", repr(GAINS.kp)),
+                ("pid.ki", repr(GAINS.ki)), ("pid.kd", repr(GAINS.kd)),
+                ("base_duty", repr(BASE_DUTY)))
 
 
 def test_key_spec_covers_the_table():
-    assert set(KEY_SPEC) == {key for key, _, _ in CONFIG_KEYS}
+    assert set(KEY_SPEC) == {key for key, _ in CONFIG_KEYS}
+    assert all(len(row) == 2 for row in CONFIG_KEYS)
 
 
 def test_every_config_field_is_a_scenario_key():
-    # a field no key reaches could not be set or echoed in the trace header
-    named = {name.partition(".")[0] for _, name, _ in CONFIG_KEYS}
+    # a field no key reaches could not be set or echoed in the trace header;
+    # the cart's tuning values are module constants, not fields
+    named = {name.partition(".")[0] for _, name in CONFIG_KEYS}
     assert {f.name for f in fields(SimConfig)} == named
+    assert [f.name for f in fields(SimConfig)] == [
+        "dt", "max_ticks", "seed", "noise", "carts", "wards", "link_latency", "link_drop"]
 
 
 # a whole-number key that float parsing would round, always tried
@@ -555,8 +600,9 @@ def test_every_key_lands_in_its_field_and_header_line(values):
             assert header[echo] == ",".join(repr(w) for w in cfg.wards)
         elif echo is not None:
             assert header[echo] == repr(value), key
-    echoed = {spec[2] for spec in KEY_SPEC.values()} - {None}
-    assert set(header) == echoed | {"generator"}
+    echoed = [spec[2] for spec in KEY_SPEC.values() if spec[2] is not None]
+    assert list(header) == ["generator"] + echoed + [key for key, _ in FIXED_HEADER]
+    assert tuple(header.items())[-len(FIXED_HEADER):] == FIXED_HEADER
 
 
 def test_a_second_cart_defaults_to_the_first_carts_ward():
