@@ -41,29 +41,11 @@ class MapValidationError(MapError):
     """A structurally valid file that violates a map invariant."""
 
 
-class Tier(Enum):
-    NEAR = "near"
-    MID = "mid"
-    FAR = "far"
-
-
 class Action(Enum):
     STRAIGHT = "straight"
     LEFT = "left"
     RIGHT = "right"
     STOP = "stop"
-
-
-_TIER_OF_WARD = {1: Tier.NEAR, 2: Tier.NEAR, 3: Tier.MID, 4: Tier.MID,
-                 5: Tier.FAR, 6: Tier.FAR, 7: Tier.FAR, 8: Tier.FAR}
-
-
-def classify_ward(ward_id: int) -> Tier:
-    """Tier of a ward id: {1,2} near, {3,4} mid, {5..8} far."""
-    try:
-        return _TIER_OF_WARD[ward_id]
-    except KeyError:
-        raise ValueError(f"ward id {ward_id} out of range 1..8") from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .arena import (MapError, PlacardEntry, TrackMap, classify_ward, default_map, iter_records,
+from .arena import (MapError, PlacardEntry, TrackMap, default_map, iter_records,
                     load_map, resolve_pause_point, route_to)
 from .prng import derive_seed
 from .simcore import (CONFIG_KEYS, CartOutcome, SimConfig, TraceReport, config_from_keys,
@@ -172,15 +172,14 @@ def cmd_suite(args: argparse.Namespace) -> int:
         expected = scn.expected or CartOutcome.DELIVERED_AND_RETURNED
         ok = all(o is expected for o in report.outcomes)
         failures += 0 if ok else 1
-        tiers = {classify_ward(w).value for w in scn.config.wards}
         rows.append((scn.name, "/".join(str(w) for w in scn.config.wards),
-                     ",".join(sorted(tiers)), recognized, delivered,
+                     recognized, delivered,
                      report.outcomes[0].value if len(report.outcomes) == 1
                      else ";".join(o.value for o in report.outcomes), ok))
     name_w = max([len(r[0]) for r in rows], default=8)
-    print(f"{'scenario':<{name_w}}  ward  tier      recognized  delivered  outcome")
-    for name, wards, tier, recognized, delivered, outcome, ok in rows:
-        print(f"{name:<{name_w}}  {wards:<4}  {tier:<8}  "
+    print(f"{'scenario':<{name_w}}  ward  recognized  delivered  outcome")
+    for name, wards, recognized, delivered, outcome, ok in rows:
+        print(f"{name:<{name_w}}  {wards:<4}  "
               f"{'yes' if recognized else 'no':<10}  "
               f"{'yes' if delivered else 'no':<9}  {outcome}"
               f"{'' if ok else '  [FAIL]'}")

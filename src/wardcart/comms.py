@@ -9,8 +9,10 @@ schedule is part of the leader's mission state (``mission.mission_step``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .prng import Lcg64
 
@@ -36,7 +38,7 @@ class Link:
     latency_ticks: int = 3
     drop_probability: float = 0.0
     rng_seed: int = 0
-    in_flight: list[tuple[int, int, Message]] = field(default_factory=list)
+    in_flight: list[tuple[int, Message]] = field(default_factory=list)  # (due tick, msg)
 
     def __post_init__(self):
         if self.latency_ticks < 0:
@@ -44,18 +46,19 @@ class Link:
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError("drop_probability must be in [0, 1]")
         self._rng = Lcg64(self.rng_seed)
-        self._order = 0
 
     def send(self, msg: Message, now_tick: int) -> bool:
         """Queue a message; returns False when the link dropped it."""
+        if self.in_flight and now_tick + self.latency_ticks < self.in_flight[-1][0]:
+            raise ValueError(f"send at tick {now_tick} after a send at a later tick")
         if self.drop_probability > 0 and self._rng.uniform() < self.drop_probability:
             return False
-        self.in_flight.append((now_tick + self.latency_ticks, self._order, msg))
-        self._order += 1
+        self.in_flight.append((now_tick + self.latency_ticks, msg))
         return True
 
     def poll(self, now_tick: int) -> list[Message]:
-        """All messages due by now_tick, in send order."""
-        due = sorted(t for t in self.in_flight if t[0] <= now_tick)
-        self.in_flight = [t for t in self.in_flight if t[0] > now_tick]
-        return [msg for _, _, msg in due]
+        """All messages due by now_tick, in send order: with one latency and
+        send ticks that never decrease, they are a prefix of in_flight."""
+        n = bisect_right(self.in_flight, now_tick, key=itemgetter(0))
+        due, self.in_flight = self.in_flight[:n], self.in_flight[n:]
+        return [msg for _, msg in due]

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .vehicle import MotorCommand
-
 
 @dataclass(frozen=True)
 class PidGains:
@@ -73,10 +71,11 @@ def pid_step(state: PidState, gains: PidGains, error: float) -> tuple[float, Pid
     return u, PidState(error_sum=error_sum, prev_error=error, initialized=True)
 
 
-def steer(u: float, base_duty: float) -> MotorCommand:
-    """Mix a steering output into wheel duties.
+def steer(u: float, base_duty: float) -> tuple[float, float]:
+    """Mix a steering output into (left, right) wheel duties.
 
     Positive u means the line is right of center, so the left wheel speeds
-    up and the cart turns right. Duties clamp to [-1, 1].
+    up and the cart turns right. ``vehicle.apply_motor`` clamps the duties
+    to [-1, 1].
     """
-    return MotorCommand(duty_left=base_duty + u, duty_right=base_duty - u)
+    return base_duty + u, base_duty - u

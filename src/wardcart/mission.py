@@ -104,7 +104,6 @@ class MissionState:
     contradictions: int = 0
     delivered: bool = False
     proceed_received: bool = False
-    pause_cleared: bool = False
     out_seq: int = 0
     proceed_acked: bool = False          # leader: the follower acknowledged a Proceed
     proceed_sent_tick: int | None = None  # leader: tick of the last Proceed sent
@@ -119,10 +118,6 @@ def _copy(state: MissionState) -> MissionState:
     return st
 
 
-class JunctionContradiction(ValueError):
-    """Vision places the target on a side the route plan rules out."""
-
-
 def _confirm_update(digit: int, streak: int,
                     detections: list[DigitDetection]) -> tuple[int, int]:
     if not detections:
@@ -133,19 +128,19 @@ def _confirm_update(digit: int, streak: int,
     return nearest.digit, 1
 
 
-def check_junction(target: int, detections: list[DigitDetection], planned: Action) -> None:
+def check_junction(target: int, detections: list[DigitDetection], planned: Action) -> str | None:
     """Check the planned action at the upcoming junction against vision.
 
     The nearest target placard within DECISION_RANGE shows the side the
-    target lies on. Raises JunctionContradiction when that side is not the
-    planned turn or straight (a misread somewhere); a planned Stop and a
-    target placard out of range or out of sight pass.
+    target lies on. Returns the contradiction when that side is not the
+    planned turn or straight (a misread somewhere), else None; a planned
+    Stop and a target placard out of range or out of sight pass.
     """
     if planned is Action.STOP:
-        return
+        return None
     on_target = [d for d in detections if d.range_z < DECISION_RANGE and d.digit == target]
     if not on_target:
-        return
+        return None
     best = min(on_target, key=lambda d: (d.range_z, d.image_x))
     dx = best.image_x - WIDTH / 2.0
     if dx < -JUNCTION_CENTER_TOLERANCE:
@@ -154,9 +149,9 @@ def check_junction(target: int, detections: list[DigitDetection], planned: Actio
         seen = Action.RIGHT
     else:
         seen = Action.STRAIGHT
-    if seen is not planned:
-        raise JunctionContradiction(
-            f"target {target} placard suggests {seen.value}, route says {planned.value}")
+    if seen is planned:
+        return None
+    return f"target {target} placard suggests {seen.value}, route says {planned.value}"
 
 
 def reading_range(state: MissionState, cfg: MissionConfig, loaded: bool) -> float | None:
@@ -217,24 +212,20 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Inten
 
     if (st.phase is MissionPhase.OUTBOUND and st.target is not None
             and st.cursor < len(st.leg_actions)):
-        try:
-            check_junction(st.target, sensors.detections, st.leg_actions[st.cursor])
-        except JunctionContradiction as exc:
+        contradiction = check_junction(st.target, sensors.detections, st.leg_actions[st.cursor])
+        if contradiction is None:
+            st.contradictions = 0
+        else:
             st.contradictions += 1
             if st.contradictions >= CONTRADICTION_LIMIT:
-                _fault(st, str(exc))
+                _fault(st, contradiction)
                 return Intent.HALT
-        else:
-            st.contradictions = 0
 
+    # a follower holds at its pause point until the leader's Proceed arrives
     if (st.phase is MissionPhase.OUTBOUND and cfg.role is Role.FOLLOWER
-            and not st.pause_cleared and cfg.pause_point is not None):
-        if leg_dist >= cfg.pause_point[1] - STOP_MARGIN:
-            if st.proceed_received:
-                st.pause_cleared = True
-            else:
-                st.phase = MissionPhase.PAUSED_AT_POINT
-                return Intent.HALT
+            and not st.proceed_received and leg_dist >= cfg.pause_point[1] - STOP_MARGIN):
+        st.phase = MissionPhase.PAUSED_AT_POINT
+        return Intent.HALT
 
     if st.cursor < len(st.leg_triggers):
         action = st.leg_actions[st.cursor]
@@ -289,7 +280,6 @@ def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
         st.phase = MissionPhase.OUTBOUND
 
     if st.phase is MissionPhase.PAUSED_AT_POINT and st.proceed_received:
-        st.pause_cleared = True
         st.phase = MissionPhase.OUTBOUND
 
     if st.phase is MissionPhase.AT_WARD:

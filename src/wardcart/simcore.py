@@ -41,8 +41,7 @@ from .controller import PidGains, PidState, pid_step, steer
 from .mission import (PROCEED_RETRY_TICKS, Intent, MissionConfig, MissionPhase, MissionState,
                       Role, SensorBundle, mission_step, reading_range)
 from .prng import GENERATOR_IDS, derive_seed
-from .vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, MotorCommand, VehicleState,
-                      apply_motor, set_payload)
+from .vehicle import MOTOR_TIME_CONSTANT, TRACK_WIDTH, VehicleState, apply_motor, set_payload
 from .vision.camera import WIDTH, CameraModel
 from .vision.glyphs import default_templates
 from .vision.pipeline import adaptive_binarize, detect_in_binary, line_centroid, undistort_bits
@@ -341,9 +340,9 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
                 intent = Intent.HALT  # engine owns the cart while a turn is latched;
                 # inbox messages wait in pending_inbox until it resumes
 
-            cmd = _drive_command(cart, intent, sensors, gains, config, tick, log)
+            left, right = _drive_command(cart, intent, sensors, gains, config, tick, log)
             prev_pose = cart.vehicle.pose
-            cart.vehicle = apply_motor(cart.vehicle, cmd, config.dt)
+            cart.vehicle = apply_motor(cart.vehicle, left, right, config.dt)
             cart.odometry += math.hypot(cart.vehicle.pose[0] - prev_pose[0],
                                         cart.vehicle.pose[1] - prev_pose[1])
             _advance_turn(cart)
@@ -435,11 +434,10 @@ def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfi
             cart.await_unload_since = tick
         if cart.unload_tick is None:
             if cart.mission_cfg.role is Role.LEADER:
-                follower = carts[1] if len(carts) > 1 else None
-                if follower is not None and follower.mission.phase is MissionPhase.PAUSED_AT_POINT:
+                follower_phase = carts[1].mission.phase  # a leader always has a follower
+                if follower_phase is MissionPhase.PAUSED_AT_POINT:
                     cart.unload_tick = tick + LEADER_DWELL_AFTER_PAUSE
-                elif follower is not None and follower.mission.phase in (
-                        MissionPhase.FAULT, MissionPhase.DONE):
+                elif follower_phase in (MissionPhase.FAULT, MissionPhase.DONE):
                     cart.unload_tick = tick + UNLOAD_DWELL_TICKS
                 elif tick - cart.await_unload_since >= LEADER_MAX_DWELL:
                     cart.unload_tick = tick
@@ -504,16 +502,16 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
 
 
 def _drive_command(cart: _Cart, intent: Intent, sensors: SensorBundle, gains: PidGains,
-                   config: SimConfig, tick: int, log) -> MotorCommand:
+                   config: SimConfig, tick: int, log) -> tuple[float, float]:
     if cart.turn is not None:
         return _turn_command(cart.turn)
 
     if intent is Intent.HALT:
-        return MotorCommand(0.0, 0.0)
+        return 0.0, 0.0
 
     if intent is Intent.FOLLOW:
         if sensors.line is None:
-            return MotorCommand(BASE_DUTY, BASE_DUTY)
+            return BASE_DUTY, BASE_DUTY
         half = WIDTH / 2.0
         error = (sensors.line[0] - half) / half
         u, cart.pid = pid_step(cart.pid, gains, error)
@@ -528,12 +526,12 @@ def _drive_command(cart: _Cart, intent: Intent, sensors: SensorBundle, gains: Pi
     return _turn_command(cart.turn)
 
 
-def _turn_command(turn: _Turn) -> MotorCommand:
+def _turn_command(turn: _Turn) -> tuple[float, float]:
     if turn.braking:
-        return MotorCommand(0.0, 0.0)
+        return 0.0, 0.0
     if turn.direction is Intent.RIGHT:
-        return MotorCommand(TURN_DUTY, -TURN_DUTY)
-    return MotorCommand(-TURN_DUTY, TURN_DUTY)  # LEFT and AROUND rotate counterclockwise
+        return TURN_DUTY, -TURN_DUTY
+    return -TURN_DUTY, TURN_DUTY  # LEFT and AROUND rotate counterclockwise
 
 
 def _advance_turn(cart: _Cart) -> None:

@@ -25,16 +25,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 @dataclass(frozen=True)
-class MotorCommand:
-    duty_left: float
-    duty_right: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "duty_left", min(1.0, max(-1.0, self.duty_left)))
-        object.__setattr__(self, "duty_right", min(1.0, max(-1.0, self.duty_right)))
-
-
-@dataclass(frozen=True)
 class VehicleState:
     pose: tuple[float, float, float] = (0.0, 0.0, 0.0)  # x m, y m, heading rad
     wheel_speed: tuple[float, float] = (0.0, 0.0)       # left, right m/s
@@ -60,8 +50,9 @@ def _quadrature(dt: float) -> tuple[tuple[float, float, float, float], ...]:
     return tuple(nodes)
 
 
-def apply_motor(state: VehicleState, cmd: MotorCommand, dt: float) -> VehicleState:
-    """Advance the cart by dt under a motor command.
+def apply_motor(state: VehicleState, duty_left: float, duty_right: float,
+                dt: float) -> VehicleState:
+    """Advance the cart by dt under wheel duties, each clamped to [-1, 1].
 
     Exact in the wheel-speed and heading components; position is integrated
     with composite quadrature of the time-varying twist. The wheel
@@ -70,8 +61,8 @@ def apply_motor(state: VehicleState, cmd: MotorCommand, dt: float) -> VehicleSta
     if dt <= 0:
         raise ValueError("dt must be positive")
     tau = MOTOR_TIME_CONSTANT
-    vt_l = cmd.duty_left * V_MAX
-    vt_r = cmd.duty_right * V_MAX
+    vt_l = min(1.0, max(-1.0, duty_left)) * V_MAX
+    vt_r = min(1.0, max(-1.0, duty_right)) * V_MAX
     v0_l, v0_r = state.wheel_speed
     dev_l = v0_l - vt_l
     dev_r = v0_r - vt_r

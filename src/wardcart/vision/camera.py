@@ -29,9 +29,9 @@ MONOTONE_K1_FLOOR = -1.0 / 3.0
 
 
 def check_k1(k1: float) -> None:
-    """Reject k1 that folds the radial map on the image diagonal."""
-    if not k1 > MONOTONE_K1_FLOOR:  # NaN fails too
-        raise ValueError(f"k1={k1} makes the radial map non-monotone")
+    """Reject an infinite k1 and one that folds the radial map on the diagonal."""
+    if not MONOTONE_K1_FLOOR < k1 < math.inf:  # NaN fails too
+        raise ValueError(f"k1={k1} is not a finite value above -1/3")
 
 
 @dataclass(frozen=True)

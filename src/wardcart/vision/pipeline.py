@@ -70,8 +70,10 @@ def _undistort_map(width: int, height: int, k1: float) -> tuple[np.ndarray, np.n
     du, dv = uu - cx, vv - cy
     r_u = np.hypot(du, dv) / norm
     scale = 1.0 + k1 * r_u * r_u  # r_d / r_u
-    src_u = np.rint(cx + du * scale).astype(np.int64)
-    src_v = np.rint(cy + dv * scale).astype(np.int64)
+    # clipped in float before the cast: a huge k1 maps beyond int64, or to +-inf
+    with np.errstate(over="ignore"):
+        src_u = np.clip(np.rint(cx + du * scale), -1, width).astype(np.int64)
+        src_v = np.clip(np.rint(cy + dv * scale), -1, height).astype(np.int64)
     valid = (src_u >= 0) & (src_u < width) & (src_v >= 0) & (src_v < height)
     # in place: the map is built while a noisy run's work arrays are held
     np.clip(src_u, 0, width - 1, out=src_u)

@@ -213,12 +213,13 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
         # normal draws loc + scale * standard_normal from the same stream,
         # and each pixel adds its level plus brightness to its draw
         img = rng.standard_normal(out=_scratch(ink.shape, np.dtype(np.float64), "pixels"))
-        img *= noise.sigma
-        img += 0.0
-        inked = np.flatnonzero(ink)
-        at_ink = img.take(inked)
-        at_ink += INK_LEVEL + noise.brightness
-        img += BACKGROUND_LEVEL + noise.brightness
+        with np.errstate(over="ignore"):  # a huge sigma saturates, as +-inf clips
+            img *= noise.sigma
+            img += 0.0
+            inked = np.flatnonzero(ink)
+            at_ink = img.take(inked)
+            at_ink += INK_LEVEL + noise.brightness
+            img += BACKGROUND_LEVEL + noise.brightness
         img.put(inked, at_ink)
         np.clip(np.rint(img, out=img), 0, 255, out=img)
         return img.astype(np.uint8)

@@ -14,7 +14,7 @@ from wardcart.cli import run_corpus
 from wardcart.controller import PidState, gains_from_classical, pid_step
 from wardcart.mission import MissionPhase
 from wardcart.simcore import CartOutcome, SimConfig, run_scenario, trace_to_csv
-from wardcart.vehicle import MotorCommand, VehicleState, apply_motor
+from wardcart.vehicle import VehicleState, apply_motor
 from wardcart.vision.camera import CameraModel
 from wardcart.vision.pipeline import adaptive_binarize, line_centroid
 from wardcart.vision.render import NoiseParams, render
@@ -175,10 +175,10 @@ def test_criterion_8_kinematics():
         state = VehicleState(
             pose=(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi)),
             wheel_speed=(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
-        cmd = MotorCommand(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        duties = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         dt = rng.uniform(0.005, 0.3)
-        once = apply_motor(state, cmd, 2 * dt)
-        twice = apply_motor(apply_motor(state, cmd, dt), cmd, dt)
+        once = apply_motor(state, *duties, 2 * dt)
+        twice = apply_motor(apply_motor(state, *duties, dt), *duties, dt)
         for a, b in zip(once.pose, twice.pose):
             worst = max(worst, abs(a - b))
     assert worst < 1e-9, worst
@@ -188,8 +188,7 @@ def test_criterion_8_kinematics():
         duty = rng.uniform(0.05, 1.0)
         side = 1.0 if rng.uniform() < 0.5 else -1.0
         dt = rng.uniform(0.01, 1.0)
-        state = apply_motor(VehicleState(),
-                            MotorCommand(-side * duty, side * duty), dt)
+        state = apply_motor(VehicleState(), -side * duty, side * duty, dt)
         assert state.pose[0] == 0.0 and state.pose[1] == 0.0
         assert abs(state.pose[2]) > 0.0
     ok_line(8, "kinematics", f"semigroup worst {worst:.2e}, rotation stays in place")

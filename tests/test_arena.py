@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wardcart.arena import (Action, MapParseError, MapValidationError, Tier, _project,
-                            classify_ward, load_map,
+from wardcart.arena import (Action, MapParseError, MapValidationError, _project, load_map,
                             nearest_centerline_distance, project_offsets,
                             resolve_pause_point, route_to, serialize_map)
 
@@ -167,22 +166,12 @@ def test_duplicate_placard_digit_rejected():
         load_map(TINY_MAP.replace("ward 3 w", "ward 3 w 3"))
 
 
-# ------------------------------------------------------------ ward tiers
-
-def test_classify_ward_matches_tier_table():
-    expected = {1: Tier.NEAR, 2: Tier.NEAR, 3: Tier.MID, 4: Tier.MID,
-                5: Tier.FAR, 6: Tier.FAR, 7: Tier.FAR, 8: Tier.FAR}
-    for wid, tier in expected.items():
-        assert classify_ward(wid) is tier
-
-
-def test_classify_ward_rejects_out_of_range():
-    for bad in (0, 9, -1):
-        with pytest.raises(ValueError):
-            classify_ward(bad)
-
-
 # --------------------------------------------------------------- routing
+
+# the default map's wards by distance from the pharmacy
+DEFAULT_MAP_TIER = {1: "near", 2: "near", 3: "mid", 4: "mid",
+                    5: "far", 6: "far", 7: "far", 8: "far"}
+
 
 def test_route_lengths_follow_tiers(track):
     l1, l3, l5 = (sum(s.length for s in route_to(track, w).steps) for w in (1, 3, 5))
@@ -192,7 +181,7 @@ def test_route_lengths_follow_tiers(track):
 def test_route_length_monotone_in_tier_order(track):
     order = [1, 2, 3, 4, 5, 6, 7, 8]
     lengths = [sum(s.length for s in route_to(track, w).steps) for w in order]
-    tiers = [classify_ward(w) for w in order]
+    tiers = [DEFAULT_MAP_TIER[w] for w in order]
     for i in range(len(order) - 1):
         if tiers[i] != tiers[i + 1]:
             assert lengths[i] <= lengths[i + 1]

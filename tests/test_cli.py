@@ -1,6 +1,12 @@
+import contextlib
+import io
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wardcart import cli
 from wardcart.cli import ScenarioError, _apply_overrides, build_parser, load_scenario, main
@@ -95,7 +101,7 @@ def test_suite_passes_on_good_scenarios(capsys, monkeypatch):
     shipped = len(list((REPO / "scenarios").glob("*.scn")))
     assert code == 0
     assert f"{shipped}/{shipped} scenarios passed" in out
-    assert "near" in out
+    assert "ward  recognized  delivered  outcome" in out  # no tier column
     assert len(runs) == shipped
     for track, report in runs:
         want = tuple(scalar_deviation(track, report.samples, cart)
@@ -155,6 +161,14 @@ def test_vision_corpus_clean_subset_is_perfect(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "label,predicted,score,k1,brightness,noise"
     assert len(lines) == 1 + 8 * 5 * 3  # digits x shifts_x x shifts_y
+
+
+def test_vision_corpus_runs_a_huge_k1(tmp_path, capsys):
+    # a card seen through k1 = 1e300 is blank, and the run goes on
+    code = main(["vision-corpus", str(tmp_path / "k1.csv"), "--k1", "0,1e300",
+                 "--brightness", "0", "--noise", "0"])
+    assert code == 0
+    assert "accuracy=0.5000" in capsys.readouterr().out
 
 
 def test_vision_corpus_rejects_empty_grid(tmp_path, capsys):
@@ -342,3 +356,44 @@ def test_one_cart_run_ignores_ward2(tmp_path, capsys):
     scn.write_text("carts = 1\nward = 4\nward2 = 5\n")
     assert main(["run", str(scn), "--max-ticks", "50"]) == 0
     assert "cart1" not in capsys.readouterr().out
+
+
+# ------------------------------------------- generated scenarios and flags
+
+# values a key takes, and odd spellings that float() or int() may take:
+# underscores, hex, huge and tiny magnitudes, signed zero, a Unicode digit,
+# non-finite values and nothing
+PLAIN_VALUES = ["0", "1", "2", "3", "4", "8", "0.05", "0.5", "30", "incomplete",
+                "builtin:default"]
+ODD_VALUES = ["9", "-1", "-0", "1_0", "0x10", "nan", "inf", "-inf", "1e18", "1e300",
+              "1e308", "1e-320", "-0.34", str(2 ** 64), str(10 ** 40), "\u0663", "",
+              "missing.map", "fault"]
+plain = st.sampled_from(PLAIN_VALUES)
+# plain values weigh three times, so about a fifth of the cases run the engine
+value_text = st.one_of(plain, plain, plain, st.sampled_from(ODD_VALUES),
+                       st.integers(-(2 ** 70), 2 ** 70).map(str),
+                       st.floats(allow_nan=True, allow_infinity=True).map(repr))
+scenario_line = st.tuples(
+    st.sampled_from([key for key, _ in CONFIG_KEYS] + ["map", "expected", "pid.kp"]),
+    st.sampled_from(["=", " = ", "\t=  "]), value_text)
+RUN_FLAGS = ["--seed", "--dt", "--noise", "--k1", "--drop", "--latency"]
+
+
+@given(lines=st.lists(scenario_line, max_size=4, unique_by=lambda line: line[0]),
+       flags=st.lists(st.tuples(st.sampled_from(RUN_FLAGS), value_text), max_size=2),
+       max_ticks=st.integers(0, 30), crlf=st.booleans())
+@example(lines=[("noise.k1", " = ", "1e300")], flags=[], max_ticks=3, crlf=False)
+@example(lines=[("carts", "=", "2")], flags=[("--k1", "1e18")], max_ticks=3, crlf=True)
+@settings(max_examples=300, deadline=None)
+def test_any_scenario_and_run_flags_exit_cleanly(lines, flags, max_ticks, crlf):
+    # on the default map only: a generated map may ask for a raster of gigabytes
+    text = ("\r\n" if crlf else "\n").join(f"{k}{sep}{v}" for k, sep, v in lines)
+    # --flag=value, so argparse takes a value such as -inf as the flag's
+    argv = [f"{flag}={value}" for flag, value in flags] + [f"--max-ticks={max_ticks}"]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        scn = Path(tmp) / "gen.scn"
+        scn.write_text(text, encoding="utf-8")
+        assert main(["run", str(scn), *argv]) in (0, 1, 2)

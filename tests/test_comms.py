@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardcart.arena import route_progress
 from wardcart.comms import Link, Message, MessageKind
@@ -67,6 +71,33 @@ def test_poll_returns_only_due_messages():
     assert [m.seq for m in link.poll(5)] == [0]
     assert [m.seq for m in link.poll(7)] == []
     assert [m.seq for m in link.poll(8)] == [1]
+
+
+@given(latency=st.integers(0, 12), gaps=st.lists(st.integers(0, 4), max_size=40),
+       drop=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_poll_delivers_each_kept_message_once_at_its_due_tick_in_send_order(
+        latency, gaps, drop, seed):
+    link = Link(latency_ticks=latency, drop_probability=drop, rng_seed=seed)
+    send_ticks = list(itertools.accumulate(gaps))  # never decreasing
+    kept, delivered = [], []
+    for now in range((send_ticks[-1] if send_ticks else 0) + latency + 2):
+        for seq, tick in enumerate(send_ticks):
+            if tick == now and link.send(msg(seq), now):
+                kept.append((now + latency, seq))
+        delivered += [(now, m.seq) for m in link.poll(now)]
+    assert delivered == kept
+    assert link.in_flight == []
+
+
+def test_a_send_before_one_in_flight_is_rejected():
+    link = Link(latency_ticks=2)
+    link.send(msg(0), now_tick=5)
+    with pytest.raises(ValueError, match="later tick"):
+        link.send(msg(1), now_tick=4)
+    assert link.send(msg(1), now_tick=5)  # the same tick is fine
+    link.poll(7)
+    assert link.send(msg(2), now_tick=0)  # and so is any tick once nothing is in flight
 
 
 def test_identical_seeds_reproduce_the_schedule():

@@ -113,18 +113,15 @@ def test_anti_windup_bounds_output_under_constant_error():
 
 
 def test_steer_examples():
-    c = steer(0.0, 0.5)
-    assert (c.duty_left, c.duty_right) == (0.5, 0.5)
-    c = steer(0.2, 0.5)
-    assert (c.duty_left, c.duty_right) == (pytest.approx(0.7), pytest.approx(0.3))
-    c = steer(2.0, 0.5)
-    assert (c.duty_left, c.duty_right) == (1.0, -1.0)
+    assert steer(0.0, 0.5) == (0.5, 0.5)
+    assert steer(0.2, 0.5) == (pytest.approx(0.7), pytest.approx(0.3))
+    assert steer(2.0, 0.5) == (2.5, -1.5)  # vehicle.apply_motor clamps the duties
 
 
 def test_steer_direction_sign_matches_u():
     for u in (-0.3, -0.05, 0.05, 0.3):
-        c = steer(u, 0.6)
-        assert math.copysign(1, c.duty_left - c.duty_right) == math.copysign(1, u)
+        left, right = steer(u, 0.6)
+        assert math.copysign(1, left - right) == math.copysign(1, u)
 
 
 def test_closed_loop_p_only_converges_monotonically():

@@ -8,7 +8,7 @@ from wardcart.arena import Action, resolve_pause_point, route_to
 from wardcart.comms import Message, MessageKind
 from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANGE,
                               PROCEED_RETRY_TICKS, STOP_MARGIN, TURN_LEAD, Intent,
-                              JunctionContradiction, MissionConfig, MissionPhase, MissionState,
+                              MissionConfig, MissionPhase, MissionState,
                               Role, SensorBundle, check_junction, mission_step, reading_range)
 from wardcart.vision.pipeline import DigitDetection
 
@@ -74,37 +74,39 @@ def test_acquire_uses_nearest_when_crowded(track):
 
 def test_junction_decide_left_from_placard_position(track):
     planned = route_to(track, 1).steps[0].action  # first junction action is Left
-    check_junction(1, [det(1, x=20.0, z=0.2)], planned)
+    assert check_junction(1, [det(1, x=20.0, z=0.2)], planned) is None
     for other in (Action.RIGHT, Action.STRAIGHT):
-        with pytest.raises(JunctionContradiction, match="suggests left"):
-            check_junction(1, [det(1, x=20.0, z=0.2)], other)
+        assert check_junction(1, [det(1, x=20.0, z=0.2)], other) == (
+            f"target 1 placard suggests left, route says {other.value}")
 
 
 def test_junction_decide_no_placard_in_range(track):
     planned = route_to(track, 1).steps[0].action
-    check_junction(1, [], planned)
+    assert check_junction(1, [], planned) is None
     for z in (2.0, DECISION_RANGE):  # on the wrong side, but not yet in range
-        check_junction(1, [det(1, x=150.0, z=z)], planned)
+        assert check_junction(1, [det(1, x=150.0, z=z)], planned) is None
 
 
 def test_junction_decide_centered_is_straight(track):
     planned = route_to(track, 5).steps[0].action  # straight through the first junction
-    check_junction(5, [det(5, x=80.0, z=0.2)], planned)
-    with pytest.raises(JunctionContradiction, match="suggests straight"):
-        check_junction(5, [det(5, x=80.0, z=0.2)], Action.LEFT)
+    assert check_junction(5, [det(5, x=80.0, z=0.2)], planned) is None
+    assert check_junction(5, [det(5, x=80.0, z=0.2)], Action.LEFT) == (
+        "target 5 placard suggests straight, route says left")
 
 
 def test_junction_decide_falls_back_to_plan(track):
     planned = route_to(track, 5).steps[0].action  # target 5 absent at the near junction
     for plan_says in (planned, Action.LEFT, Action.RIGHT):
-        check_junction(5, [det(1, x=20.0, z=0.2), det(2, x=140.0, z=0.2)], plan_says)
+        assert check_junction(5, [det(1, x=20.0, z=0.2), det(2, x=140.0, z=0.2)],
+                              plan_says) is None
 
 
 def test_junction_decide_contradiction_raises(track):
     planned = route_to(track, 1).steps[0].action  # route says Left
-    with pytest.raises(JunctionContradiction, match="route says left"):
-        check_junction(1, [det(1, x=150.0, z=0.2)], planned)
-    check_junction(1, [det(1, x=150.0, z=0.2)], Action.STOP)  # arriving, not deciding
+    assert check_junction(1, [det(1, x=150.0, z=0.2)], planned) == (
+        "target 1 placard suggests right, route says left")
+    # arriving, not deciding
+    assert check_junction(1, [det(1, x=150.0, z=0.2)], Action.STOP) is None
 
 
 # ---------------------------------------------------------- phase stepping
@@ -269,7 +271,9 @@ def test_follower_with_early_proceed_never_pauses(track):
                        inbox=[Message(MessageKind.PROCEED, 0, 0)])
     _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
     assert state.phase is MissionPhase.OUTBOUND
-    assert state.pause_cleared
+    # and no later step pauses it: the Proceed it holds never clears
+    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1] + 0.05))
+    assert state.phase is MissionPhase.OUTBOUND and state.proceed_received
 
 
 def test_follower_config_requires_pause_point(track):
@@ -577,4 +581,4 @@ def test_reading_range_is_what_the_mission_step_reads(track):
 
 
 def test_the_junction_check_reads_nothing_at_a_stop():
-    check_junction(2, Unreadable(), Action.STOP)
+    assert check_junction(2, Unreadable(), Action.STOP) is None

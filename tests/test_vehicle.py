@@ -4,21 +4,20 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wardcart import vehicle
-from wardcart.vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, V_MAX, MotorCommand,
-                              VehicleState, apply_motor, set_payload)
+from wardcart.vehicle import (MOTOR_TIME_CONSTANT, TRACK_WIDTH, V_MAX, VehicleState,
+                              apply_motor, set_payload)
 
 
-def rk4_oracle(state, cmd, dt, steps=4000):
+def rk4_oracle(state, duties, dt, steps=4000):
     """Independent fine-step integrator for the same continuous model."""
     x, y, th = state.pose
     v_l, v_r = state.wheel_speed
     tau = MOTOR_TIME_CONSTANT
-    vt_l = max(-1.0, min(1.0, cmd.duty_left)) * V_MAX
-    vt_r = max(-1.0, min(1.0, cmd.duty_right)) * V_MAX
+    vt_l, vt_r = (max(-1.0, min(1.0, d)) * V_MAX for d in duties)
     h = dt / steps
 
     def deriv(s):
@@ -38,15 +37,14 @@ def rk4_oracle(state, cmd, dt, steps=4000):
     return s
 
 
-def quadrature_reference(state, cmd, dt):
+def quadrature_reference(state, duties, dt):
     """apply_motor's quadrature evaluated node by node over NumPy-scalar
     nodes; the table-driven apply_motor must match it in value and type."""
     def displacement(target, dev, tau, t):
         return target * t + dev * tau * (1.0 - math.exp(-t / tau))
 
     tau = MOTOR_TIME_CONSTANT
-    vt_l = cmd.duty_left * V_MAX
-    vt_r = cmd.duty_right * V_MAX
+    vt_l, vt_r = (d * V_MAX for d in duties)
     v0_l, v0_r = state.wheel_speed
     dev_l = v0_l - vt_l
     dev_r = v0_r - vt_r
@@ -78,8 +76,8 @@ def test_pose_position_is_numpy_float64(dt):
     # the renderer computes world coordinates in the pose's precision
     # (NumPy 2 promotion), so a Python-float pose would render differently
     state = VehicleState(pose=(0.5, -0.25, 1.0))
-    for cmd in (MotorCommand(0.8, 0.6), MotorCommand(0.0, 0.0)):
-        state = apply_motor(state, cmd, dt)
+    for duties in ((0.8, 0.6), (0.0, 0.0)):
+        state = apply_motor(state, *duties, dt)
         assert type(state.pose[0]) is np.float64
         assert type(state.pose[1]) is np.float64
         assert type(state.pose[2]) is float
@@ -93,9 +91,9 @@ def test_states_equal_the_per_node_reference_loop(dt):
         if i % 500 == 0:  # also start from a Python-float pose now and then
             state = VehicleState(pose=tuple(float(v) for v in state.pose),
                                  wheel_speed=state.wheel_speed)
-        cmd = MotorCommand(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        pose, wheels = quadrature_reference(state, cmd, dt)
-        state = apply_motor(state, cmd, dt)
+        duties = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+        pose, wheels = quadrature_reference(state, duties, dt)
+        state = apply_motor(state, *duties, dt)
         for got, want in zip(state.pose + state.wheel_speed, pose + wheels):
             assert got == want and type(got) is type(want)
 
@@ -108,7 +106,7 @@ def test_node_tables_are_per_dt():
 
 
 def test_equal_duties_drive_straight():
-    state = apply_motor(VehicleState(), MotorCommand(0.5, 0.5), dt=1.0)
+    state = apply_motor(VehicleState(), 0.5, 0.5, dt=1.0)
     x, y, th = state.pose
     # closed form: each wheel covers target * t - target * tau * (1 - exp(-t/tau))
     target = 0.5 * V_MAX
@@ -119,7 +117,7 @@ def test_equal_duties_drive_straight():
 
 
 def test_opposite_duties_rotate_in_place():
-    state = apply_motor(VehicleState(), MotorCommand(-0.5, 0.5), dt=0.8)
+    state = apply_motor(VehicleState(), -0.5, 0.5, dt=0.8)
     x, y, th = state.pose
     assert x == pytest.approx(0.0, abs=1e-12)
     assert y == pytest.approx(0.0, abs=1e-12)
@@ -131,9 +129,9 @@ def test_opposite_duties_rotate_in_place():
 
 
 def test_single_wheel_arcs_about_the_stopped_wheel():
-    cmd = MotorCommand(0.0, 1.0)
+    duties = (0.0, 1.0)
     start = VehicleState(wheel_speed=(0.0, V_MAX))  # already at commanded speed
-    state = apply_motor(start, cmd, dt=0.7)
+    state = apply_motor(start, *duties, dt=0.7)
     x, y, th = state.pose
     # closed form: circle of radius track/2 about the left wheel at (0, track/2)
     r = TRACK_WIDTH / 2
@@ -142,16 +140,16 @@ def test_single_wheel_arcs_about_the_stopped_wheel():
     assert x == pytest.approx(r * math.sin(w * 0.7), abs=1e-9)
     assert y == pytest.approx(r * (1 - math.cos(w * 0.7)), abs=1e-9)
     # and the independent integrator agrees
-    ox, oy, oth, ovl, ovr = rk4_oracle(start, cmd, 0.7)
+    ox, oy, oth, ovl, ovr = rk4_oracle(start, duties, 0.7)
     assert x == pytest.approx(ox, abs=1e-6)
     assert y == pytest.approx(oy, abs=1e-6)
 
 
 def test_flow_matches_rk4_with_motor_lag():
     state = VehicleState(pose=(0.3, -0.2, 0.9), wheel_speed=(0.1, -0.2))
-    cmd = MotorCommand(0.7, -0.4)
-    got = apply_motor(state, cmd, dt=0.5)
-    ox, oy, oth, ovl, ovr = rk4_oracle(state, cmd, 0.5, steps=20000)
+    duties = (0.7, -0.4)
+    got = apply_motor(state, *duties, dt=0.5)
+    ox, oy, oth, ovl, ovr = rk4_oracle(state, duties, 0.5, steps=20000)
     assert got.pose[0] == pytest.approx(ox, abs=1e-8)
     assert got.pose[1] == pytest.approx(oy, abs=1e-8)
     assert got.pose[2] == pytest.approx(oth, abs=1e-10)
@@ -165,10 +163,10 @@ def test_semigroup_property_over_random_commands():
         state = VehicleState(
             pose=(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3, 3)),
             wheel_speed=(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
-        cmd = MotorCommand(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        duties = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         dt = rng.uniform(0.005, 0.4)
-        once = apply_motor(state, cmd, 2 * dt)
-        twice = apply_motor(apply_motor(state, cmd, dt), cmd, dt)
+        once = apply_motor(state, *duties, 2 * dt)
+        twice = apply_motor(apply_motor(state, *duties, dt), *duties, dt)
         for a, b in zip(once.pose, twice.pose):
             assert a == pytest.approx(b, abs=1e-9)
         for a, b in zip(once.wheel_speed, twice.wheel_speed):
@@ -178,7 +176,7 @@ def test_semigroup_property_over_random_commands():
 @given(dt=st.floats(min_value=1e-3, max_value=5.0))
 @settings(max_examples=40, deadline=None)
 def test_zero_duty_from_rest_stays_put(dt):
-    state = apply_motor(VehicleState(), MotorCommand(0.0, 0.0), dt)
+    state = apply_motor(VehicleState(), 0.0, 0.0, dt)
     assert state.pose == (0.0, 0.0, 0.0)
     assert state.wheel_speed == (0.0, 0.0)
 
@@ -188,8 +186,8 @@ def test_swapped_duties_mirror_the_trajectory():
     for _ in range(50):
         dl, dr = rng.uniform(-1, 1), rng.uniform(-1, 1)
         dt = rng.uniform(0.01, 0.5)
-        a = apply_motor(VehicleState(), MotorCommand(dl, dr), dt)
-        b = apply_motor(VehicleState(), MotorCommand(dr, dl), dt)
+        a = apply_motor(VehicleState(), dl, dr, dt)
+        b = apply_motor(VehicleState(), dr, dl, dt)
         assert a.pose[0] == pytest.approx(b.pose[0], abs=1e-9)
         assert a.pose[1] == pytest.approx(-b.pose[1], abs=1e-9)
         assert a.pose[2] == pytest.approx(-b.pose[2], abs=1e-9)
@@ -199,21 +197,26 @@ def test_wheel_speeds_never_exceed_v_max():
     rng = np.random.default_rng(11)
     state = VehicleState()
     for _ in range(300):
-        cmd = MotorCommand(rng.uniform(-2, 2), rng.uniform(-2, 2))  # clamped
-        state = apply_motor(state, cmd, rng.uniform(0.005, 0.2))
+        duties = (rng.uniform(-2, 2), rng.uniform(-2, 2))  # clamped
+        state = apply_motor(state, *duties, rng.uniform(0.005, 0.2))
         assert abs(state.wheel_speed[0]) <= V_MAX + 1e-12
         assert abs(state.wheel_speed[1]) <= V_MAX + 1e-12
 
 
-def test_duty_clamping():
-    cmd = MotorCommand(3.0, -2.5)
-    assert cmd.duty_left == 1.0
-    assert cmd.duty_right == -1.0
+@given(left=st.floats(-1e9, 1e9), right=st.floats(-1e9, 1e9),
+       dt=st.floats(min_value=1e-3, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+@example(left=3.0, right=-2.5, dt=0.02)
+def test_duty_clamping(left, right, dt):
+    # out-of-range duties move the cart exactly as the clamped duties do
+    state = VehicleState(pose=(0.3, -0.2, 0.9), wheel_speed=(0.1, -0.2))
+    clamped = (min(1.0, max(-1.0, left)), min(1.0, max(-1.0, right)))
+    assert apply_motor(state, left, right, dt) == apply_motor(state, *clamped, dt)
 
 
 def test_dt_must_be_positive():
     with pytest.raises(ValueError):
-        apply_motor(VehicleState(), MotorCommand(0, 0), 0.0)
+        apply_motor(VehicleState(), 0, 0, 0.0)
 
 
 def test_payload_switch_thresholds():
@@ -235,7 +238,7 @@ def test_state_updates_carry_every_field_they_do_not_set():
 
     for loaded, grams in itertools.product((False, True), (0.0, 150.0, 250.0)):
         s = VehicleState(pose=(0.1, -0.2, 0.3), wheel_speed=(0.2, -0.1), loaded=loaded)
-        moved = apply_motor(s, MotorCommand(0.5, 0.4), 0.02)
+        moved = apply_motor(s, 0.5, 0.4, 0.02)
         assert others(moved, "pose", "wheel_speed") == others(s, "pose", "wheel_speed")
         assert others(set_payload(s, grams), "loaded") == others(s, "loaded")
 

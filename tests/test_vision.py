@@ -268,6 +268,25 @@ def test_non_monotone_k1_rejected():
         CameraModel(distortion_k1=-0.5)
 
 
+@pytest.mark.parametrize("k1", [1e12, 1e18, 1e300, 1.7976931348623157e308])
+def test_a_huge_k1_maps_every_pixel_off_the_frame(k1):
+    # every source lies far outside the frame, beyond the int64 range from
+    # about 1e19 up, and the map is built without a RuntimeWarning
+    assert not undistort_bits(np.ones((120, 160), dtype=bool), k1).any()
+
+
+def test_an_infinite_k1_is_rejected():
+    for make in (CameraModel, lambda k1: NoiseParams(k1=k1)):
+        with pytest.raises(ValueError, match="finite"):
+            make(math.inf)
+
+
+def test_a_huge_sigma_saturates_every_pixel(track):
+    pixels = render(track, (0.0, 0.0, math.pi / 2), CameraModel(),
+                    NoiseParams(sigma=1.7976931348623157e308), rng=np.random.default_rng(0))
+    assert set(np.unique(pixels).tolist()) == {0, 255}
+
+
 def test_lens_distortion_is_the_only_camera_setting():
     assert [f.name for f in fields(CameraModel)] == ["distortion_k1"]
 
