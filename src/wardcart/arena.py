@@ -2,7 +2,7 @@
 
 The map is a small planar graph. Nodes carry positions in meters, edges are
 straight guide-line segments, wards 1..8 sit on stub nodes hanging off cross
-junctions, and the pharmacy node is the start/return point. Placard groups
+junctions, and the pharmacy node is the start/return point. The placards
 (the painted digits a cart reads at a junction) are derived from the graph
 geometry when a map is loaded, so map files stay short and human-editable.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,9 @@ PLACARD_LATERAL = 0.12
 PLACARD_STAGGER = 0.14
 GLYPH_HEIGHT = 0.12
 ARENA_BOUND = 50.0  # m; every node and placard lies within this of the origin on each axis
+WORLD_CELL = 0.002       # world-ink raster pitch, meters
+WORLD_MARGIN = 0.6       # raster extends this far beyond the node bbox
+RASTER_BUDGET = 2 ** 26  # cells; a map whose world-ink raster is larger is refused
 
 
 class MapError(ValueError):
@@ -57,16 +60,9 @@ class PlacardEntry:
 
 
 @dataclass(frozen=True)
-class PlacardGroup:
-    junction: str
-    entries: tuple[PlacardEntry, ...]
-
-
-@dataclass(frozen=True)
 class Ward:
     id: int
     node: str
-    placard: PlacardGroup
 
 
 @dataclass(frozen=True)
@@ -90,31 +86,6 @@ class RouteStep:
     length: float
 
 
-@dataclass(frozen=True)
-class RoutePlan:
-    ward: int
-    steps: tuple[RouteStep, ...]
-
-    def reversed(self, track: "TrackMap") -> "RoutePlan":
-        """Return route: edges reversed, Left and Right swapped, ends in Stop."""
-        fwd = [s for s in self.steps if s.edge_id is not None]
-        if not fwd:
-            return RoutePlan(self.ward, (RouteStep(None, Action.STOP, self.steps[0].end_node, 0.0),))
-        swap = {Action.LEFT: Action.RIGHT, Action.RIGHT: Action.LEFT,
-                Action.STRAIGHT: Action.STRAIGHT}
-        steps: list[RouteStep] = []
-        n = len(fwd)
-        for i, step in enumerate(reversed(fwd)):
-            edge = track.edge(step.edge_id)
-            start = edge.a if edge.b == step.end_node else edge.b
-            if i < n - 1:
-                action = swap[fwd[n - 2 - i].action]
-            else:
-                action = Action.STOP
-            steps.append(RouteStep(step.edge_id, action, start, step.length))
-        return RoutePlan(self.ward, tuple(steps))
-
-
 @dataclass(frozen=True, eq=True)
 class TrackMap:
     nodes: tuple[tuple[str, Vec2], ...]
@@ -123,6 +94,7 @@ class TrackMap:
     pharmacy: str
     corridor_width: float
     extra_digits: tuple[tuple[int, int], ...] = ()  # (host ward, shown digit)
+    placards: tuple[PlacardEntry, ...] = ()  # derived by load_map, junction by junction
 
     def __hash__(self) -> int:
         # computed once: the renderer looks its raster up by map every frame
@@ -153,19 +125,6 @@ class TrackMap:
             if w.id == ward_id:
                 return w
         raise KeyError(ward_id)
-
-    def adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        adj: dict[str, list[tuple[str, str]]] = {nid: [] for nid, _ in self.nodes}
-        for e in self.edges:
-            adj[e.a].append((e.b, e.id))
-            adj[e.b].append((e.a, e.id))
-        for lst in adj.values():
-            lst.sort()
-        return adj
-
-    def placard_groups(self) -> list[PlacardGroup]:
-        """One group per junction; wards that share a junction share it."""
-        return list({w.placard.junction: w.placard for w in self.wards}.values())
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +226,10 @@ def load_map(text: str) -> TrackMap:
     for nid, (x, y) in nodes.items():
         if abs(x) > ARENA_BOUND or abs(y) > ARENA_BOUND:
             raise MapValidationError(f"node {nid!r} outside plausible arena bounds")
+    _, _, nx, ny = raster_box(nodes.values())
+    if nx * ny > RASTER_BUDGET:
+        raise MapValidationError(
+            f"world-ink raster of {nx} x {ny} cells exceeds the budget of {RASTER_BUDGET}")
 
     seen_digits: set[int] = set()
     for lineno, digit, _, extras in ward_records:
@@ -278,27 +241,28 @@ def load_map(text: str) -> TrackMap:
         for x in extras:
             if not 1 <= x <= 8:
                 raise MapValidationError(f"placard digit {x} out of range 1..8")
+    # by ward id, as serialize_map writes them: the placards' order then survives it
+    ward_records.sort(key=lambda r: r[1])
 
-    skeleton = TrackMap(
+    track = TrackMap(
         nodes=tuple(nodes.items()),
         edges=tuple(edges),
-        wards=(),
+        wards=tuple(Ward(digit, node) for _, digit, node, _ in ward_records),
         pharmacy=pharmacy,
         corridor_width=width,
         extra_digits=tuple(sorted(
             (digit, x) for _, digit, _, extras in ward_records for x in extras
         )),
     )
-    parents = _bfs_parents(skeleton, pharmacy)
+    parents = _bfs_parents(track, pharmacy)
     missing = sorted(set(nodes) - set(parents) - {pharmacy})
     if missing:
         raise MapValidationError(f"graph not connected: unreachable nodes {missing}")
-    track = replace(skeleton, wards=_build_wards(skeleton, parents, ward_records))
-    for w in track.wards:
-        for entry in w.placard.entries:
-            if abs(entry.x) > ARENA_BOUND or abs(entry.y) > ARENA_BOUND:
-                raise MapValidationError("placard pose outside plausible arena bounds")
-    return track
+    placards = _build_placards(track, parents, ward_records)
+    for entry in placards:
+        if abs(entry.x) > ARENA_BOUND or abs(entry.y) > ARENA_BOUND:
+            raise MapValidationError("placard pose outside plausible arena bounds")
+    return replace(track, placards=placards)
 
 
 def _unit(dx: float, dy: float) -> Vec2:
@@ -308,9 +272,26 @@ def _unit(dx: float, dy: float) -> Vec2:
     return (dx / n, dy / n)
 
 
+def raster_box(points: Iterable[Vec2]) -> tuple[float, float, int, int]:
+    """(x0, y0, nx, ny): the world-ink raster's corner and its size in
+    WORLD_CELL cells, over the points' box plus WORLD_MARGIN."""
+    xs, ys = zip(*points)
+    # cell boundaries on integer multiples of WORLD_CELL keep a line
+    # centered on an axis exactly symmetric in the raster
+    x0 = math.floor((min(xs) - WORLD_MARGIN) / WORLD_CELL) * WORLD_CELL
+    y0 = math.floor((min(ys) - WORLD_MARGIN) / WORLD_CELL) * WORLD_CELL
+    return (x0, y0, int(math.ceil((max(xs) + WORLD_MARGIN - x0) / WORLD_CELL)),
+            int(math.ceil((max(ys) + WORLD_MARGIN - y0) / WORLD_CELL)))
+
+
 def _bfs_parents(track: TrackMap, root: str) -> dict[str, tuple[str, str]]:
     """node -> (parent node, connecting edge id), BFS tree from root."""
-    adj = track.adjacency()
+    adj: dict[str, list[tuple[str, str]]] = {nid: [] for nid, _ in track.nodes}
+    for e in track.edges:
+        adj[e.a].append((e.b, e.id))
+        adj[e.b].append((e.a, e.id))
+    for lst in adj.values():
+        lst.sort()
     parents: dict[str, tuple[str, str]] = {}
     visited = {root}
     queue = [root]
@@ -324,8 +305,10 @@ def _bfs_parents(track: TrackMap, root: str) -> dict[str, tuple[str, str]]:
     return parents
 
 
-def _build_wards(skeleton: TrackMap, parents: dict[str, tuple[str, str]],
-                 ward_records: list[tuple[int, int, str, list[int]]]) -> tuple[Ward, ...]:
+def _build_placards(track: TrackMap, parents: dict[str, tuple[str, str]],
+                    ward_records: list[tuple[int, int, str, list[int]]]
+                    ) -> tuple[PlacardEntry, ...]:
+    """Every junction's placards, junction by junction in record order."""
     # group wards by their decision junction (BFS parent of the ward node)
     groups: dict[str, list[tuple[int, str]]] = {}
     extras_by_junction: dict[str, list[int]] = {}
@@ -335,11 +318,11 @@ def _build_wards(skeleton: TrackMap, parents: dict[str, tuple[str, str]],
         if extras:
             extras_by_junction.setdefault(junction, []).extend(extras)
 
-    built: dict[str, PlacardGroup] = {}
+    placards: list[PlacardEntry] = []
     for junction, members in groups.items():
-        jx, jy = skeleton.node_pos(junction)
+        jx, jy = track.node_pos(junction)
         if junction in parents:
-            px, py = skeleton.node_pos(parents[junction][0])
+            px, py = track.node_pos(parents[junction][0])
             approach = _unit(jx - px, jy - py)
         else:
             approach = (0.0, 1.0)  # junction is the pharmacy itself
@@ -357,7 +340,7 @@ def _build_wards(skeleton: TrackMap, parents: dict[str, tuple[str, str]],
 
         side_rank = {1.0: 0, -1.0: 0}
         for digit, node in sorted(members):
-            wx, wy = skeleton.node_pos(node)
+            wx, wy = track.node_pos(node)
             stub = _unit(wx - jx, wy - jy)
             cross = approach[0] * stub[1] - approach[1] * stub[0]
             side = 1.0 if cross >= 0 else -1.0
@@ -374,13 +357,8 @@ def _build_wards(skeleton: TrackMap, parents: dict[str, tuple[str, str]],
         if not 1 <= len(entries) <= 4:
             raise MapValidationError(
                 f"placard group at {junction!r} has {len(entries)} entries, want 1..4")
-        built[junction] = PlacardGroup(junction, tuple(entries))
-
-    wards: list[Ward] = []
-    for _, digit, node, _ in ward_records:
-        junction = parents[node][0] if node in parents else node
-        wards.append(Ward(digit, node, built[junction]))
-    return tuple(sorted(wards, key=lambda w: w.id))
+        placards.extend(entries)
+    return tuple(placards)
 
 
 def serialize_map(track: TrackMap) -> str:
@@ -448,8 +426,8 @@ def default_map() -> TrackMap:
     return load_map(DEFAULT_MAP_TEXT)
 
 
-def route_to(track: TrackMap, ward_id: int) -> RoutePlan:
-    """Shortest route (fewest edges) from the pharmacy to a ward.
+def route_to(track: TrackMap, ward_id: int) -> tuple[RouteStep, ...]:
+    """Shortest route (fewest edges) from the pharmacy to a ward: its steps.
 
     Each step carries the action taken at the node the edge ends on:
     Straight/Left/Right at junctions, Stop on arrival at the ward node.
@@ -462,7 +440,7 @@ def route_to(track: TrackMap, ward_id: int) -> RoutePlan:
         raise ValueError(f"ward {ward_id} not present in map") from None
 
     if ward.node == track.pharmacy:
-        return RoutePlan(ward_id, (RouteStep(None, Action.STOP, ward.node, 0.0),))
+        return (RouteStep(None, Action.STOP, ward.node, 0.0),)
 
     parents = _bfs_parents(track, track.pharmacy)
     if ward.node not in parents:
@@ -500,23 +478,36 @@ def route_to(track: TrackMap, ward_id: int) -> RoutePlan:
             else:
                 action = Action.RIGHT
         steps.append(RouteStep(eid, action, end, edge.length))
-    return RoutePlan(ward_id, tuple(steps))
+    return tuple(steps)
 
 
-def resolve_pause_point(track: TrackMap, ward_id: int) -> tuple[Vec2, float]:
-    """Follower pause point: last edge midpoint before the ward's junction.
+def reverse_route(track: TrackMap, route: tuple[RouteStep, ...]) -> tuple[RouteStep, ...]:
+    """The way back: edges reversed, Left and Right swapped, ends in Stop.
+    A zero-length route is its own way back."""
+    if route[0].edge_id is None:
+        return route
+    swap = {Action.LEFT: Action.RIGHT, Action.RIGHT: Action.LEFT,
+            Action.STRAIGHT: Action.STRAIGHT}
+    steps: list[RouteStep] = []
+    n = len(route)
+    for i, step in enumerate(reversed(route)):
+        edge = track.edge(step.edge_id)
+        start = edge.a if edge.b == step.end_node else edge.b
+        if i < n - 1:
+            action = swap[route[n - 2 - i].action]
+        else:
+            action = Action.STOP
+        steps.append(RouteStep(step.edge_id, action, start, step.length))
+    return tuple(steps)
 
-    Returns (world position, distance along the outbound route).
-    """
-    plan = route_to(track, ward_id)
-    edges = [s for s in plan.steps if s.edge_id is not None]
-    if len(edges) < 2:
+
+def pause_distance(track: TrackMap, ward_id: int) -> float:
+    """Where a follower pauses, as a distance along its outbound route: the
+    midpoint of the last edge before the ward's junction."""
+    route = route_to(track, ward_id)
+    if len(route) < 2:  # also the zero-length route, whose one step has no edge
         raise ValueError(f"route to ward {ward_id} has no edge before its junction")
-    before = edges[:-1]
-    dist = sum(s.length for s in before[:-1]) + before[-1].length / 2.0
-    mid_edge = track.edge(before[-1].edge_id)
-    (x0, y0), (x1, y1) = mid_edge.polyline
-    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0), dist
+    return sum(s.length for s in route[:-2]) + route[-2].length / 2.0
 
 
 def _project(a: Vec2, b: Vec2, p: Vec2) -> tuple[float, float]:
@@ -552,12 +543,12 @@ def nearest_centerline_distance(track: TrackMap, point: Vec2) -> float:
     return min((_project(*e.polyline, point)[1] for e in track.edges), default=math.inf)
 
 
-def route_progress(track: TrackMap, plan: RoutePlan, point: Vec2) -> float:
-    """Arc distance along a route plan of the closest route point to ``point``."""
+def route_progress(track: TrackMap, route: tuple[RouteStep, ...], point: Vec2) -> float:
+    """Arc distance along a route of the closest route point to ``point``."""
     best_d = math.inf
     best_s = 0.0
     cum = 0.0
-    for step in plan.steps:
+    for step in route:
         if step.edge_id is None:
             continue
         edge = track.edge(step.edge_id)

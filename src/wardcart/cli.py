@@ -17,7 +17,7 @@ from typing import TextIO
 import numpy as np
 
 from .arena import (MapError, PlacardEntry, TrackMap, default_map, iter_records,
-                    load_map, resolve_pause_point, route_to)
+                    load_map, pause_distance, route_to)
 from .prng import derive_seed
 from .simcore import (CONFIG_KEYS, CartOutcome, SimConfig, TraceReport, config_from_keys,
                       render_svg, run_scenario, trace_to_csv)
@@ -93,7 +93,7 @@ def load_scenario(path: Path) -> Scenario:
         config = config_from_keys(kv)
         route_to(track, config.wards[0])
         if config.carts == 2:  # routes the follower's ward too
-            resolve_pause_point(track, config.wards[1])
+            pause_distance(track, config.wards[1])
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     return Scenario(name=path.stem, track=track, config=config, expected=expected)

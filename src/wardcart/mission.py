@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .arena import Action, RoutePlan, Vec2
+from .arena import Action, RouteStep
 from .comms import Message, MessageKind
 from .vision.camera import WIDTH
 from .vision.pipeline import DigitDetection
@@ -79,14 +79,14 @@ class SensorBundle:
 class MissionConfig:
     role: Role = Role.SOLO
     cart_id: int = 0
-    routes: dict[int, RoutePlan] = field(default_factory=dict)
-    returns: dict[int, RoutePlan] = field(default_factory=dict)
+    routes: dict[int, tuple[RouteStep, ...]] = field(default_factory=dict)
+    returns: dict[int, tuple[RouteStep, ...]] = field(default_factory=dict)
     lost_line_ticks: int = 50
-    pause_point: tuple[Vec2, float] | None = None  # (position, route distance)
+    pause_distance: float | None = None  # along the follower's outbound route, m
 
     def __post_init__(self):
-        if self.role is Role.FOLLOWER and self.pause_point is None:
-            raise ValueError("follower role requires a resolved pause_point")
+        if self.role is Role.FOLLOWER and self.pause_distance is None:
+            raise ValueError("follower role requires a pause_distance")
 
 
 @dataclass
@@ -169,7 +169,7 @@ def reading_range(state: MissionState, cfg: MissionConfig, loaded: bool) -> floa
     if state.phase is MissionPhase.AWAIT_LOAD:
         if state.target is None or not loaded:
             return None
-        actions, cursor = [s.action for s in cfg.routes[state.target].steps], 0
+        actions, cursor = [s.action for s in cfg.routes[state.target]], 0
     elif state.phase in (MissionPhase.OUTBOUND, MissionPhase.PAUSED_AT_POINT):
         actions, cursor = state.leg_actions, state.cursor
     else:
@@ -179,11 +179,11 @@ def reading_range(state: MissionState, cfg: MissionConfig, loaded: bool) -> floa
     return DECISION_RANGE
 
 
-def _begin_leg(st: MissionState, plan: RoutePlan, odometry: float) -> None:
-    st.leg_actions = tuple(s.action for s in plan.steps)
+def _begin_leg(st: MissionState, route: tuple[RouteStep, ...], odometry: float) -> None:
+    st.leg_actions = tuple(s.action for s in route)
     cum = 0.0
     triggers = []
-    for s in plan.steps:
+    for s in route:
         cum += s.length
         triggers.append(cum)
     st.leg_triggers = tuple(triggers)
@@ -223,7 +223,7 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Inten
 
     # a follower holds at its pause point until the leader's Proceed arrives
     if (st.phase is MissionPhase.OUTBOUND and cfg.role is Role.FOLLOWER
-            and not st.proceed_received and leg_dist >= cfg.pause_point[1] - STOP_MARGIN):
+            and not st.proceed_received and leg_dist >= cfg.pause_distance - STOP_MARGIN):
         st.phase = MissionPhase.PAUSED_AT_POINT
         return Intent.HALT
 

@@ -34,8 +34,8 @@ from enum import Enum
 
 import numpy as np
 
-from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance, project_offsets,
-                    resolve_pause_point, route_to, segments)
+from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance, pause_distance,
+                    project_offsets, reverse_route, route_to, segments)
 from .comms import Link, Message
 from .controller import PidGains, PidState, pid_step, steer
 from .mission import (PROCEED_RETRY_TICKS, Intent, MissionConfig, MissionPhase, MissionState,
@@ -265,13 +265,10 @@ def _make_card(digit: int, start: tuple[float, float, float]) -> PlacardEntry:
 
 def _start_pose(track: TrackMap, ward: int) -> tuple[float, float, float]:
     px, py = track.node_pos(track.pharmacy)
-    plan = route_to(track, ward)
-    first = next((s for s in plan.steps if s.edge_id is not None), None)
-    if first is None:
+    first = route_to(track, ward)[0]
+    if first.edge_id is None:
         return (px, py, math.pi / 2)
-    edge = track.edge(first.edge_id)
-    other = edge.b if edge.a == track.pharmacy else edge.a
-    ox, oy = track.node_pos(other)
+    ox, oy = track.node_pos(first.end_node)
     return (px, py, math.atan2(oy - py, ox - px))
 
 
@@ -295,15 +292,15 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
                 rng_seed=derive_seed(config.seed, "link"))
 
     routes = {w.id: route_to(track, w.id) for w in track.wards}
-    returns = {wid: plan.reversed(track) for wid, plan in routes.items()}
+    returns = {wid: reverse_route(track, route) for wid, route in routes.items()}
     carts: list[_Cart] = []
     for i in range(config.carts):
         ward = config.wards[i]
         role = Role.SOLO if config.carts == 1 else (Role.LEADER if i == 0 else Role.FOLLOWER)
-        pause = resolve_pause_point(track, ward) if role is Role.FOLLOWER else None
+        pause = pause_distance(track, ward) if role is Role.FOLLOWER else None
         mcfg = MissionConfig(role=role, cart_id=i, routes=routes, returns=returns,
                              lost_line_ticks=max(1, round(1.0 / config.dt)),
-                             pause_point=pause)
+                             pause_distance=pause)
         rng = np.random.default_rng(derive_seed(config.seed, f"noise/cart{i}"))
         carts.append(_Cart(i, mcfg, _start_pose(track, ward), rng))
 

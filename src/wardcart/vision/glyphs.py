@@ -54,6 +54,11 @@ def glyph_grid(digit: int) -> np.ndarray:
     return grid
 
 
-def default_templates() -> dict[int, np.ndarray]:
-    """The (GRID_N, GRID_N) bool template of each digit 1..8."""
-    return {d: glyph_grid(d) for d in range(1, 9)}
+def default_templates() -> np.ndarray:
+    """The matcher's templates: a read-only (8, GRID_N, GRID_N) bool stack of
+    the normalized glyphs, digit d at index d - 1."""
+    from .pipeline import normalize_mask  # pipeline imports GRID_N from here
+
+    stack = np.array([normalize_mask(glyph_grid(d)) for d in range(1, 9)])
+    stack.flags.writeable = False
+    return stack

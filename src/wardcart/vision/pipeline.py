@@ -220,33 +220,20 @@ def normalize_mask(mask: np.ndarray, n: int = GRID_N) -> np.ndarray:
     return votes * 2 >= ss * ss
 
 
-@lru_cache(maxsize=8)
-def _template_stack(grids: tuple[tuple[int, bytes], ...]) -> tuple[tuple[int, ...], np.ndarray]:
-    """The digits in order and their normalized templates as one
-    (digits, n, n) array, for the (digit, grid bytes) pairs of a template set."""
-    digits = tuple(digit for digit, _ in grids)
-    stack = np.array([normalize_mask(np.frombuffer(grid, dtype=bool).reshape(GRID_N, GRID_N))
-                      for _, grid in grids], dtype=bool).reshape(len(grids), GRID_N, GRID_N)
-    stack.flags.writeable = False
-    return digits, stack
-
-
-def match_digit(mask: np.ndarray, templates: dict[int, np.ndarray]
-                ) -> tuple[int, float] | None:
+def match_digit(mask: np.ndarray, templates: np.ndarray) -> tuple[int, float] | None:
     """Best-scoring digit for a glyph mask, or None when ambiguous or poor.
 
-    Score is 1 - hamming/N^2 between the centered, aspect-normalized mask
-    and each normalized template. The winner must clear ACCEPT_THRESHOLD
-    and beat the runner-up by MATCH_MARGIN.
+    ``templates`` is the stack of normalized templates that
+    ``default_templates()`` returns, digit d at index d - 1. Score is
+    1 - hamming/N^2 between the centered, aspect-normalized mask and each
+    template. The winner must clear ACCEPT_THRESHOLD and beat the runner-up
+    by MATCH_MARGIN.
     """
     norm = normalize_mask(mask)
     cells = norm.size
-    digits, stack = _template_stack(tuple(
-        (digit, templates[digit].astype(bool, copy=False).tobytes())
-        for digit in sorted(templates)))
-    misses = np.logical_xor(norm, stack).sum(axis=(1, 2)).tolist()
+    misses = np.logical_xor(norm, templates).sum(axis=(1, 2)).tolist()
     best_digit, best, second = 0, -1.0, -1.0
-    for digit, miss in zip(digits, misses):
+    for digit, miss in enumerate(misses, start=1):
         score = 1.0 - miss / cells
         if score > best:
             best_digit, second, best = digit, best, score
@@ -288,7 +275,7 @@ def _rectify_on_ground(bits: np.ndarray, x0: int, y0: int, width: int,
 
 
 def detect_placards(pixels: np.ndarray, cam: CameraModel,
-                    templates: dict[int, np.ndarray]) -> list[DigitDetection]:
+                    templates: np.ndarray) -> list[DigitDetection]:
     """Full pipeline: binarize, undistort, blobs, rectify, match.
 
     Range is estimated from the apparent blob height through the pinhole
@@ -300,7 +287,7 @@ def detect_placards(pixels: np.ndarray, cam: CameraModel,
     return detect_in_binary(bits, templates)
 
 
-def detect_in_binary(bits: np.ndarray, templates: dict[int, np.ndarray],
+def detect_in_binary(bits: np.ndarray, templates: np.ndarray,
                      max_range: float = math.inf) -> list[DigitDetection]:
     """Detection stage over an already binarized and undistorted frame.
 

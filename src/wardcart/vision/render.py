@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arena import GLYPH_HEIGHT, PlacardEntry, TrackMap, Vec2, project_offsets
+from ..arena import (GLYPH_HEIGHT, WORLD_CELL, PlacardEntry, TrackMap, Vec2, project_offsets,
+                     raster_box)
 from .camera import CameraModel, check_k1, ground_grid
 from .glyphs import GRID_N, glyph_grid
 from .pipeline import BINARIZE_MARGIN
@@ -28,8 +29,6 @@ from .pipeline import BINARIZE_MARGIN
 BACKGROUND_LEVEL = 200.0
 INK_LEVEL = 30.0
 LINE_HALF_WIDTH = 0.010  # meters; 2 cm wide guide tape
-WORLD_CELL = 0.002       # world-ink raster pitch, meters
-WORLD_MARGIN = 0.6       # raster extends this far beyond the node bbox
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,7 @@ class NoiseParams:
 
 class _WorldInk:
     def __init__(self, track: TrackMap):
-        xs = [p[0] for _, p in track.nodes]
-        ys = [p[1] for _, p in track.nodes]
-        # cell boundaries on integer multiples of WORLD_CELL keep a line
-        # centered on an axis exactly symmetric in the raster
-        self.x0 = math.floor((min(xs) - WORLD_MARGIN) / WORLD_CELL) * WORLD_CELL
-        self.y0 = math.floor((min(ys) - WORLD_MARGIN) / WORLD_CELL) * WORLD_CELL
-        self.nx = int(math.ceil((max(xs) + WORLD_MARGIN - self.x0) / WORLD_CELL))
-        self.ny = int(math.ceil((max(ys) + WORLD_MARGIN - self.y0) / WORLD_CELL))
+        self.x0, self.y0, self.nx, self.ny = raster_box(p for _, p in track.nodes)
         # one false cell on every side: sample clips a cell index that falls
         # off the raster onto that border instead of masking it out
         self._padded = np.zeros((self.ny + 2, self.nx + 2), dtype=bool)
@@ -64,9 +56,8 @@ class _WorldInk:
         self.grid = self._padded[1:-1, 1:-1]
         for edge in track.edges:
             self._paint_segment(*edge.polyline)
-        for group in track.placard_groups():
-            for entry in group.entries:
-                self._paint_glyph(entry)
+        for entry in track.placards:
+            self._paint_glyph(entry)
 
     def _cells(self, lo_x: float, hi_x: float, lo_y: float, hi_y: float):
         ix0 = max(0, int((lo_x - self.x0) / WORLD_CELL) - 1)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from wardcart.arena import default_map, resolve_pause_point, route_progress, route_to
+from wardcart.arena import default_map, pause_distance, route_progress, route_to
 from wardcart.cli import run_corpus
 from wardcart.controller import PidState, gains_from_classical, pid_step
 from wardcart.mission import MissionPhase
@@ -128,8 +128,8 @@ def test_criterion_5_line_centroid_precision():
 def test_criterion_6_two_cart_coordination():
     lossless = run_scenario(TRACK, SimConfig(wards=(4,), max_ticks=9000, seed=0))
     budget = 3 * lossless.completion_ticks
-    _, pause_dist = resolve_pause_point(TRACK, 4)
-    plan = route_to(TRACK, 4)
+    pause_dist = pause_distance(TRACK, 4)
+    route = route_to(TRACK, 4)
 
     for seed in range(1, 21):
         cfg = SimConfig(carts=2, wards=(4, 4), max_ticks=9000, seed=seed,
@@ -146,7 +146,7 @@ def test_criterion_6_two_cart_coordination():
                              if ev.cart == 0 and ev.text == "phase=returning")
         for s in report.samples:
             if s.cart == 1 and s.tick < returning_tick:
-                progress = route_progress(TRACK, plan, (s.x, s.y))
+                progress = route_progress(TRACK, route, (s.x, s.y))
                 assert progress <= pause_dist + 1e-6, (seed, s.tick, progress)
 
         # (b) the yellow lamp is lit exactly while paused, and the pause

@@ -6,12 +6,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wardcart.arena import (Action, MapParseError, MapValidationError, _project, load_map,
-                            nearest_centerline_distance, project_offsets,
-                            resolve_pause_point, route_to, serialize_map)
+from wardcart.arena import (RASTER_BUDGET, Action, MapError, MapParseError, MapValidationError,
+                            _project, load_map, nearest_centerline_distance, pause_distance,
+                            project_offsets, raster_box, reverse_route, route_to,
+                            serialize_map)
 
 TINY_MAP = """
 node p 0 0
@@ -117,10 +118,12 @@ def test_non_finite_numbers_rejected(field, value):
 @pytest.mark.parametrize("x, y", [("1e308", "0"), ("0", "-1e308"), ("50.001", "0"),
                                   ("0", "-50.5")])
 def test_node_outside_arena_bounds_rejected(x, y):
-    # a raster spanning such a node would not fit in memory
     with pytest.raises(MapValidationError, match="node 'a' outside plausible arena bounds"):
         load_map(f"node p 0 0\nnode a {x} {y}\nedge e p a\nward 1 a\npharmacy p\n")
-    load_map("node p 0 0\nnode a 50 -50\nedge e p a\nward 1 a\npharmacy p\n")
+    # a node on the bound passes it; only the raster budget refuses this map
+    with pytest.raises(MapValidationError, match="exceeds the budget"):
+        load_map("node p 0 0\nnode a 50 -50\nedge e p a\nward 1 a\npharmacy p\n")
+    load_map("node p 50 -50\npharmacy p\n")
 
 
 def test_unknown_record_and_bad_references():
@@ -156,8 +159,7 @@ def test_serialize_round_trip(track):
 def test_round_trip_with_extra_placard_digits():
     text = TINY_MAP + ""
     m = load_map(text.replace("ward 3 w", "ward 3 w 7 8"))
-    group = m.ward(3).placard
-    assert sorted(e.digit for e in group.entries) == [3, 7, 8]
+    assert sorted(e.digit for e in m.placards) == [3, 7, 8]
     assert load_map(serialize_map(m)) == m
 
 
@@ -174,13 +176,13 @@ DEFAULT_MAP_TIER = {1: "near", 2: "near", 3: "mid", 4: "mid",
 
 
 def test_route_lengths_follow_tiers(track):
-    l1, l3, l5 = (sum(s.length for s in route_to(track, w).steps) for w in (1, 3, 5))
+    l1, l3, l5 = (sum(s.length for s in route_to(track, w)) for w in (1, 3, 5))
     assert l1 < l3 < l5
 
 
 def test_route_length_monotone_in_tier_order(track):
     order = [1, 2, 3, 4, 5, 6, 7, 8]
-    lengths = [sum(s.length for s in route_to(track, w).steps) for w in order]
+    lengths = [sum(s.length for s in route_to(track, w)) for w in order]
     tiers = [DEFAULT_MAP_TIER[w] for w in order]
     for i in range(len(order) - 1):
         if tiers[i] != tiers[i + 1]:
@@ -191,30 +193,31 @@ def test_route_length_monotone_in_tier_order(track):
 
 
 def test_route_to_ward_two_turns_right(track):
-    plan = route_to(track, 2)
-    assert [s.action for s in plan.steps if s.action is not Action.STOP] == [Action.RIGHT]
-    assert plan.steps[-1].action is Action.STOP
+    route = route_to(track, 2)
+    assert [s.action for s in route if s.action is not Action.STOP] == [Action.RIGHT]
+    assert route[-1].action is Action.STOP
 
 
 def test_route_to_ward_one_turns_left(track):
-    plan = route_to(track, 1)
-    assert [s.action for s in plan.steps if s.action is not Action.STOP] == [Action.LEFT]
+    route = route_to(track, 1)
+    assert [s.action for s in route if s.action is not Action.STOP] == [Action.LEFT]
 
 
 def test_route_matches_bfs_oracle_for_every_ward(track):
     for wid in range(1, 9):
-        plan = route_to(track, wid)
+        route = route_to(track, wid)
         nodes, actions = bfs_route_oracle(track, wid)
-        got = [s.action for s in plan.steps if s.action is not Action.STOP]
+        got = [s.action for s in route if s.action is not Action.STOP]
         assert got == actions, f"ward {wid}"
-        assert plan.steps[-1].end_node == nodes[-1]
+        assert route[-1].end_node == nodes[-1]
 
 
 def test_zero_length_route_is_just_stop():
     m = load_map("node p 0 0\nnode a 0 1\nedge e p a\nward 5 p\npharmacy p\n")
-    plan = route_to(m, 5)
-    assert [s.action for s in plan.steps] == [Action.STOP]
-    assert sum(s.length for s in plan.steps) == 0.0
+    route = route_to(m, 5)
+    assert [s.action for s in route] == [Action.STOP]
+    assert sum(s.length for s in route) == 0.0
+    assert reverse_route(m, route) == route
 
 
 def test_missing_ward_is_an_error(track):
@@ -229,15 +232,14 @@ def test_reversed_plan_swaps_left_right(track):
     swap = {Action.LEFT: Action.RIGHT, Action.RIGHT: Action.LEFT,
             Action.STRAIGHT: Action.STRAIGHT}
     for wid in range(1, 9):
-        plan = route_to(track, wid)
-        back = plan.reversed(track)
-        fwd_actions = [s.action for s in plan.steps if s.action is not Action.STOP]
-        back_actions = [s.action for s in back.steps if s.action is not Action.STOP]
+        route = route_to(track, wid)
+        back = reverse_route(track, route)
+        fwd_actions = [s.action for s in route if s.action is not Action.STOP]
+        back_actions = [s.action for s in back if s.action is not Action.STOP]
         assert back_actions == [swap[a] for a in reversed(fwd_actions)]
-        assert back.steps[-1].action is Action.STOP
-        assert back.steps[-1].end_node == track.pharmacy
-        assert math.isclose(sum(s.length for s in back.steps),
-                            sum(s.length for s in plan.steps))
+        assert back[-1].action is Action.STOP
+        assert back[-1].end_node == track.pharmacy
+        assert math.isclose(sum(s.length for s in back), sum(s.length for s in route))
 
 
 def test_reversed_graph_route_matches_reversed_plan(track):
@@ -247,37 +249,46 @@ def test_reversed_graph_route_matches_reversed_plan(track):
     text = DEFAULT_MAP_TEXT.replace("pharmacy pharmacy", "pharmacy w4")
     text = text.replace("ward 4 w4", "ward 4 pharmacy")
     flipped = load_map(text)
-    back_plan = route_to(flipped, 4)
-    want = route_to(track, 4).reversed(track)
-    assert [s.action for s in back_plan.steps] == [s.action for s in want.steps]
-    assert [s.edge_id for s in back_plan.steps] == [s.edge_id for s in want.steps]
+    back_route = route_to(flipped, 4)
+    want = reverse_route(track, route_to(track, 4))
+    assert [s.action for s in back_route] == [s.action for s in want]
+    assert [s.edge_id for s in back_route] == [s.edge_id for s in want]
 
 
 # ---------------------------------------------------------- pause points
 
 def test_follower_pause_point_is_last_before_ward_junction(track):
-    pos, dist = resolve_pause_point(track, 4)
-    assert pos == (0.0, 1.5)
-    assert math.isclose(dist, 1.5)
-    pos1, dist1 = resolve_pause_point(track, 1)
-    assert pos1 == (0.0, 0.5)
-    assert math.isclose(dist1, 0.5)
+    # halfway along the spine edge that ends at the ward's junction
+    assert math.isclose(pause_distance(track, 4), 1.5)
+    assert math.isclose(pause_distance(track, 1), 0.5)
+    with pytest.raises(ValueError, match="no edge before its junction"):
+        pause_distance(load_map(TINY_MAP.replace("edge e2 a w", "edge e2 p w")), 3)
 
 
 # ----------------------------------------------------------- placards
 
+def _junction_of(track, node):
+    """The default map's junction a ward node's stub hangs off."""
+    (edge,) = [e for e in track.edges if node in (e.a, e.b)]
+    return edge.a if edge.b == node else edge.b
+
+
 def test_placard_groups_have_one_to_four_entries(track):
-    for group in track.placard_groups():
-        assert 1 <= len(group.entries) <= 4
+    junctions = [track.node_pos(_junction_of(track, w.node)) for w in track.wards]
+    per_junction = dict.fromkeys(junctions, 0)
+    for e in track.placards:
+        per_junction[min(junctions, key=lambda j: math.dist(j, (e.x, e.y)))] += 1
+    assert sorted(per_junction.values()) == [2, 2, 2, 2]
+    assert sorted(e.digit for e in track.placards) == list(range(1, 9))
+    with pytest.raises(MapValidationError, match="has 5 entries"):
+        load_map(TINY_MAP.replace("ward 3 w", "ward 3 w 1 2 4 5"))
 
 
 def test_ward_placard_contains_its_digit_near_its_junction(track):
     for w in track.wards:
-        digits = [e.digit for e in w.placard.entries]
-        assert w.id in digits
-        jx, jy = track.node_pos(w.placard.junction)
-        for e in w.placard.entries:
-            assert math.hypot(e.x - jx, e.y - jy) < 0.6
+        jx, jy = track.node_pos(_junction_of(track, w.node))
+        (e,) = [e for e in track.placards if e.digit == w.id]
+        assert math.hypot(e.x - jx, e.y - jy) < 0.6
 
 
 def test_nearest_centerline_distance(track):
@@ -330,3 +341,80 @@ def test_unpickled_map_hashes_like_a_fresh_one(tmp_path, track):
                PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, timeout=60)
     assert done.returncode == 0
+
+
+# ---------------------------------------------------------- raster budget
+
+def test_map_over_the_raster_budget_is_refused_at_load(track):
+    # loaded only, never rendered: its raster would be 50,600 x 50,600 cells
+    far = "node a -50 -50\nnode b 50 50\nedge e a b\npharmacy a\n"
+    with pytest.raises(MapValidationError, match="50600 x 50600 cells exceeds the budget"):
+        load_map(far)
+    assert raster_box(pos for _, pos in track.nodes)[2:] == (1100, 2600)
+    # by arithmetic: 8,190 cells a side fit in 2**26, and 8,195 do not
+    square = "node a 0 0\nnode b {s} {s}\nedge e a b\nward 1 b\npharmacy a\n"
+    fits = load_map(square.format(s=15.18))
+    assert raster_box(pos for _, pos in fits.nodes)[2:] == (8190, 8190)
+    with pytest.raises(MapValidationError, match="8195 x 8195 cells"):
+        load_map(square.format(s=15.19))
+
+
+# ------------------------------------------------------ generated map text
+
+# odd spellings that float() or int() may take or refuse: non-finite and
+# huge or tiny magnitudes, hex, underscores, a Unicode digit, nothing
+ODD_NUMBERS = ["nan", "inf", "-inf", "1e400", "1e-320", "0x10", "1_0", "\u0663", "",
+               "-0", "+.5", "08", "50.5", "15.3", "-15.3"]
+NODE_IDS = ["p", "a", "b", "c", "d"]
+plain_number = st.one_of(st.sampled_from(["0", "0.5", "1", "-1", "2.25"]),
+                         st.floats(-3.0, 3.0).map(repr))
+number_text = st.one_of(plain_number, st.sampled_from(ODD_NUMBERS))
+plain_digit = st.integers(1, 8).map(str)
+digit_text = st.one_of(plain_digit, st.integers(-1, 10).map(str), st.sampled_from(ODD_NUMBERS))
+node_id = st.sampled_from(NODE_IDS)
+map_record = st.one_of(
+    st.tuples(node_id, number_text, number_text).map(lambda r: "node %s %s %s" % r),
+    st.tuples(st.sampled_from(["e1", "e2", "e3", "e4"]), node_id, node_id)
+    .map(lambda r: "edge %s %s %s" % r),
+    st.tuples(digit_text, node_id, st.lists(digit_text, max_size=3).map(" ".join))
+    .map(lambda r: "ward %s %s %s" % r),
+    node_id.map("pharmacy {}".format),
+    number_text.map("width {}".format),
+    st.one_of(st.sampled_from(["bogus 1", "node", "edge e1 p", "# note", "   ", "ward"]),
+              st.text(max_size=8)))
+
+
+@st.composite
+def map_texts(draw):
+    """A well-formed tree over some of the node ids, with wards on some of
+    them, and generated records put in anywhere; LF or CRLF line ends."""
+    n = draw(st.integers(1, len(NODE_IDS)))
+    records = [f"node {nid} {draw(plain_number)} {draw(plain_number)}" for nid in NODE_IDS[:n]]
+    records += [f"edge e{i} {NODE_IDS[draw(st.integers(0, i - 1))]} {NODE_IDS[i]}"
+                for i in range(1, n)]
+    for nid in NODE_IDS[1:n]:
+        if draw(st.booleans()):
+            extras = draw(st.lists(plain_digit, max_size=2))
+            records.append(" ".join(["ward", draw(plain_digit), nid, *extras]))
+    records.append("pharmacy p")
+    if draw(st.integers(0, 7)) == 0:  # a far node, for the raster budget to decide
+        far = draw(st.sampled_from(["15.1 15.1", "15.3 -15.3", "-50 50", "0 50"]))
+        records += [f"node f {far}", "edge ef p f"]
+    for _ in range(draw(st.integers(0, 4))):
+        records.insert(draw(st.integers(0, len(records))), draw(map_record))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(records) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=map_texts())
+@example(text="node p 0 0\r\nnode a \u0663 1_0\r\nedge e p a\r\nward \u0663 a 08\r\n"
+              "pharmacy p\r\nwidth +.5\r\n")
+def test_any_map_text_loads_or_raises_a_map_error(text):
+    try:
+        track = load_map(text)
+    except MapError:
+        return
+    assert load_map(serialize_map(track)) == track
+    _, _, nx, ny = raster_box(pos for _, pos in track.nodes)
+    assert nx * ny <= RASTER_BUDGET

@@ -153,16 +153,16 @@ def test_heavy_loss_still_completes(track):
 
 
 def test_follower_never_passes_pause_point_without_proceed(track):
-    from wardcart.arena import resolve_pause_point, route_to
+    from wardcart.arena import pause_distance, route_to
     cfg = SimConfig(carts=2, wards=(3, 3), max_ticks=12000, seed=11, link_drop=0.7)
     report = run_scenario(track, cfg)
     assert all(o is CartOutcome.DELIVERED_AND_RETURNED for o in report.outcomes)
-    _, pause_dist = resolve_pause_point(track, 3)
-    plan = route_to(track, 3)
+    pause_dist = pause_distance(track, 3)
+    route = route_to(track, 3)
     # find when the follower first received a proceed: it acks immediately
     ack_ticks = [ev.tick for ev in report.events
                  if ev.cart == 1 and ev.text.startswith("tx=ack")]
     first_ack = min(ack_ticks)
     for s in report.samples:
         if s.cart == 1 and s.tick < first_ack:
-            assert route_progress(track, plan, (s.x, s.y)) <= pause_dist + 1e-6
+            assert route_progress(track, route, (s.x, s.y)) <= pause_dist + 1e-6

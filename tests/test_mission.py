@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from wardcart.arena import Action, resolve_pause_point, route_to
+from wardcart.arena import Action, pause_distance, reverse_route, route_to
 from wardcart.comms import Message, MessageKind
 from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANGE,
                               PROCEED_RETRY_TICKS, STOP_MARGIN, TURN_LEAD, Intent,
@@ -24,13 +24,13 @@ def sensors(line=(80.0, 1.0), detections=(), loaded=False, odo=0.0):
 
 def make_config(track, role=Role.SOLO, ward=None, **overrides):
     routes = {w.id: route_to(track, w.id) for w in track.wards}
-    returns = {wid: plan.reversed(track) for wid, plan in routes.items()}
+    returns = {wid: reverse_route(track, route) for wid, route in routes.items()}
     missing = object()
-    pause = overrides.pop("pause_point", missing)
+    pause = overrides.pop("pause_distance", missing)
     if pause is missing:
-        pause = resolve_pause_point(track, ward) if role is Role.FOLLOWER else None
+        pause = pause_distance(track, ward) if role is Role.FOLLOWER else None
     return MissionConfig(role=role, cart_id=0 if role is not Role.FOLLOWER else 1,
-                         routes=routes, returns=returns, pause_point=pause,
+                         routes=routes, returns=returns, pause_distance=pause,
                          **overrides)
 
 
@@ -73,7 +73,7 @@ def test_acquire_uses_nearest_when_crowded(track):
 # ------------------------------------------------------- junction decisions
 
 def test_junction_decide_left_from_placard_position(track):
-    planned = route_to(track, 1).steps[0].action  # first junction action is Left
+    planned = route_to(track, 1)[0].action  # first junction action is Left
     assert check_junction(1, [det(1, x=20.0, z=0.2)], planned) is None
     for other in (Action.RIGHT, Action.STRAIGHT):
         assert check_junction(1, [det(1, x=20.0, z=0.2)], other) == (
@@ -81,28 +81,28 @@ def test_junction_decide_left_from_placard_position(track):
 
 
 def test_junction_decide_no_placard_in_range(track):
-    planned = route_to(track, 1).steps[0].action
+    planned = route_to(track, 1)[0].action
     assert check_junction(1, [], planned) is None
     for z in (2.0, DECISION_RANGE):  # on the wrong side, but not yet in range
         assert check_junction(1, [det(1, x=150.0, z=z)], planned) is None
 
 
 def test_junction_decide_centered_is_straight(track):
-    planned = route_to(track, 5).steps[0].action  # straight through the first junction
+    planned = route_to(track, 5)[0].action  # straight through the first junction
     assert check_junction(5, [det(5, x=80.0, z=0.2)], planned) is None
     assert check_junction(5, [det(5, x=80.0, z=0.2)], Action.LEFT) == (
         "target 5 placard suggests straight, route says left")
 
 
 def test_junction_decide_falls_back_to_plan(track):
-    planned = route_to(track, 5).steps[0].action  # target 5 absent at the near junction
+    planned = route_to(track, 5)[0].action  # target 5 absent at the near junction
     for plan_says in (planned, Action.LEFT, Action.RIGHT):
         assert check_junction(5, [det(1, x=20.0, z=0.2), det(2, x=140.0, z=0.2)],
                               plan_says) is None
 
 
 def test_junction_decide_contradiction_raises(track):
-    planned = route_to(track, 1).steps[0].action  # route says Left
+    planned = route_to(track, 1)[0].action  # route says Left
     assert check_junction(1, [det(1, x=150.0, z=0.2)], planned) == (
         "target 1 placard suggests right, route says left")
     # arriving, not deciding
@@ -230,7 +230,7 @@ def follower_outbound(track, **overrides):
 
 def test_follower_pauses_at_pause_point(track):
     cfg, state = follower_outbound(track)
-    pause_dist = cfg.pause_point[1]
+    pause_dist = cfg.pause_distance
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=pause_dist - 0.2))
     assert state.phase is MissionPhase.OUTBOUND
     intent, _, state = step(state, cfg, sensors(loaded=True, odo=pause_dist - STOP_MARGIN))
@@ -240,9 +240,9 @@ def test_follower_pauses_at_pause_point(track):
 
 def test_follower_resumes_on_proceed_and_acks(track):
     cfg, state = follower_outbound(track)
-    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
+    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance))
     assert state.phase is MissionPhase.PAUSED_AT_POINT
-    intent, outbox, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]),
+    intent, outbox, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance),
                                  inbox=[Message(MessageKind.PROCEED, 0, 0)])
     assert state.phase is MissionPhase.OUTBOUND
     assert intent is Intent.FOLLOW
@@ -251,15 +251,15 @@ def test_follower_resumes_on_proceed_and_acks(track):
 
 def test_follower_acks_every_proceed_but_resumes_once(track):
     cfg, state = follower_outbound(track)
-    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
+    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance))
     inbox = [Message(MessageKind.PROCEED, 0, 0), Message(MessageKind.PROCEED, 0, 1)]
-    _, outbox, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]),
+    _, outbox, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance),
                             inbox=inbox)
     assert state.phase is MissionPhase.OUTBOUND
     assert [m.kind for m in outbox] == [MessageKind.ACK, MessageKind.ACK]
     assert [m.seq for m in outbox] == [0, 1]
     # another duplicate later: acked again, no state regression
-    _, outbox, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1] + 0.05),
+    _, outbox, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance + 0.05),
                             inbox=[Message(MessageKind.PROCEED, 0, 2)])
     assert state.phase is MissionPhase.OUTBOUND
     assert len(outbox) == 1
@@ -269,23 +269,23 @@ def test_follower_with_early_proceed_never_pauses(track):
     cfg, state = follower_outbound(track)
     _, _, state = step(state, cfg, sensors(loaded=True, odo=0.1),
                        inbox=[Message(MessageKind.PROCEED, 0, 0)])
-    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
+    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance))
     assert state.phase is MissionPhase.OUTBOUND
     # and no later step pauses it: the Proceed it holds never clears
-    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1] + 0.05))
+    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance + 0.05))
     assert state.phase is MissionPhase.OUTBOUND and state.proceed_received
 
 
 def test_follower_config_requires_pause_point(track):
     with pytest.raises(ValueError):
-        make_config(track, role=Role.FOLLOWER, ward=4, pause_point=None)
+        make_config(track, role=Role.FOLLOWER, ward=4, pause_distance=None)
 
 
 def test_mission_config_holds_only_what_the_engine_sets():
     # the fixed thresholds are module constants; a field here is set per run
     assert [f.name for f in fields(MissionConfig)] == [
         "role", "cart_id", "routes", "returns", "lost_line_ticks",
-        "pause_point"]
+        "pause_distance"]
 
 
 # ----------------------------------------------------------------- leader
@@ -356,10 +356,10 @@ def copy_cases(track):
     yield solo, MissionState(), sensors(detections=[det(4)]), [], 0
     yield solo, MissionState(phase=MissionPhase.AWAIT_LOAD, target=4), sensors(loaded=True), [], 0
     cfg, state = follower_outbound(track)
-    yield cfg, state, sensors(loaded=True, odo=cfg.pause_point[1]), [], 0
-    _, _, paused = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
+    yield cfg, state, sensors(loaded=True, odo=cfg.pause_distance), [], 0
+    _, _, paused = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance))
     assert paused.phase is MissionPhase.PAUSED_AT_POINT
-    yield (cfg, paused, sensors(loaded=True, odo=cfg.pause_point[1]),
+    yield (cfg, paused, sensors(loaded=True, odo=cfg.pause_distance),
            [Message(MessageKind.PROCEED, 0, 0)], 0)
     leader = make_config(track, role=Role.LEADER)
     unloading = MissionState(phase=MissionPhase.AWAIT_UNLOAD, target=4, delivered=True)
@@ -468,18 +468,18 @@ def test_await_load_reads_detections_when_loaded(track):
 
 def test_paused_at_point_reads_detections_once_proceed_arrives(track):
     cfg, state = follower_outbound(track)
-    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_point[1]))
+    _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance))
     assert state.phase is MissionPhase.PAUSED_AT_POINT
     # a Proceed can arrive in the step's own inbox, so the range stays set
     assert reading_range(state, cfg, True) == DECISION_RANGE
     # still waiting: nothing read
-    step(state, cfg, unreadable(loaded=True, odo=cfg.pause_point[1]))
+    step(state, cfg, unreadable(loaded=True, odo=cfg.pause_distance))
     with pytest.raises(DetectionsRead):
-        step(state, cfg, unreadable(loaded=True, odo=cfg.pause_point[1]),
+        step(state, cfg, unreadable(loaded=True, odo=cfg.pause_distance),
              inbox=[Message(MessageKind.PROCEED, 0, 0)])
     state.proceed_received = True
     with pytest.raises(DetectionsRead):
-        step(state, cfg, unreadable(loaded=True, odo=cfg.pause_point[1]))
+        step(state, cfg, unreadable(loaded=True, odo=cfg.pause_distance))
 
 
 def test_await_target_and_outbound_read_detections(track):
@@ -502,7 +502,7 @@ def reading_cases(track):
     turns right at 1 m then stops 0.5 m on, and ward 5 goes straight first."""
     solo, leader = make_config(track), make_config(track, role=Role.LEADER)
     follower, paused = follower_outbound(track)
-    _, _, paused = step(paused, follower, sensors(loaded=True, odo=follower.pause_point[1]))
+    _, _, paused = step(paused, follower, sensors(loaded=True, odo=follower.pause_distance))
     assert paused.phase is MissionPhase.PAUSED_AT_POINT
     proceed = [Message(MessageKind.PROCEED, 0, 0)]
 
@@ -533,8 +533,8 @@ def reading_cases(track):
         (solo, outbound(2, 1.0), True, 1.5, [], None),  # and here it fires
         (solo, past_end, True, 3.0, [], None),
         (follower, outbound(4, 0.5), True, 0.8, [], DECISION_RANGE),
-        (follower, paused, True, follower.pause_point[1], [], DECISION_RANGE),
-        (follower, paused, True, follower.pause_point[1], proceed, DECISION_RANGE),
+        (follower, paused, True, follower.pause_distance, [], DECISION_RANGE),
+        (follower, paused, True, follower.pause_distance, proceed, DECISION_RANGE),
     ]
     for cfg in (solo, leader):
         cases += [(cfg, state, snsr.loaded, snsr.odometry_distance, [], None)

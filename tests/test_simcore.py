@@ -255,10 +255,10 @@ def test_outcome_consistent_with_final_phase(track):
 
 
 def test_route_progress_projects_onto_the_plan(track):
-    plan = route_to(track, 4)
-    assert route_progress(track, plan, (0.0, 0.0)) == pytest.approx(0.0)
-    assert route_progress(track, plan, (0.0, 1.3)) == pytest.approx(1.3)
-    assert route_progress(track, plan, (0.2, 2.0)) == pytest.approx(2.2, abs=0.01)
+    route = route_to(track, 4)
+    assert route_progress(track, route, (0.0, 0.0)) == pytest.approx(0.0)
+    assert route_progress(track, route, (0.0, 1.3)) == pytest.approx(1.3)
+    assert route_progress(track, route, (0.2, 2.0)) == pytest.approx(2.2, abs=0.01)
 
 
 def test_svg_contains_map_and_paths(track):

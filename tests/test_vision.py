@@ -13,17 +13,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wardcart import vehicle
-from wardcart.arena import GLYPH_HEIGHT, PlacardEntry, default_map, load_map
+from wardcart.arena import GLYPH_HEIGHT, WORLD_CELL, PlacardEntry, default_map, load_map
 from wardcart.vision import camera, pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
-from wardcart.vision.glyphs import GRID_N, glyph_grid
+from wardcart.vision.glyphs import GRID_N, default_templates, glyph_grid
 from wardcart.vision.pipeline import (DigitDetection, _label_runs,
                                       adaptive_binarize, detect_in_binary,
                                       detect_placards, line_centroid,
                                       match_digit, normalize_mask,
                                       undistort_bits)
 from wardcart.simcore import CONTROL_ROI
-from wardcart.vision.render import (LINE_HALF_WIDTH, WORLD_CELL, NoiseParams, _glyph_ink,
+from wardcart.vision.render import (LINE_HALF_WIDTH, NoiseParams, _glyph_ink,
                                     _levels, _scratch, _WorldInk, clean_bits, render,
                                     world_ink)
 
@@ -945,11 +945,10 @@ def reference_ink(ink, track):
             dy = ys - (ay + t * vy)
             grid[iy0:iy1, ix0:ix1] |= dx * dx + dy * dy <= r * r
     pad = GLYPH_HEIGHT / 2.0 * 1.5
-    for group in track.placard_groups():
-        for entry in group.entries:
-            ix0, ix1, iy0, iy1, xs, ys = ink._cells(entry.x - pad, entry.x + pad,
-                                                    entry.y - pad, entry.y + pad)
-            grid[iy0:iy1, ix0:ix1] |= _glyph_ink(xs, ys, entry)
+    for entry in track.placards:
+        ix0, ix1, iy0, iy1, xs, ys = ink._cells(entry.x - pad, entry.x + pad,
+                                                entry.y - pad, entry.y + pad)
+        grid[iy0:iy1, ix0:ix1] |= _glyph_ink(xs, ys, entry)
     return grid
 
 
@@ -1026,19 +1025,12 @@ def _maps(n):
     return [(load_map(f"node p {i} 0\npharmacy p\nwidth 0.30\n"),) for i in range(n)]
 
 
-def _grids(n):
-    rng = np.random.default_rng(0)
-    return [(rng.random((GRID_N, GRID_N)) < 0.5).tobytes() for _ in range(n)]
-
-
 CACHES = {
     "world_ink": (world_ink, _maps),
     "ground_grid": (ground_grid, lambda n: [(0.01 * i,) for i in range(n)]),
     "undistort_map": (pipeline._undistort_map,
                       lambda n: [(160, 120, 0.01 * i) for i in range(n)]),
     "axis_weights": (pipeline._axis_weights, lambda n: [(1 + i, GRID_N) for i in range(n)]),
-    "template_stack": (pipeline._template_stack,
-                       lambda n: [(((1, g),),) for g in _grids(n)]),
     "quadrature": (vehicle._quadrature, lambda n: [(0.01 * (1 + i),) for i in range(n)]),
     "render_scratch": (_scratch, lambda n: [((1 + i,), np.dtype(np.float32), "x")
                                             for i in range(n)]),
@@ -1056,16 +1048,11 @@ def test_module_caches_are_bounded(name):
     assert cached.cache_info().currsize <= maxsize
 
 
-def test_normalized_template_is_cached_by_grid(templates):
-    copy = {d: grid.copy() for d, grid in templates.items()}
-    mask = glyph_grid(3)
-    assert match_digit(mask, templates) == match_digit(mask, copy) == (3, 1.0)
-    before = pipeline._template_stack.cache_info()
-    match_digit(mask, copy)
-    after = pipeline._template_stack.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    digits, stack = pipeline._template_stack(
-        tuple((d, templates[d].tobytes()) for d in sorted(templates)))
-    assert digits == tuple(sorted(templates)) and not stack.flags.writeable
-    for digit, norm in zip(digits, stack):
-        assert np.array_equal(norm, normalize_mask(templates[digit]))
+def test_default_templates_are_the_read_only_normalized_glyphs():
+    stack = default_templates()
+    assert stack.shape == (8, GRID_N, GRID_N) and stack.dtype == bool
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = not stack[0, 0, 0]
+    for digit in range(1, 9):
+        assert np.array_equal(stack[digit - 1], normalize_mask(glyph_grid(digit)))
