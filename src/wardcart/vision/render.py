@@ -8,7 +8,9 @@ lens geometry).
 The static map ink (lines and placards) is rasterized once into a fine
 world-space bitmap (2 mm cells), so a frame render is a rotate-translate
 plus one gather. Free-standing digit cards change during a mission and are
-sampled analytically per frame.
+sampled analytically per frame. A frame of the same scene as one of the
+last few (track, pose, lens and cards) reuses its ink; the noise is drawn
+anew on every frame.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .pipeline import BINARIZE_MARGIN
 BACKGROUND_LEVEL = 200.0
 INK_LEVEL = 30.0
 LINE_HALF_WIDTH = 0.010  # meters; 2 cm wide guide tape
+STRIP_CELLS = 128  # length of one painted piece of a segment, in WORLD_CELLs
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,19 @@ class _WorldInk:
         if vx * vx + vy * vy == 0:  # also ends so close that the square underflows
             return
         r = LINE_HALF_WIDTH
-        ix0, ix1, iy0, iy1, xs, ys = self._cells(min(ax, bx) - r, max(ax, bx) + r,
-                                                 min(ay, by) - r, max(ay, by) + r)
-        dx, dy = project_offsets(ax, ay, bx, by, xs, ys)
-        self.grid[iy0:iy1, ix0:ix1] |= dx * dx + dy * dy <= r * r
+        # piece by piece along the segment, each over its own box widened by
+        # r: the work arrays scale with the ink, not with the segment's box
+        # (a long diagonal's box is 0.5 GB of float64 at the raster budget).
+        # A cell's value depends on the whole segment and its own center
+        # alone, so any cover of the ink cells paints the same bits
+        pieces = max(1, math.ceil(math.hypot(vx, vy) / (STRIP_CELLS * WORLD_CELL)))
+        for i in range(pieces):
+            x0, x1 = ax + vx * (i / pieces), ax + vx * ((i + 1) / pieces)
+            y0, y1 = ay + vy * (i / pieces), ay + vy * ((i + 1) / pieces)
+            ix0, ix1, iy0, iy1, xs, ys = self._cells(min(x0, x1) - r, max(x0, x1) + r,
+                                                     min(y0, y1) - r, max(y0, y1) + r)
+            dx, dy = project_offsets(ax, ay, bx, by, xs, ys)
+            self.grid[iy0:iy1, ix0:ix1] |= dx * dx + dy * dy <= r * r
 
     def _paint_glyph(self, entry: PlacardEntry) -> None:
         half = GLYPH_HEIGHT / 2.0
@@ -176,6 +188,32 @@ def _ink(track: TrackMap, pose: tuple[float, float, float], gx: np.ndarray,
     return ink
 
 
+def _scene_ink(track: TrackMap, pose: tuple[float, float, float], k1: float,
+               cards: Sequence[PlacardEntry]) -> np.ndarray:
+    """The ink mask of the frame render draws, read-only when it comes from
+    the memo. Every exposure of one scene has the same ink, so the corpus
+    sweep samples it once per scene instead of once per brightness and sigma.
+    A pose that is not finite is sampled on every call: NaN equals nothing,
+    and its cell-index cast warns each time."""
+    pose, cards = tuple(pose), tuple(cards)
+    if not all(map(math.isfinite, pose)):
+        return _ink(track, pose, *ground_grid(k1), cards)
+    # 1.0 and np.float64(1.0) are one lru_cache key but sample in float32
+    # and float64 (NEP 50), so the key carries every coordinate's type
+    types = tuple(map(type, pose)) + tuple(type(v) for c in cards
+                                           for v in (c.x, c.y, c.up_angle))
+    return _memo_ink(track, pose, k1, cards, types)
+
+
+@lru_cache(maxsize=4)
+def _memo_ink(track: TrackMap, pose: tuple[float, float, float], k1: float,
+              cards: tuple[PlacardEntry, ...], types: tuple[type, ...]) -> np.ndarray:
+    """_scene_ink's memo of the last few scenes; ``types`` is only part of the key."""
+    ink = _ink(track, pose, *ground_grid(k1), cards)
+    ink.flags.writeable = False
+    return ink
+
+
 @lru_cache(maxsize=8)
 def _levels(brightness: float) -> tuple[np.uint8, np.uint8]:
     """The (ink, background) pixel values of a noise-free frame. Cached:
@@ -195,7 +233,7 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
     start, corpus scenes) on top of the map's placards. The lens distortion
     is the camera's; ``noise.k1`` is not read.
     """
-    ink = _ink(track, pose, *ground_grid(cam.distortion_k1), cards)
+    ink = _scene_ink(track, pose, cam.distortion_k1, cards)
     if noise.sigma > 0:
         if rng is None:
             raise ValueError("pixel noise requested but no rng supplied")

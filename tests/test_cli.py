@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import tempfile
 import warnings
@@ -161,6 +162,17 @@ def test_vision_corpus_clean_subset_is_perfect(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "label,predicted,score,k1,brightness,noise"
     assert len(lines) == 1 + 8 * 5 * 3  # digits x shifts_x x shifts_y
+
+
+def test_corpus_lines_are_unchanged():
+    # every brightness and sigma of one card scene in a row: the exposures
+    # that share the scene's ink. The sha256 of the lines was computed before
+    # render reused that ink, so a change to any line fails here
+    lines = []
+    counts = cli.run_corpus([0.0, 0.05], [-30.0, 30.0], [0.0, 8.0], out_lines=lines)
+    assert counts == (960, 955, 0, 0)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "37a4077db1cd4101a9a49cb6d45e868e4fbcec5dd2fd3cb922d6ca11f2cacfc8"
 
 
 def test_vision_corpus_runs_a_huge_k1(tmp_path, capsys):
@@ -397,3 +409,31 @@ def test_any_scenario_and_run_flags_exit_cleanly(lines, flags, max_ticks, crlf):
         scn = Path(tmp) / "gen.scn"
         scn.write_text(text, encoding="utf-8")
         assert main(["run", str(scn), *argv]) in (0, 1, 2)
+
+
+# values each list takes, and odd entries; repeats come from drawing a value
+# twice. Plain values weigh three times, so about a quarter of the cases run a grid
+CORPUS_ODD = ["-1", "-0.34", "nan", "inf", "-inf", "1e300", "-1e300", "", " ", "x"]
+
+
+def corpus_list(*plain):
+    value = st.one_of(*[st.sampled_from(plain)] * 3, st.sampled_from(CORPUS_ODD))
+    return st.lists(value, min_size=1, max_size=2).map(",".join)
+
+
+@given(k1s=corpus_list("0", "0.05", "0.1"), brightnesses=corpus_list("-30", "0", "30"),
+       sigmas=corpus_list("0", "8"))
+@example(k1s="0,0", brightnesses="1e300,", sigmas="8,8")
+@example(k1s="1e300", brightnesses="-30", sigmas="-1")
+@settings(max_examples=200, deadline=None)
+def test_any_vision_corpus_lists_exit_cleanly(k1s, brightnesses, sigmas):
+    # one shift, so a grid is at most 8 digits x 2 x 2 x 2 frames
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(cli, "CORPUS_SHIFTS_X", (0,))
+        mp.setattr(cli, "CORPUS_SHIFTS_Y", (0,))
+        argv = ["vision-corpus", str(Path(tmp) / "c.csv"), f"--k1={k1s}",
+                f"--brightness={brightnesses}", f"--noise={sigmas}"]
+        assert main(argv) in (0, 1, 2)

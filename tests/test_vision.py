@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 import types
 import warnings
 from collections import namedtuple
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wardcart import vehicle
-from wardcart.arena import GLYPH_HEIGHT, WORLD_CELL, PlacardEntry, default_map, load_map
+from wardcart.arena import (GLYPH_HEIGHT, RASTER_BUDGET, WORLD_CELL, PlacardEntry, default_map,
+                            load_map, raster_box)
 from wardcart.vision import camera, pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
 from wardcart.vision.glyphs import GRID_N, default_templates, glyph_grid
@@ -23,9 +25,9 @@ from wardcart.vision.pipeline import (DigitDetection, _label_runs,
                                       match_digit, normalize_mask,
                                       undistort_bits)
 from wardcart.simcore import CONTROL_ROI
-from wardcart.vision.render import (LINE_HALF_WIDTH, NoiseParams, _glyph_ink,
-                                    _levels, _scratch, _WorldInk, clean_bits, render,
-                                    world_ink)
+from wardcart.vision.render import (LINE_HALF_WIDTH, NoiseParams, _glyph_ink, _ink,
+                                    _levels, _memo_ink, _scene_ink, _scratch, _WorldInk,
+                                    clean_bits, render, world_ink)
 
 EMPTY_MAP = load_map("node p 0 0\npharmacy p\nwidth 0.30\n")
 
@@ -759,6 +761,59 @@ def test_noisy_render_is_normal_noise_on_the_two_levels(track):
         assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
+def _rendered_ink(track, pose, cards=()):
+    # a clean frame is INK_LEVEL on the ink and BACKGROUND_LEVEL elsewhere
+    return render(track, pose, CameraModel(), cards=cards) == _levels(0.0)[0]
+
+
+def _type_twins(track):
+    """(map, [Python-float scene, np.float64 scene]) of equal values whose
+    ink differs: float32 world coordinates put a row of the pose's frame,
+    and one pixel of the card, on the other side of a cell edge."""
+    gx, gy = ground_grid(0.0)
+    # heading 0 at k1 = 0: wx = px + gx, and gx is constant along a row;
+    # x = 0.010 is the right edge of the guide line's ink
+    pose = (0.010 - float(gx[60, 80]) - 1e-9, 0.3, 0.0)
+    twins = [(pose, ()), (tuple(map(np.float64, pose)), ())]
+    # a glyph column edge 1e-9 m from a pixel's world x, on a map without lines
+    x, y = -float(gy[40, 80]) + GLYPH_HEIGHT * (0.5 - 7 / 16) + 1e-9, float(gx[40, 80])
+    start = (0.0, 0.0, math.pi / 2)
+    card_twins = [(start, (PlacardEntry(1, x, y, math.pi / 2),)),
+                  (start, (PlacardEntry(1, np.float64(x), np.float64(y), math.pi / 2),))]
+    return [(track, twins), (EMPTY_MAP, card_twins)]
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["python_first", "numpy_first"])
+@pytest.mark.parametrize("pair", [0, 1], ids=["pose", "card"])
+def test_scene_ink_memo_tells_coordinate_types_apart(track, pair, flip):
+    track, scenes = _type_twins(track)[pair]
+    scenes = scenes[::-1] if flip else scenes
+    gx, gy = ground_grid(0.0)
+    direct = [_ink(track, pose, gx, gy, cards) for pose, cards in scenes]
+    assert scenes[0] == scenes[1] and not np.array_equal(*direct)  # the case is live
+    _memo_ink.cache_clear()
+    for _ in range(2):  # the second pass is served by the memo
+        for (pose, cards), want in zip(scenes, direct):
+            assert np.array_equal(_rendered_ink(track, pose, cards), want)
+    assert _memo_ink.cache_info().hits == 2
+
+
+def test_a_non_finite_pose_is_sampled_every_call(track):
+    _memo_ink.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the NaN cell index cast
+        for pose in [(math.nan, 0.3, 0.0)] * 2 + [(0.0, math.inf, 0.0)] * 2:
+            render(track, pose, CameraModel())
+    assert _memo_ink.cache_info().currsize == 0 and _memo_ink.cache_info().hits == 0
+
+
+def test_memoized_ink_is_read_only(track):
+    ink = _scene_ink(track, ON_LINE, 0.0, ())
+    assert ink is _scene_ink(track, ON_LINE, 0.0, [])
+    with pytest.raises(ValueError):
+        ink[0, 0] = not ink[0, 0]
+
+
 def _pose(values, types):
     return tuple(kind(v) for kind, v in zip(types, values))
 
@@ -986,6 +1041,41 @@ def test_world_ink_equals_the_reference_painter(track):
     assert np.array_equal(ink.grid, reference_ink(ink, track))
 
 
+@settings(max_examples=20, deadline=None)
+@given(angle=st.floats(0.0, 2 * math.pi), reach=st.floats(0.3, 0.9),
+       bend=st.floats(-math.pi, math.pi))
+@example(angle=math.pi / 4, reach=0.9, bend=math.pi / 2)
+@example(angle=1e-3, reach=0.9, bend=0.0)
+def test_strip_painting_equals_the_box_painter_on_diagonal_maps(angle, reach, bend):
+    # a chord through the origin at any angle, then a branch off its end:
+    # edges of several pieces each, and boxes mostly free of ink
+    ax, ay = reach * math.cos(angle), reach * math.sin(angle)
+    bx, by = ax + reach * math.cos(angle + bend), ay + reach * math.sin(angle + bend)
+    track = load_map(f"node a {ax!r} {ay!r}\nnode b {-ax!r} {-ay!r}\nnode c {bx!r} {by!r}\n"
+                     "edge e a b\nedge f a c\npharmacy a\n")
+    ink = _WorldInk(track)
+    assert np.array_equal(ink.grid, reference_ink(ink, track))
+
+
+def test_painting_a_long_diagonal_takes_memory_for_its_ink_only():
+    # the longest diagonal a square map just inside the budget holds: its box
+    # is 8,100 x 8,100 cells, 0.5 GB in one float64 temporary
+    track = load_map("node p 0 0\nnode q 15 15\nedge e p q\npharmacy p\n")
+    _, _, nx, ny = raster_box(pos for _, pos in track.nodes)
+    assert 0.95 * RASTER_BUDGET < nx * ny <= RASTER_BUDGET
+    tracemalloc.start()
+    try:
+        ink = _WorldInk(track)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    raster = (nx + 2) * (ny + 2)
+    assert peak < raster + 4 * 2 ** 20
+    # ink at both ends and halfway, none off the line
+    at = ink.sample(np.array([0.0, 7.5, 15.0, 7.5]), np.array([0.0, 7.5, 15.0, 0.0]))
+    assert at.tolist() == [True, True, True, False]
+
+
 def rectify_reference(bits, box, k=48):
     """The ground square of a pixel box (x0, y0, width, height) sampled point
     by point; a sample off the frame reads as background."""
@@ -1035,6 +1125,8 @@ CACHES = {
     "render_scratch": (_scratch, lambda n: [((1 + i,), np.dtype(np.float32), "x")
                                             for i in range(n)]),
     "render_levels": (_levels, lambda n: [(float(i),) for i in range(n)]),
+    "render_scene_ink": (_memo_ink, lambda n: [(EMPTY_MAP, (0.0, 0.01 * i, 0.0), 0.0, (),
+                                                 (float,) * 3) for i in range(n)]),
 }
 
 
