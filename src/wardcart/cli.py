@@ -12,7 +12,7 @@ import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -205,13 +205,21 @@ def corpus_grid(k1s: list[float], brightnesses: list[float], sigmas: list[float]
                             yield digit, sx, sy, k1, brightness, sigma
 
 
+class CorpusTally(NamedTuple):
+    total: int
+    correct: int
+    clean_total: int
+    clean_correct: int
+    unread: int   # frames with no detection
+    misread: int  # frames with any detection of another digit
+
+
 def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
-               out_lines: list[str] | None = None):
+               out_lines: list[str] | None = None) -> CorpusTally:
     """Render digit cards over the sweep grid and score the classifier.
 
-    Returns (total, correct, clean_total, clean_correct). Labels come from
-    the renderer; a sample counts as correct only when exactly the right
-    digit is reported.
+    Labels come from the renderer; a sample counts as correct only when the
+    best-scoring detection is the right digit.
     """
     track = load_map(CORPUS_MAP_TEXT)
     templates = default_templates()
@@ -219,7 +227,7 @@ def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
     card_gx, card_gy = 0.26, 0.0  # straight ahead, cart frame
     u0, v0 = CameraModel.pixels_from_ground(np.array([card_gx]), np.array([card_gy]))
 
-    total = correct = clean_total = clean_correct = 0
+    total = correct = clean_total = clean_correct = unread = misread = 0
     idx = 0
     for digit, sx, sy, k1, brightness, sigma in corpus_grid(k1s, brightnesses, sigmas):
         gx, gy = CameraModel.ground_from_pixels(u0 + sx, v0 + sy)
@@ -234,6 +242,8 @@ def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
         hit = predicted == digit
         total += 1
         correct += hit
+        unread += not dets
+        misread += any(d.digit != digit for d in dets)
         if k1 == 0 and brightness == 0 and sigma == 0:
             clean_total += 1
             clean_correct += hit
@@ -241,7 +251,7 @@ def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
             out_lines.append(f"{digit},{predicted if predicted is not None else 'none'},"
                              f"{score:.4f},{k1},{brightness},{sigma}")
         idx += 1
-    return total, correct, clean_total, clean_correct
+    return CorpusTally(total, correct, clean_total, clean_correct, unread, misread)
 
 
 def cmd_vision_corpus(args: argparse.Namespace) -> int:
@@ -261,13 +271,13 @@ def cmd_vision_corpus(args: argparse.Namespace) -> int:
         raise ScenarioError("seed must be in [0, 2**64)")
     lines: list[str] = []
     with _open_output(args.output) as out:
-        total, correct, clean_total, clean_correct = run_corpus(
-            k1s, brightnesses, sigmas, seed=args.seed, out_lines=lines)
+        tally = run_corpus(k1s, brightnesses, sigmas, seed=args.seed, out_lines=lines)
         _write(out, "label,predicted,score,k1,brightness,noise\n" + "\n".join(lines) + "\n")
-    accuracy = correct / total
-    print(f"samples={total} accuracy={accuracy:.4f}")
-    if clean_total:
-        print(f"clean subset: samples={clean_total} accuracy={clean_correct / clean_total:.4f}")
+    print(f"samples={tally.total} accuracy={tally.correct / tally.total:.4f} "
+          f"unread={tally.unread} misread={tally.misread}")
+    if tally.clean_total:
+        print(f"clean subset: samples={tally.clean_total} "
+              f"accuracy={tally.clean_correct / tally.clean_total:.4f}")
     print(f"wrote {args.output}")
     return 0
 

@@ -99,7 +99,7 @@ def test_criterion_3_pid_form_equivalence():
 
 
 def test_criterion_4_vision_accuracy():
-    total, correct, clean_total, clean_correct = run_corpus(
+    total, correct, clean_total, clean_correct, _, _ = run_corpus(
         k1s=[0.0, 0.05, 0.1], brightnesses=[-30.0, 0.0, 30.0], sigmas=[0.0, 8.0],
         seed=0)
     assert total >= 1000

@@ -3,6 +3,7 @@ import hashlib
 import io
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from wardcart import cli
 from wardcart.cli import ScenarioError, _apply_overrides, build_parser, load_scenario, main
 from wardcart.simcore import CONFIG_KEYS, run_scenario
+from wardcart.vision.pipeline import detect_placards
 
 from test_simcore import scalar_deviation
 
@@ -170,9 +172,32 @@ def test_corpus_lines_are_unchanged():
     # render reused that ink, so a change to any line fails here
     lines = []
     counts = cli.run_corpus([0.0, 0.05], [-30.0, 30.0], [0.0, 8.0], out_lines=lines)
-    assert counts == (960, 955, 0, 0)
+    assert counts == (960, 955, 0, 0, 5, 0)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "37a4077db1cd4101a9a49cb6d45e868e4fbcec5dd2fd3cb922d6ca11f2cacfc8"
+
+
+def test_vision_corpus_reports_unread_and_misread(tmp_path, capsys, monkeypatch):
+    # one shift and one condition, 8 clean cards; the 3 also yields an 8 that
+    # scores lower, which is a misread though the best detection is right,
+    # and the 5 yields nothing
+    def doctored(frame, cam, templates):
+        dets = detect_placards(frame, cam, templates)
+        if dets and dets[0].digit == 3:
+            return dets + [replace(dets[0], digit=8, score=0.5)]
+        if dets and dets[0].digit == 5:
+            return []
+        return dets
+
+    monkeypatch.setattr(cli, "CORPUS_SHIFTS_X", (0,))
+    monkeypatch.setattr(cli, "CORPUS_SHIFTS_Y", (0,))
+    monkeypatch.setattr(cli, "detect_placards", doctored)
+    out = tmp_path / "corpus.csv"
+    code = main(["vision-corpus", str(out), "--k1", "0", "--brightness", "0",
+                 "--noise", "0"])
+    assert code == 0
+    assert "samples=8 accuracy=0.8750 unread=1 misread=1\n" in capsys.readouterr().out
+    assert out.read_text().splitlines()[3].startswith("3,3,")
 
 
 def test_vision_corpus_runs_a_huge_k1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import pkgutil
 import tracemalloc
 import types
 import warnings
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import wardcart
 from wardcart import vehicle
 from wardcart.arena import (GLYPH_HEIGHT, RASTER_BUDGET, WORLD_CELL, PlacardEntry, default_map,
                             load_map, raster_box)
@@ -237,6 +239,39 @@ def test_brightness_invariance_property(offset):
     shifted = (base + offset).astype(np.uint8)
     assert np.array_equal(adaptive_binarize(base.astype(np.uint8)),
                           adaptive_binarize(shifted))
+
+
+def binarize_reference(pixels):
+    return pixels < float(pixels.mean()) - pipeline.BINARIZE_MARGIN
+
+
+def _camera_frame(seed, lo, span):
+    """A camera-sized frame of values in [lo, lo + span], clipped at 255."""
+    return np.random.default_rng(seed).integers(lo, min(255, lo + span), (120, 160),
+                                                endpoint=True, dtype=np.uint8)
+
+
+frames_u8 = st.one_of(
+    arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12))),
+    # uniform frames, all 0 and all 255 among them
+    st.builds(np.full, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+              st.integers(0, 255), st.just(np.uint8)),
+    st.builds(_camera_frame, st.integers(0, 2 ** 32 - 1), st.integers(0, 255),
+              st.integers(0, 255)))
+
+
+@given(pixels=frames_u8)
+@example(pixels=np.zeros((120, 160), dtype=np.uint8))
+@example(pixels=np.full((120, 160), 255, dtype=np.uint8))
+@example(pixels=np.array([[10, 70]], dtype=np.uint8))     # threshold 10, a pixel value
+@example(pixels=np.array([[0, 0, 90]], dtype=np.uint8))   # threshold 0
+@example(pixels=np.array([[0, 0, 91]], dtype=np.uint8))   # threshold just above 0
+@example(pixels=np.array([[0, 0, 89]], dtype=np.uint8))   # threshold just below 0
+@settings(max_examples=200, deadline=None)
+def test_integer_threshold_equals_the_float_mean_threshold(pixels):
+    got = adaptive_binarize(pixels)
+    assert got.dtype == bool
+    assert np.array_equal(got, binarize_reference(pixels))
 
 
 # ------------------------------------------------------------ undistort
@@ -1110,6 +1145,57 @@ def test_rectify_matches_the_pointwise_reference(x0, y0, width, height, seed):
     assert (got is None and want is None) or np.array_equal(got, want)
 
 
+def test_a_rectify_table_keeps_no_bits():
+    # one box over two bit arrays of each of two frame sizes
+    rng = np.random.default_rng(7)
+    box = (30, 30, 14, 20)
+    for shape in [(120, 160), (120, 160), (60, 80), (60, 80)]:
+        bits = rng.random(shape) < 0.5
+        assert np.array_equal(pipeline._rectify_on_ground(bits, *box),
+                              rectify_reference(bits, box))
+
+
+@pytest.mark.parametrize("box", [(10, -20, 12, 30), (10, 10, 0, 0)],
+                         ids=["corner_misses_ground", "no_side"])
+def test_a_box_without_a_square_stays_none_on_a_cache_hit(box):
+    bits = np.ones((120, 160), dtype=bool)
+    assert rectify_reference(bits, box) is None
+    assert pipeline._rectify_on_ground(bits, *box) is None
+    hits = pipeline._rectify_table.cache_info().hits
+    assert pipeline._rectify_on_ground(bits, *box) is None
+    assert pipeline._rectify_table.cache_info().hits == hits + 1
+
+
+def test_cached_rectify_tables_are_read_only():
+    for table in pipeline._rectify_table(30, 30, 14, 20, 120, 160):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def match_reference(mask, templates):
+    """The match rule, digit by digit."""
+    norm = normalize_mask(mask)
+    scores = [1.0 - np.logical_xor(norm, t).sum() / norm.size for t in templates]
+    best = max(scores)
+    second = sorted(scores)[-2]
+    if best >= pipeline.ACCEPT_THRESHOLD and best - second >= pipeline.MATCH_MARGIN:
+        return scores.index(best) + 1, best
+    return None
+
+
+def test_the_match_memo_tells_shapes_and_template_stacks_apart(templates):
+    one = glyph_grid(1)
+    folded = one.reshape(8, 2 * GRID_N)  # the same bytes in another shape
+    reversed_stack = np.ascontiguousarray(templates[::-1])
+    assert folded.tobytes() == one.tobytes()
+    calls = [(one, templates), (folded, templates), (one, reversed_stack),
+             (folded, reversed_stack), (one, templates)]
+    got = [match_digit(mask, stack) for mask, stack in calls]
+    assert got == [match_reference(mask, stack) for mask, stack in calls]
+    assert got[0] == (1, 1.0) and got[2] == (8, 1.0) and got[1] != got[0]
+
+
 # (bounded cache, distinct first arguments; the rest of each call)
 def _maps(n):
     return [(load_map(f"node p {i} 0\npharmacy p\nwidth 0.30\n"),) for i in range(n)]
@@ -1127,6 +1213,12 @@ CACHES = {
     "render_levels": (_levels, lambda n: [(float(i),) for i in range(n)]),
     "render_scene_ink": (_memo_ink, lambda n: [(EMPTY_MAP, (0.0, 0.01 * i, 0.0), 0.0, (),
                                                  (float,) * 3) for i in range(n)]),
+    "rectify_table": (pipeline._rectify_table,
+                      lambda n: [(10 + i, 60, 12, 20, 120, 160) for i in range(n)]),
+    "match_scored": (pipeline._match_scored,
+                     lambda n: [((1, 1 + i), np.dtype(bool), bytes(1 + i), (8, GRID_N, GRID_N),
+                                 np.dtype(bool), default_templates().tobytes())
+                                for i in range(n)]),
 }
 
 
@@ -1138,6 +1230,19 @@ def test_module_caches_are_bounded(name):
     for args in make_args(maxsize + 1):
         cached(*args)
     assert cached.cache_info().currsize <= maxsize
+
+
+def test_every_module_cache_is_a_row_of_caches():
+    modules = [wardcart] + [importlib.import_module(info.name) for info in
+                            pkgutil.walk_packages(wardcart.__path__, "wardcart.")]
+    found = {f"{module.__name__}.{name}": value for module in modules
+             for name, value in vars(module).items()
+             if callable(value) and hasattr(value, "cache_info")}
+    assert "wardcart.vision.pipeline._rectify_table" in found
+    listed = [cached for cached, _ in CACHES.values()]
+    for name, cached in found.items():
+        assert cached.cache_info().maxsize is not None, name
+        assert any(cached is row for row in listed), f"{name} is not in CACHES"
 
 
 def test_default_templates_are_the_read_only_normalized_glyphs():
