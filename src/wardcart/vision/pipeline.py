@@ -53,13 +53,15 @@ def adaptive_binarize(pixels: np.ndarray) -> np.ndarray:
     The mean-relative threshold makes the result invariant to any global
     brightness offset that does not clip at 0 or 255.
     """
-    if pixels.dtype != np.uint8 or not 0 < pixels.size <= _EXACT_SUM_PIXELS:
-        return pixels < float(pixels.mean()) - BINARIZE_MARGIN
+    if pixels.dtype != np.uint8 or pixels.size > _EXACT_SUM_PIXELS:
+        raise ValueError(f"a frame is uint8 of at most {_EXACT_SUM_PIXELS} pixels, "
+                         f"not {pixels.dtype} of {pixels.size}")
     # the uint32 sum is exact and the division correctly rounded, so this is
     # the float threshold; an integer p is below it exactly when p is below
-    # its ceiling, which is at most 255 - BINARIZE_MARGIN
+    # its ceiling, which is at most 255 - BINARIZE_MARGIN (an empty frame
+    # divides by 1 and gives empty bits)
     total = int(np.add.reduce(pixels, axis=None, dtype=np.uint32))
-    return pixels < max(0, math.ceil(total / pixels.size - BINARIZE_MARGIN))
+    return pixels < max(0, math.ceil(total / max(pixels.size, 1) - BINARIZE_MARGIN))
 
 
 # --------------------------------------------------------------------------
@@ -235,20 +237,7 @@ def match_digit(mask: np.ndarray, templates: np.ndarray) -> tuple[int, float] | 
     template. The winner must clear ACCEPT_THRESHOLD and beat the runner-up
     by MATCH_MARGIN.
     """
-    # keyed on content: a card seen again under other light or noise often
-    # rectifies to the very same mask
-    return _match_scored(mask.shape, mask.dtype, mask.tobytes(),
-                         templates.shape, templates.dtype, templates.tobytes())
-
-
-@lru_cache(maxsize=4)
-def _match_scored(shape: tuple[int, ...], dtype: np.dtype, data: bytes,
-                  t_shape: tuple[int, ...], t_dtype: np.dtype,
-                  t_data: bytes) -> tuple[int, float] | None:
-    """``match_digit`` of the mask and template stack with these shapes,
-    dtypes and bytes."""
-    norm = normalize_mask(np.frombuffer(data, dtype).reshape(shape))
-    templates = np.frombuffer(t_data, t_dtype).reshape(t_shape)
+    norm = normalize_mask(mask)
     cells = norm.size
     misses = np.logical_xor(norm, templates).sum(axis=(1, 2)).tolist()
     best_digit, best, second = 0, -1.0, -1.0

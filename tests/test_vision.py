@@ -274,6 +274,12 @@ def test_integer_threshold_equals_the_float_mean_threshold(pixels):
     assert np.array_equal(got, binarize_reference(pixels))
 
 
+def test_binarize_takes_only_uint8_frames():
+    with pytest.raises(ValueError, match="uint8"):
+        adaptive_binarize(np.zeros((4, 4)))
+    assert adaptive_binarize(np.zeros((0, 160), dtype=np.uint8)).shape == (0, 160)
+
+
 # ------------------------------------------------------------ undistort
 
 def test_undistort_zero_is_identity():
@@ -1173,29 +1179,6 @@ def test_cached_rectify_tables_are_read_only():
             table[0, 0] = 1
 
 
-def match_reference(mask, templates):
-    """The match rule, digit by digit."""
-    norm = normalize_mask(mask)
-    scores = [1.0 - np.logical_xor(norm, t).sum() / norm.size for t in templates]
-    best = max(scores)
-    second = sorted(scores)[-2]
-    if best >= pipeline.ACCEPT_THRESHOLD and best - second >= pipeline.MATCH_MARGIN:
-        return scores.index(best) + 1, best
-    return None
-
-
-def test_the_match_memo_tells_shapes_and_template_stacks_apart(templates):
-    one = glyph_grid(1)
-    folded = one.reshape(8, 2 * GRID_N)  # the same bytes in another shape
-    reversed_stack = np.ascontiguousarray(templates[::-1])
-    assert folded.tobytes() == one.tobytes()
-    calls = [(one, templates), (folded, templates), (one, reversed_stack),
-             (folded, reversed_stack), (one, templates)]
-    got = [match_digit(mask, stack) for mask, stack in calls]
-    assert got == [match_reference(mask, stack) for mask, stack in calls]
-    assert got[0] == (1, 1.0) and got[2] == (8, 1.0) and got[1] != got[0]
-
-
 # (bounded cache, distinct first arguments; the rest of each call)
 def _maps(n):
     return [(load_map(f"node p {i} 0\npharmacy p\nwidth 0.30\n"),) for i in range(n)]
@@ -1215,10 +1198,6 @@ CACHES = {
                                                  (float,) * 3) for i in range(n)]),
     "rectify_table": (pipeline._rectify_table,
                       lambda n: [(10 + i, 60, 12, 20, 120, 160) for i in range(n)]),
-    "match_scored": (pipeline._match_scored,
-                     lambda n: [((1, 1 + i), np.dtype(bool), bytes(1 + i), (8, GRID_N, GRID_N),
-                                 np.dtype(bool), default_templates().tobytes())
-                                for i in range(n)]),
 }
 
 
