@@ -8,11 +8,15 @@ follow from the mission phase. Cart 1 always steps before cart 2 and
 messages sent in a tick are deliverable from the next tick on, so a (map,
 config) pair fully determines the byte-level trace.
 
-A tick gets its binary frame by one of three paths, each exact:
+A tick with a latched junction turn makes no frame: the mission is not
+stepped and the drive follows the turn, so nothing would read it. It only
+advances the cart's noise stream by the draw that frame's render would
+take (``render.skip_noise``). Any other tick gets its binary frame by one
+of three paths, each exact:
 
 - Reuse. Without pixel noise a frame is a function of the pose and the
-  digit card, so a cart whose pose and card equal last tick's reuses last
-  tick's binary frame and placard detections. A noisy frame draws from the
+  digit card, so a cart whose pose and card equal its last frame's reuses
+  that binary frame and its placard detections. A noisy frame draws from the
   cart's noise stream, so with noise every tick makes a new one.
 - Clean bits (``render.clean_bits``), without noise or distortion. The
   frame has two levels, so its mean follows from the ink count and the
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +49,9 @@ from .prng import GENERATOR_IDS, derive_seed
 from .vehicle import MOTOR_TIME_CONSTANT, TRACK_WIDTH, VehicleState, apply_motor, set_payload
 from .vision.camera import WIDTH, CameraModel
 from .vision.glyphs import default_templates
-from .vision.pipeline import adaptive_binarize, detect_in_binary, line_centroid, undistort_bits
-from .vision.render import NoiseParams, clean_bits, render
+from .vision.pipeline import (DigitDetection, adaptive_binarize, detect_in_binary, line_centroid,
+                              undistort_bits)
+from .vision.render import NoiseParams, clean_bits, render, skip_noise
 
 PAYLOAD_GRAMS = 200.0
 REFERENCE_DT = 0.02  # tick length GAINS are quoted at
@@ -223,6 +229,16 @@ class _Turn:
     braking: bool = True  # stop dead first: rotation from rest stays in place
 
 
+class _Seen(NamedTuple):
+    """A cart's last frame and what was read from it."""
+    pose: tuple[float, float, float]
+    card: PlacardEntry | None
+    bits: np.ndarray  # (HEIGHT, WIDTH) bool
+    detections: list[DigitDetection] | None  # None when the frame was not read for placards
+    whole: bool  # the whole frame, or only the control band
+    covered: float | None  # the range the detections cover
+
+
 class _Cart:
     def __init__(self, idx: int, cfg: MissionConfig, start: tuple[float, float, float],
                  rng: np.random.Generator):
@@ -241,10 +257,7 @@ class _Cart:
         self.load_tick: int | None = None
         self.unload_tick: int | None = None
         self.await_unload_since: int | None = None
-        # last sensed (pose, card, (HEIGHT, WIDTH) bool bits, detections or
-        # None, whether the bits are the whole frame or only the control
-        # band, the range the detections cover)
-        self.seen: tuple | None = None
+        self.seen: _Seen | None = None  # the last frame made or reused
 
 
 def _wrap_angle(a: float) -> float:
@@ -447,23 +460,25 @@ def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfi
 
 def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
            templates) -> SensorBundle:
+    if cart.turn is not None:
+        # nothing reads a turn tick's frame, but its draw keeps the noise in step
+        skip_noise(config.noise, cart.rng)
+        return _empty_sensors(cart)
     pose = cart.vehicle.pose
     seen = cart.seen
-    # the mission is not stepped during a latched turn, and otherwise reads
-    # only the placards nearer than its reading range
-    reach = (reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
-             if cart.turn is None else None)
+    # the mission reads only the placards nearer than its reading range
+    reach = reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
     reads = reach is not None
     # a noise-free frame is a function of the pose and the card alone, so a
-    # cart that has not moved since last tick sees the frame it saw then; a
+    # cart that has not moved since its last frame sees that frame again; a
     # noisy frame draws from the cart's noise stream and is always rendered.
     # The pose's types count too: render works in the pose's precision. A
     # kept band-only frame cannot be read for placards.
-    still = (seen is not None and config.noise.sigma == 0 and seen[1] is cart.card
-             and seen[0] == pose and list(map(type, seen[0])) == list(map(type, pose))
-             and (seen[4] or not reads))
+    still = (seen is not None and config.noise.sigma == 0 and seen.card is cart.card
+             and seen.pose == pose and list(map(type, seen.pose)) == list(map(type, pose))
+             and (seen.whole or not reads))
     if still:
-        binary, whole = seen[2], seen[4]
+        binary, whole = seen.bits, seen.whole
     else:
         cards = (cart.card,) if cart.card is not None else ()
         binary, whole = None, reads
@@ -474,25 +489,20 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
             frame = render(track, pose, cam, config.noise, rng=cart.rng, cards=cards)
             binary = undistort_bits(adaptive_binarize(frame), cam.distortion_k1)
             whole = True
-    if cart.turn is not None:
-        cart.gate_x = None  # view sweeps during a turn; no tracking gate
-        window = None
-    elif cart.gate_x is not None:
+    window = None
+    if cart.gate_x is not None:
         window = (int(cart.gate_x) - GATE_HALF_PX, int(cart.gate_x) + GATE_HALF_PX + 1)
-    else:
-        window = None
     # the line fix runs every tick: the tracking gate can move on a still frame
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
-    if cart.turn is None:
-        cart.gate_x = line[0] if line is not None else None
+    cart.gate_x = line[0] if line is not None else None
     # a still frame keeps what was read from it, out to the range read then
-    detections, covered = (seen[3], seen[5]) if still else (None, None)
+    detections, covered = (seen.detections, seen.covered) if still else (None, None)
     sensed = []
     if reads:
         if detections is None or covered < reach:
             detections, covered = detect_in_binary(binary, templates, reach), reach
         sensed = [d for d in detections if d.range_z < reach]
-    cart.seen = (pose, cart.card, binary, detections, whole, covered)
+    cart.seen = _Seen(pose, cart.card, binary, detections, whole, covered)
     return SensorBundle(line=line, detections=sensed,
                         loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..arena import (GLYPH_HEIGHT, WORLD_CELL, PlacardEntry, TrackMap, Vec2, project_offsets,
                      raster_box)
-from .camera import CameraModel, check_k1, ground_grid
+from .camera import HEIGHT, WIDTH, CameraModel, check_k1, ground_grid
 from .glyphs import GRID_N, glyph_grid
 from .pipeline import BINARIZE_MARGIN
 
@@ -254,6 +254,13 @@ def render(track: TrackMap, pose: tuple[float, float, float], cam: CameraModel,
         return img.astype(np.uint8)
     ink_u8, back_u8 = _levels(noise.brightness)
     return np.where(ink, ink_u8, back_u8)
+
+
+def skip_noise(noise: NoiseParams, rng: np.random.Generator) -> None:
+    """Advance rng past the noise draw of one render with ``noise``, without
+    making the frame: the same standard_normal into the same work array."""
+    if noise.sigma > 0:
+        rng.standard_normal(out=_scratch((HEIGHT, WIDTH), np.dtype(np.float64), "pixels"))
 
 
 def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: float, cards: Sequence[PlacardEntry],

@@ -372,13 +372,15 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
 
 def _readable_ticks_and_calls(track, monkeypatch, config, layer):
     """(cart-ticks the mission can read placards on, calls of simcore.<layer>,
-    cart-ticks sensed, phases seen) over one run."""
-    readable, calls, phases = [], [], set()
+    cart-ticks sensed, of them those with a latched turn, phases seen) over
+    one run."""
+    readable, turning, calls, phases = [], [], [], set()
     sense, original = simcore._sense, getattr(simcore, layer)
 
     def spy_sense(cart, *args):
         phases.add(cart.mission.phase)
         readable.append(_reach(cart) is not None)
+        turning.append(cart.turn is not None)
         return sense(cart, *args)
 
     def spy_layer(*args, **kwargs):
@@ -388,12 +390,12 @@ def _readable_ticks_and_calls(track, monkeypatch, config, layer):
     monkeypatch.setattr(simcore, "_sense", spy_sense)
     monkeypatch.setattr(simcore, layer, spy_layer)
     run_scenario(track, config)
-    return sum(readable), len(calls), len(readable), phases
+    return sum(readable), len(calls), len(readable), sum(turning), phases
 
 
 def test_a_paused_follower_is_not_read_again(track, monkeypatch):
     config = SimConfig(carts=2, wards=(1, 2), seed=5, link_drop=0.5)
-    readable, calls, _, phases = _readable_ticks_and_calls(
+    readable, calls, _, _, phases = _readable_ticks_and_calls(
         track, monkeypatch, config, "detect_in_binary")
     assert MissionPhase.PAUSED_AT_POINT in phases
     assert calls < readable
@@ -402,10 +404,11 @@ def test_a_paused_follower_is_not_read_again(track, monkeypatch):
 def test_a_noisy_run_renders_every_sensed_tick(track, monkeypatch):
     config = SimConfig(wards=(1,), seed=2, max_ticks=400, noise=NoiseParams(sigma=4.0))
     frames = _count_frames(monkeypatch)
-    _, _, sensed, phases = _readable_ticks_and_calls(
+    _, _, sensed, turning, phases = _readable_ticks_and_calls(
         track, monkeypatch, config, "detect_in_binary")
     assert MissionPhase.AWAIT_LOAD in phases  # the cart stood still at the pharmacy
-    assert frames == ["render"] * sensed
+    assert turning > 0  # and a turn tick makes no frame
+    assert frames == ["render"] * (sensed - turning)
 
 
 def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
@@ -437,13 +440,13 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     assert step()[:2] == (0, 0)
     cart.card = replace(cart.card)  # an equal card, but another object
     assert step()[:2] == (1, 1)
-    # a tick that cannot read placards supplies none; a still frame keeps
-    # the detections it has, and a new one is read on the first tick that can
+    # a turn tick supplies no placards and makes no frame, even after a
+    # move; the first tick after it makes and reads a new one
     cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
     assert step()[:2] == (0, 0) and step()[2].detections == []
     cart.vehicle = replace(cart.vehicle, pose=(start[0] + 2e-9, start[1], start[2]))
-    assert step()[:2] == (1, 0)
-    cart.turn = None  # the frame made during the turn was the control band alone
+    assert step()[:2] == (0, 0)
+    cart.turn = None
     assert step()[:2] == (1, 1)
     assert step()[:2] == (0, 0)
     noisy = SimConfig(noise=NoiseParams(sigma=4.0))
@@ -457,29 +460,54 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     start = simcore._start_pose(track, 2)
     cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(0))
     cart.card = simcore._make_card(2, start)
-    cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
+    returning = MissionState(phase=MissionPhase.RETURNING)  # reads no placards
+    cart.mission = returning
 
     def sense():
         return simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
 
     assert sense().detections == [] and frames == ["clean_bits"]
-    band = cart.seen[2]
-    assert not cart.seen[4] and not band[:simcore.CONTROL_ROI[0]].any()
-    cart.turn = None  # the same pose, now on a tick that reads placards
+    band = cart.seen.bits
+    assert not cart.seen.whole and not band[:simcore.CONTROL_ROI[0]].any()
+    cart.mission = MissionState()  # the same pose, now on a tick that reads placards
     whole = undistort_bits(adaptive_binarize(render(track, start, CameraModel(), NoiseParams(),
                                                     cards=(cart.card,))), 0.0)
     want = detect_in_binary(whole, templates)
     assert [d.digit for d in want] == [2]
-    assert sense().detections == want and frames == ["clean_bits"] * 2 and cart.seen[4]
-    kept = cart.seen[2]
+    assert sense().detections == want and frames == ["clean_bits"] * 2 and cart.seen.whole
+    kept = cart.seen.bits
     assert np.array_equal(kept, whole)
     # the kept frames are the engine's own, not work arrays a later frame reuses
     before = band.copy(), kept.copy()
     cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1] + 0.3, start[2]))
     sense()
-    cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
+    cart.mission = returning
+    cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1] + 0.4, start[2]))
     sense()
+    assert frames == ["clean_bits"] * 4 and not cart.seen.whole
     assert np.array_equal(band, before[0]) and np.array_equal(kept, before[1])
+
+
+@pytest.mark.parametrize("noise", (NoiseParams(), NoiseParams(sigma=4.0),
+                                   NoiseParams(sigma=4.0, k1=0.05)))
+def test_a_turn_tick_makes_no_frame_but_draws_its_noise(track, templates, monkeypatch, noise):
+    called = []
+    for layer in ("clean_bits", "render", "adaptive_binarize", "undistort_bits",
+                  "line_centroid", "detect_in_binary"):
+        monkeypatch.setattr(simcore, layer, lambda *a, layer=layer, **k: called.append(layer))
+    start = simcore._start_pose(track, 2)
+    cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(7))
+    cart.card = simcore._make_card(2, start)
+    cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
+    cam, twin = CameraModel(distortion_k1=noise.k1), np.random.default_rng(7)
+    for i in range(3):
+        cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1], start[2] + 0.1 * i))
+        sensors = simcore._sense(cart, track, cam, SimConfig(noise=noise), templates)
+        assert sensors.line is None and sensors.detections == []
+        # the frame the tick would have rendered, from a twin noise stream
+        render(track, cart.vehicle.pose, cam, noise, rng=twin, cards=(cart.card,))
+    assert called == [] and cart.seen is None and cart.gate_x is None
+    assert cart.rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkeypatch):
