@@ -11,13 +11,16 @@ config) pair fully determines the byte-level trace.
 A tick with a latched junction turn makes no frame: the mission is not
 stepped and the drive follows the turn, so nothing would read it. It only
 advances the cart's noise stream by the draw that frame's render would
-take (``render.skip_noise``). Any other tick gets its binary frame by one
-of three paths, each exact:
+take (``render.skip_noise``). Any other tick reads its frame for the line
+fix and the placards nearer than the reading range, each exactly:
 
-- Reuse. Without pixel noise a frame is a function of the pose and the
-  digit card, so a cart whose pose and card equal its last frame's reuses
-  that binary frame and its placard detections. A noisy frame draws from the
-  cart's noise stream, so with noise every tick makes a new one.
+- Lookup. Without pixel noise that reading is a function of the track, the
+  pose (values and types: render works in the pose's precision), the cards,
+  the brightness, the lens, the range and the tracking gate. One table of
+  the last 1,024 such readings, shared by every cart and run, answers a
+  repeated one: a still cart, or a run on an approach an earlier run took.
+  It keeps no frames. A noisy frame draws from the cart's noise stream, so
+  with noise every tick makes a new one.
 - Clean bits (``render.clean_bits``), without noise or distortion. The
   frame has two levels, so its mean follows from the ink count and the
   bits are the ink or nothing. A tick that reads placards gets the whole
@@ -25,9 +28,6 @@ of three paths, each exact:
   centroid reads, when a lower bound on the frame mean already decides it.
 - Render, binarize and undistort, for noisy or distorted frames and when
   the band alone does not decide.
-
-A kept band-only frame is never read for placards: a still cart that
-starts reading makes a whole frame.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -229,16 +229,6 @@ class _Turn:
     braking: bool = True  # stop dead first: rotation from rest stays in place
 
 
-class _Seen(NamedTuple):
-    """A cart's last frame and what was read from it."""
-    pose: tuple[float, float, float]
-    card: PlacardEntry | None
-    bits: np.ndarray  # (HEIGHT, WIDTH) bool
-    detections: list[DigitDetection] | None  # None when the frame was not read for placards
-    whole: bool  # the whole frame, or only the control band
-    covered: float | None  # the range the detections cover
-
-
 class _Cart:
     def __init__(self, idx: int, cfg: MissionConfig, start: tuple[float, float, float],
                  rng: np.random.Generator):
@@ -257,7 +247,6 @@ class _Cart:
         self.load_tick: int | None = None
         self.unload_tick: int | None = None
         self.await_unload_since: int | None = None
-        self.seen: _Seen | None = None  # the last frame made or reused
 
 
 def _wrap_angle(a: float) -> float:
@@ -465,47 +454,54 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
         skip_noise(config.noise, cart.rng)
         return _empty_sensors(cart)
     pose = cart.vehicle.pose
-    seen = cart.seen
+    cards = (cart.card,) if cart.card is not None else ()
     # the mission reads only the placards nearer than its reading range
     reach = reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
-    reads = reach is not None
-    # a noise-free frame is a function of the pose and the card alone, so a
-    # cart that has not moved since its last frame sees that frame again; a
-    # noisy frame draws from the cart's noise stream and is always rendered.
-    # The pose's types count too: render works in the pose's precision. A
-    # kept band-only frame cannot be read for placards.
-    still = (seen is not None and config.noise.sigma == 0 and seen.card is cart.card
-             and seen.pose == pose and list(map(type, seen.pose)) == list(map(type, pose))
-             and (seen.whole or not reads))
-    if still:
-        binary, whole = seen.bits, seen.whole
-    else:
-        cards = (cart.card,) if cart.card is not None else ()
-        binary, whole = None, reads
-        if config.noise.sigma == 0 and cam.distortion_k1 == 0:
-            binary = clean_bits(track, pose, config.noise.brightness, cards,
-                                None if reads else CONTROL_ROI)
-        if binary is None:
-            frame = render(track, pose, cam, config.noise, rng=cart.rng, cards=cards)
-            binary = undistort_bits(adaptive_binarize(frame), cam.distortion_k1)
-            whole = True
     window = None
     if cart.gate_x is not None:
         window = (int(cart.gate_x) - GATE_HALF_PX, int(cart.gate_x) + GATE_HALF_PX + 1)
-    # the line fix runs every tick: the tracking gate can move on a still frame
-    line = line_centroid(binary, CONTROL_ROI, col_window=window)
+    if config.noise.sigma == 0 and all(map(math.isfinite, pose)):
+        # 1.0 and np.float64(1.0) are one key but render in float32 and float64
+        types = tuple(map(type, pose + tuple(v for c in cards for v in (c.x, c.y, c.up_angle))))
+        line, detections = _table(track, pose, types, cards, config.noise, cam, reach, window)
+    else:
+        line, detections = _reading(track, pose, cards, config.noise, cam, reach, window,
+                                    templates, cart.rng)
     cart.gate_x = line[0] if line is not None else None
-    # a still frame keeps what was read from it, out to the range read then
-    detections, covered = (seen.detections, seen.covered) if still else (None, None)
-    sensed = []
-    if reads:
-        if detections is None or covered < reach:
-            detections, covered = detect_in_binary(binary, templates, reach), reach
-        sensed = [d for d in detections if d.range_z < reach]
-    cart.seen = _Seen(pose, cart.card, binary, detections, whole, covered)
-    return SensorBundle(line=line, detections=sensed,
+    return SensorBundle(line=line, detections=list(detections),
                         loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)
+
+
+def _reading(track: TrackMap, pose: tuple[float, float, float], cards: tuple[PlacardEntry, ...],
+             noise: NoiseParams, cam: CameraModel, reach: float | None,
+             window: tuple[int, int] | None, templates: np.ndarray,
+             rng: np.random.Generator | None
+             ) -> tuple[tuple[float, float] | None, tuple[DigitDetection, ...]]:
+    """The line fix in the gate window and the placards nearer than reach
+    (none when reach is None) of the frame seen from pose."""
+    binary = None
+    if noise.sigma == 0 and cam.distortion_k1 == 0:
+        # a tick that reads no placards needs only the control band
+        binary = clean_bits(track, pose, noise.brightness, cards,
+                            None if reach is not None else CONTROL_ROI)
+    if binary is None:
+        frame = render(track, pose, cam, noise, rng=rng, cards=cards)
+        binary = undistort_bits(adaptive_binarize(frame), cam.distortion_k1)
+    line = line_centroid(binary, CONTROL_ROI, col_window=window)
+    if reach is None:
+        return line, ()
+    return line, tuple(d for d in detect_in_binary(binary, templates, reach) if d.range_z < reach)
+
+
+@lru_cache(maxsize=1024)
+def _table(track: TrackMap, pose: tuple[float, float, float], types: tuple[type, ...],
+           cards: tuple[PlacardEntry, ...], noise: NoiseParams, cam: CameraModel,
+           reach: float | None, window: tuple[int, int] | None):
+    """_reading of a noise-free frame, for the last 1,024 keys; ``types`` is
+    only part of the key. It reads with default_templates(), the templates
+    run_scenario passes."""
+    return _reading(track, pose, cards, noise, cam, reach, window, default_templates(), None)
 
 
 def _drive_command(cart: _Cart, intent: Intent, sensors: SensorBundle, gains: PidGains,

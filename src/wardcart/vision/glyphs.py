@@ -11,6 +11,8 @@ component, so it extracts as a single blob.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 GRID_N = 16
@@ -54,9 +56,10 @@ def glyph_grid(digit: int) -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=1)
 def default_templates() -> np.ndarray:
     """The matcher's templates: a read-only (8, GRID_N, GRID_N) bool stack of
-    the normalized glyphs, digit d at index d - 1."""
+    the normalized glyphs, digit d at index d - 1, built on first use."""
     from .pipeline import normalize_mask  # pipeline imports GRID_N from here
 
     stack = np.array([normalize_mask(glyph_grid(d)) for d in range(1, 9)])

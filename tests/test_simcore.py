@@ -361,13 +361,14 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
 
     monkeypatch.setattr(simcore, "_sense", spy_sense)
     frames = _count_frames(monkeypatch)
+    simcore._table.cache_clear()  # earlier tests fill it
     report = run_scenario(track, SimConfig(wards=(1,), seed=0))
     assert report.outcomes == (CartOutcome.DELIVERED_AND_RETURNED,)
     assert any(not readable for readable, _, _ in sensed)  # turns and unread phases
     assert {phase for readable, phase, _ in sensed if readable} >= {
         MissionPhase.AWAIT_TARGET, MissionPhase.AWAIT_LOAD, MissionPhase.OUTBOUND}
     assert any(found for _, _, found in sensed)
-    assert len(frames) < len(sensed)  # some ticks reused a still frame
+    assert len(frames) < len(sensed)  # some ticks looked their reading up
 
 
 def _readable_ticks_and_calls(track, monkeypatch, config, layer):
@@ -417,17 +418,21 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     detect = simcore.detect_in_binary
     monkeypatch.setattr(simcore, "detect_in_binary",
                         lambda *a, **k: detects.append(1) or detect(*a, **k))
+    simcore._table.cache_clear()  # earlier tests fill it
     start = simcore._start_pose(track, 2)
     cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(0))
     clean = SimConfig()
 
-    def step(config=clean):
+    def step(config=clean, gate=None):
+        cart.gate_x = gate  # the tracking gate is part of the key too
         before = len(frames), len(detects)
         sensors = simcore._sense(cart, track, CameraModel(), config, templates)
         return len(frames) - before[0], len(detects) - before[1], sensors
 
     assert step()[:2] == (1, 1)
     assert step()[:2] == (0, 0)
+    assert step(gate=80.0)[:2] == (1, 1)
+    assert step(gate=80.0)[:2] == (0, 0)
     # equal values of another type: render works in the pose's precision
     cart.vehicle = replace(cart.vehicle, pose=tuple(np.float64(v) for v in start))
     assert step()[:2] == (1, 1)
@@ -439,7 +444,7 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     assert made == 1 and [d.digit for d in shown.detections] == [2]
     assert step()[:2] == (0, 0)
     cart.card = replace(cart.card)  # an equal card, but another object
-    assert step()[:2] == (1, 1)
+    assert step()[:2] == (0, 0)
     # a turn tick supplies no placards and makes no frame, even after a
     # move; the first tick after it makes and reads a new one
     cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
@@ -456,7 +461,10 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
 
 def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates,
                                                                monkeypatch):
-    frames = _count_frames(monkeypatch)
+    made = []
+    bits = simcore.clean_bits
+    monkeypatch.setattr(simcore, "clean_bits", lambda *a: made.append(bits(*a)) or made[-1])
+    simcore._table.cache_clear()  # earlier tests fill it
     start = simcore._start_pose(track, 2)
     cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(0))
     cart.card = simcore._make_card(2, start)
@@ -464,28 +472,25 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     cart.mission = returning
 
     def sense():
+        cart.gate_x = None
         return simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
 
-    assert sense().detections == [] and frames == ["clean_bits"]
-    band = cart.seen.bits
-    assert not cart.seen.whole and not band[:simcore.CONTROL_ROI[0]].any()
+    assert sense().detections == [] and len(made) == 1
+    assert not made[0][:simcore.CONTROL_ROI[0]].any()  # only the control band
     cart.mission = MissionState()  # the same pose, now on a tick that reads placards
     whole = undistort_bits(adaptive_binarize(render(track, start, CameraModel(), NoiseParams(),
                                                     cards=(cart.card,))), 0.0)
     want = detect_in_binary(whole, templates)
     assert [d.digit for d in want] == [2]
-    assert sense().detections == want and frames == ["clean_bits"] * 2 and cart.seen.whole
-    kept = cart.seen.bits
-    assert np.array_equal(kept, whole)
-    # the kept frames are the engine's own, not work arrays a later frame reuses
-    before = band.copy(), kept.copy()
-    cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1] + 0.3, start[2]))
-    sense()
+    assert sense().detections == want and len(made) == 2
+    assert np.array_equal(made[1], whole)
+    # both readings are looked up again, and the table keeps no frame
     cart.mission = returning
-    cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1] + 0.4, start[2]))
-    sense()
-    assert frames == ["clean_bits"] * 4 and not cart.seen.whole
-    assert np.array_equal(band, before[0]) and np.array_equal(kept, before[1])
+    assert sense().detections == [] and len(made) == 2
+    line, found = simcore._table(track, start, (float,) * 6, (cart.card,), NoiseParams(),
+                                 CameraModel(), math.inf, None)
+    assert list(found) == want and len(made) == 2
+    assert not any(isinstance(v, np.ndarray) for v in (line, *line, found, *found))
 
 
 @pytest.mark.parametrize("noise", (NoiseParams(), NoiseParams(sigma=4.0),
@@ -500,13 +505,15 @@ def test_a_turn_tick_makes_no_frame_but_draws_its_noise(track, templates, monkey
     cart.card = simcore._make_card(2, start)
     cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
     cam, twin = CameraModel(distortion_k1=noise.k1), np.random.default_rng(7)
+    simcore._table.cache_clear()
     for i in range(3):
         cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1], start[2] + 0.1 * i))
         sensors = simcore._sense(cart, track, cam, SimConfig(noise=noise), templates)
         assert sensors.line is None and sensors.detections == []
         # the frame the tick would have rendered, from a twin noise stream
         render(track, cart.vehicle.pose, cam, noise, rng=twin, cards=(cart.card,))
-    assert called == [] and cart.seen is None and cart.gate_x is None
+    assert called == [] and cart.gate_x is None
+    assert simcore._table.cache_info()[:2] == (0, 0)  # nor looks one up
     assert cart.rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -527,14 +534,17 @@ def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkey
 
     def sense(mission):
         cart.mission = mission
+        cart.gate_x = None
         before = len(frames), len(ranges)
         sensors = simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
         return len(frames) - before[0], ranges[before[1]:], sensors.detections
 
+    simcore._table.cache_clear()  # earlier tests fill it
     assert sense(at_junction) == (1, [DECISION_RANGE], [])
-    assert sense(unloaded) == (0, [], [])
-    assert sense(MissionState()) == (0, [math.inf], everything)  # the same frame, read farther
+    assert sense(unloaded) == (1, [], [])  # a band-only frame
+    assert sense(MissionState()) == (1, [math.inf], everything)  # a new frame, read farther
     assert sense(at_junction) == (0, [], [])
+    assert sense(unloaded) == (0, [], [])
     assert sense(MissionState()) == (0, [], everything)
 
 
@@ -546,9 +556,11 @@ def test_clean_bits_leave_every_trace_byte_as_the_render_chain(track, monkeypatc
     config = SimConfig(wards=(1,), seed=0, max_ticks=700,
                        noise=NoiseParams(brightness=brightness, k1=k1))
     frames = _count_frames(monkeypatch)
+    simcore._table.cache_clear()  # or the runs would look their frames up
     fast = trace_to_csv(run_scenario(track, config))
     made = set(frames)
     monkeypatch.setattr(simcore, "clean_bits", lambda *args: None)
+    simcore._table.cache_clear()
     assert trace_to_csv(run_scenario(track, config)) == fast
     assert ("clean_bits" in made) == (k1 == 0.0)
     # at +150 the control band alone never decides, so band ticks render
@@ -562,6 +574,7 @@ def test_render_work_arrays_stay_cached_across_clean_and_noisy_runs(track):
     start = simcore._start_pose(track, 1)  # Python floats: a float32 frame
     misses = []
     for _ in range(2):
+        simcore._table.cache_clear()  # or the second clean run makes no frame
         run_scenario(track, clean)
         run_scenario(track, noisy)
         clean_bits(track, start, 0.0, (), simcore.CONTROL_ROI)

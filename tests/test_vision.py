@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import wardcart
-from wardcart import vehicle
+from wardcart import simcore, vehicle
 from wardcart.arena import (GLYPH_HEIGHT, RASTER_BUDGET, WORLD_CELL, PlacardEntry, default_map,
                             load_map, raster_box)
 from wardcart.vision import camera, pipeline
@@ -1198,6 +1198,10 @@ CACHES = {
                                                  (float,) * 3) for i in range(n)]),
     "rectify_table": (pipeline._rectify_table,
                       lambda n: [(10 + i, 60, 12, 20, 120, 160) for i in range(n)]),
+    "default_templates": (default_templates, lambda n: [()] * n),
+    "sensor_table": (simcore._table, lambda n: [(EMPTY_MAP, (0.0, 0.01 * i, 0.0), (float,) * 3,
+                                                 (), NoiseParams(), CameraModel(), None, None)
+                                                for i in range(n)]),
 }
 
 
