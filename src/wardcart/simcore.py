@@ -25,9 +25,9 @@ fix and the placards nearer than the reading range, each exactly:
   frame has two levels, so its mean follows from the ink count and the
   bits are the ink or nothing. A tick that reads placards gets the whole
   frame; any other tick gets only the control band, which the line
-  centroid reads, when a lower bound on the frame mean already decides it.
-- Render, binarize and undistort, for noisy or distorted frames and when
-  the band alone does not decide.
+  centroid reads, when a lower bound on the frame mean already decides it,
+  and the whole frame otherwise.
+- Render, binarize, undistort: noisy or distorted frames only.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .vision.camera import WIDTH, CameraModel
 from .vision.glyphs import default_templates
 from .vision.pipeline import (DigitDetection, adaptive_binarize, detect_in_binary, line_centroid,
                               undistort_bits)
-from .vision.render import NoiseParams, clean_bits, render, skip_noise
+from .vision.render import NoiseParams, clean_bits, render, scene_types, skip_noise
 
 PAYLOAD_GRAMS = 200.0
 REFERENCE_DT = 0.02  # tick length GAINS are quoted at
@@ -287,8 +287,6 @@ def _empty_sensors(cart: _Cart) -> SensorBundle:
 
 def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
     """Run one scenario to completion (all carts Done/Fault) or max_ticks."""
-    templates = default_templates()
-    cam = CameraModel(distortion_k1=config.noise.k1)
     gains = config.gains()
     link = Link(latency_ticks=config.link_latency, drop_probability=config.link_drop,
                 rng_seed=derive_seed(config.seed, "link"))
@@ -327,7 +325,7 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
             if cart.mission.phase in (MissionPhase.DONE, MissionPhase.FAULT):
                 sensors = _empty_sensors(cart)
             else:
-                sensors = _sense(cart, track, cam, config, templates)
+                sensors = _sense(cart, track, config)
 
             cart.pending_inbox.extend(inbox)
             if cart.turn is None:
@@ -447,8 +445,7 @@ def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfi
             log(tick, cart.idx, "payload=off")
 
 
-def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
-           templates) -> SensorBundle:
+def _sense(cart: _Cart, track: TrackMap, config: SimConfig) -> SensorBundle:
     if cart.turn is not None:
         # nothing reads a turn tick's frame, but its draw keeps the noise in step
         skip_noise(config.noise, cart.rng)
@@ -460,13 +457,11 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
     window = None
     if cart.gate_x is not None:
         window = (int(cart.gate_x) - GATE_HALF_PX, int(cart.gate_x) + GATE_HALF_PX + 1)
-    if config.noise.sigma == 0 and all(map(math.isfinite, pose)):
-        # 1.0 and np.float64(1.0) are one key but render in float32 and float64
-        types = tuple(map(type, pose + tuple(v for c in cards for v in (c.x, c.y, c.up_angle))))
-        line, detections = _table(track, pose, types, cards, config.noise, cam, reach, window)
+    types = scene_types(pose, cards) if config.noise.sigma == 0 else None
+    if types is not None:
+        line, detections = _table(track, pose, types, cards, config.noise, reach, window)
     else:
-        line, detections = _reading(track, pose, cards, config.noise, cam, reach, window,
-                                    templates, cart.rng)
+        line, detections = _reading(track, pose, cards, config.noise, reach, window, cart.rng)
     cart.gate_x = line[0] if line is not None else None
     return SensorBundle(line=line, detections=list(detections),
                         loaded=cart.vehicle.loaded,
@@ -474,34 +469,31 @@ def _sense(cart: _Cart, track: TrackMap, cam: CameraModel, config: SimConfig,
 
 
 def _reading(track: TrackMap, pose: tuple[float, float, float], cards: tuple[PlacardEntry, ...],
-             noise: NoiseParams, cam: CameraModel, reach: float | None,
-             window: tuple[int, int] | None, templates: np.ndarray,
+             noise: NoiseParams, reach: float | None, window: tuple[int, int] | None,
              rng: np.random.Generator | None
              ) -> tuple[tuple[float, float] | None, tuple[DigitDetection, ...]]:
     """The line fix in the gate window and the placards nearer than reach
     (none when reach is None) of the frame seen from pose."""
-    binary = None
-    if noise.sigma == 0 and cam.distortion_k1 == 0:
+    if noise.sigma == 0 and noise.k1 == 0:
         # a tick that reads no placards needs only the control band
         binary = clean_bits(track, pose, noise.brightness, cards,
                             None if reach is not None else CONTROL_ROI)
-    if binary is None:
-        frame = render(track, pose, cam, noise, rng=rng, cards=cards)
-        binary = undistort_bits(adaptive_binarize(frame), cam.distortion_k1)
+    else:
+        frame = render(track, pose, CameraModel(noise.k1), noise, rng=rng, cards=cards)
+        binary = undistort_bits(adaptive_binarize(frame), noise.k1)
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if reach is None:
         return line, ()
-    return line, tuple(d for d in detect_in_binary(binary, templates, reach) if d.range_z < reach)
+    return line, tuple(detect_in_binary(binary, default_templates(), reach))
 
 
 @lru_cache(maxsize=1024)
 def _table(track: TrackMap, pose: tuple[float, float, float], types: tuple[type, ...],
-           cards: tuple[PlacardEntry, ...], noise: NoiseParams, cam: CameraModel,
-           reach: float | None, window: tuple[int, int] | None):
+           cards: tuple[PlacardEntry, ...], noise: NoiseParams, reach: float | None,
+           window: tuple[int, int] | None):
     """_reading of a noise-free frame, for the last 1,024 keys; ``types`` is
-    only part of the key. It reads with default_templates(), the templates
-    run_scenario passes."""
-    return _reading(track, pose, cards, noise, cam, reach, window, default_templates(), None)
+    only part of the key."""
+    return _reading(track, pose, cards, noise, reach, window, None)
 
 
 def _drive_command(cart: _Cart, intent: Intent, sensors: SensorBundle, gains: PidGains,

@@ -188,20 +188,28 @@ def _ink(track: TrackMap, pose: tuple[float, float, float], gx: np.ndarray,
     return ink
 
 
+def scene_types(pose: tuple[float, float, float],
+                cards: Sequence[PlacardEntry]) -> tuple[type, ...] | None:
+    """The types of a scene's coordinates, or None when a pose value is not
+    finite. 1.0 and np.float64(1.0) are one cache key but sample in float32
+    and float64 (NEP 50), so a frame cache keys on these types too. A pose
+    that is not finite is cached nowhere: NaN equals nothing, and its
+    cell-index cast warns on every sample."""
+    if not all(map(math.isfinite, pose)):
+        return None
+    return tuple(map(type, pose)) + tuple(type(v) for c in cards
+                                          for v in (c.x, c.y, c.up_angle))
+
+
 def _scene_ink(track: TrackMap, pose: tuple[float, float, float], k1: float,
                cards: Sequence[PlacardEntry]) -> np.ndarray:
     """The ink mask of the frame render draws, read-only when it comes from
     the memo. Every exposure of one scene has the same ink, so the corpus
-    sweep samples it once per scene instead of once per brightness and sigma.
-    A pose that is not finite is sampled on every call: NaN equals nothing,
-    and its cell-index cast warns each time."""
+    sweep samples it once per scene instead of once per brightness and sigma."""
     pose, cards = tuple(pose), tuple(cards)
-    if not all(map(math.isfinite, pose)):
+    types = scene_types(pose, cards)
+    if types is None:
         return _ink(track, pose, *ground_grid(k1), cards)
-    # 1.0 and np.float64(1.0) are one lru_cache key but sample in float32
-    # and float64 (NEP 50), so the key carries every coordinate's type
-    types = tuple(map(type, pose)) + tuple(type(v) for c in cards
-                                           for v in (c.x, c.y, c.up_angle))
     return _memo_ink(track, pose, k1, cards, types)
 
 
@@ -263,8 +271,8 @@ def skip_noise(noise: NoiseParams, rng: np.random.Generator) -> None:
         rng.standard_normal(out=_scratch((HEIGHT, WIDTH), np.dtype(np.float64), "pixels"))
 
 
-def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: float, cards: Sequence[PlacardEntry],
-               rows: tuple[int, int] | None) -> np.ndarray | None:
+def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: float,
+               cards: Sequence[PlacardEntry], rows: tuple[int, int] | None) -> np.ndarray:
     """``adaptive_binarize(render(...))`` of a noise-free frame without
     distortion, without building the frame: the (HEIGHT, WIDTH) bool bits.
 
@@ -274,29 +282,29 @@ def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: fl
     bits are the ink where the ink level falls under the threshold and
     nothing otherwise.
 
-    With ``rows=(r0, r1)`` only those rows are sampled and the other rows
-    come back false. Counting every unsampled pixel as ink bounds the frame
-    mean from below; when the ink level falls under the threshold of that
-    bound it falls under the true one too, and the sampled rows are exact.
-    Otherwise the band cannot be decided alone and the result is None.
+    With ``rows=(r0, r1)`` those rows are sampled first. Counting every
+    unsampled pixel as ink bounds the frame mean from below; when the ink
+    level falls under the threshold of that bound it falls under the true
+    one too, the sampled rows are exact and the other rows come back false.
+    Otherwise the band cannot be decided alone, and the whole frame is
+    sampled and returned.
     """
     gx, gy = ground_grid(0.0)
-    shape = gx.shape
-    if rows is not None:
-        gx, gy = gx[rows[0]:rows[1]], gy[rows[0]:rows[1]]
-    ink = _ink(track, pose, gx, gy, cards)
-    ink_u8, back_u8 = _levels(brightness)
-    n = shape[0] * shape[1]
-    count = int(np.count_nonzero(ink))
-    unsampled = n - ink.size  # read as ink: a lower bound on the sum
-    total = (count + unsampled) * int(ink_u8) + (ink.size - count) * int(back_u8)
-    dark = int(ink_u8) < total / n - BINARIZE_MARGIN
-    if rows is None:
+    ink_u8, back_u8 = map(int, _levels(brightness))
+    r0, r1 = rows if rows is not None else (0, len(gx))
+    while True:
+        ink = _ink(track, pose, gx[r0:r1], gy[r0:r1], cards)
+        count = int(np.count_nonzero(ink))
+        unsampled = gx.size - ink.size  # read as ink: a lower bound on the sum
+        total = (count + unsampled) * ink_u8 + (ink.size - count) * back_u8
+        dark = ink_u8 < total / gx.size - BINARIZE_MARGIN
+        if dark or not unsampled:
+            break
+        r0, r1 = 0, len(gx)  # the band alone does not decide
+    if not unsampled:
         if not dark:
             ink.fill(False)
         return ink
-    if not dark:
-        return None
-    bits = np.zeros(shape, dtype=bool)
-    bits[rows[0]:rows[1]] = ink
+    bits = np.zeros(gx.shape, dtype=bool)
+    bits[r0:r1] = ink
     return bits

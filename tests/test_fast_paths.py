@@ -28,9 +28,10 @@ from wardcart.vision.pipeline import (adaptive_binarize, detect_in_binary, line_
 from wardcart.vision.render import NoiseParams, render
 
 
-def reference_sense(cart, track, cam, config, templates):
+def reference_sense(cart, track, config):
     """_sense without a shortcut, turn ticks included: a whole rendered frame
     every tick, fully detected, with the same tracking gate."""
+    cam, templates = CameraModel(distortion_k1=config.noise.k1), default_templates()
     cards = (cart.card,) if cart.card is not None else ()
     frame = render(track, cart.vehicle.pose, cam, config.noise, rng=cart.rng, cards=cards)
     binary = undistort_bits(adaptive_binarize(frame), cam.distortion_k1)
@@ -79,7 +80,8 @@ CASES = {
     "noisy_distorted": (default_map(), SimConfig(
         wards=(1,), seed=2, max_ticks=700,
         noise=NoiseParams(brightness=-30.0, sigma=8.0, k1=0.05))),
-    # the control band alone never decides here, so band ticks render
+    # the control band alone never decides here, so band ticks sample the
+    # whole clean frame
     "bright": (default_map(), SimConfig(wards=(2,), noise=NoiseParams(brightness=150.0))),
     "five_edges_twocart": (FIVE_EDGES, SimConfig(carts=2, wards=(3, 6),
                                                  noise=NoiseParams(k1=0.1))),
@@ -184,8 +186,7 @@ def test_a_table_reading_is_the_reference_reading(track, x, y, heading, brightne
             cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), pose,
                                  np.random.default_rng(0))
             cart.card, cart.mission, cart.gate_x = shown, READING[reach], gate_x
-            sensed = simcore._sense(cart, track, CameraModel(distortion_k1=k1),
-                                    SimConfig(noise=noise), default_templates())
+            sensed = simcore._sense(cart, track, SimConfig(noise=noise))
             got, key = (sensed.line, sensed.detections), (kind, k1, reach, gate_x)
             if lookup == 0:
                 window = None

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -310,7 +311,7 @@ def test_a_positive_dt_is_rejected_or_runs(track, dt):
 
 def _count_frames(monkeypatch) -> list[str]:
     """A list that gains the maker's name for every frame the engine makes:
-    a render, or clean bits that the band bound did not decline."""
+    a render or clean bits."""
     frames = []
     render_frame, bits = simcore.render, simcore.clean_bits
 
@@ -319,10 +320,8 @@ def _count_frames(monkeypatch) -> list[str]:
         return render_frame(*args, **kwargs)
 
     def spy_bits(*args, **kwargs):
-        made = bits(*args, **kwargs)
-        if made is not None:
-            frames.append("clean_bits")
-        return made
+        frames.append("clean_bits")
+        return bits(*args, **kwargs)
 
     monkeypatch.setattr(simcore, "render", spy_render)
     monkeypatch.setattr(simcore, "clean_bits", spy_bits)
@@ -336,7 +335,7 @@ def _reach(cart):
     return reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
 
 
-def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
+def test_detection_runs_only_when_the_mission_can_read_it(track, templates, monkeypatch):
     """On a cart-tick with no latched turn and a reading range, _sense
     supplies the detections of that tick's frame nearer than the range,
     whether it rendered the frame or reused last tick's; on every other tick
@@ -344,12 +343,12 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
     sensed = []
     sense = simcore._sense
 
-    def spy_sense(cart, track, cam, config, templates):
+    def spy_sense(cart, track, config):
         pose, card, phase, reach = cart.vehicle.pose, cart.card, cart.mission.phase, _reach(cart)
         readable = reach is not None
-        sensors = sense(cart, track, cam, config, templates)
+        sensors = sense(cart, track, config)
         if readable:
-            frame = render(track, pose, cam, config.noise,
+            frame = render(track, pose, CameraModel(config.noise.k1), config.noise,
                            cards=(card,) if card is not None else ())
             binary = undistort_bits(adaptive_binarize(frame), config.noise.k1)
             assert sensors.detections == [d for d in detect_in_binary(binary, templates)
@@ -413,7 +412,7 @@ def test_a_noisy_run_renders_every_sensed_tick(track, monkeypatch):
 
 
 def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
-        track, templates, monkeypatch):
+        track, monkeypatch):
     frames, detects = _count_frames(monkeypatch), []
     detect = simcore.detect_in_binary
     monkeypatch.setattr(simcore, "detect_in_binary",
@@ -426,7 +425,7 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     def step(config=clean, gate=None):
         cart.gate_x = gate  # the tracking gate is part of the key too
         before = len(frames), len(detects)
-        sensors = simcore._sense(cart, track, CameraModel(), config, templates)
+        sensors = simcore._sense(cart, track, config)
         return len(frames) - before[0], len(detects) - before[1], sensors
 
     assert step()[:2] == (1, 1)
@@ -457,6 +456,12 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     noisy = SimConfig(noise=NoiseParams(sigma=4.0))
     assert step(noisy)[:2] == (1, 1)
     assert step(noisy)[:2] == (1, 1)
+    # a pose that is not finite is never looked up: NaN equals nothing
+    cart.vehicle = replace(cart.vehicle, pose=(math.nan, start[1], start[2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the NaN cell index cast
+        assert step()[:2] == (1, 1)
+        assert step()[:2] == (1, 1)
 
 
 def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates,
@@ -473,7 +478,7 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
 
     def sense():
         cart.gate_x = None
-        return simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
+        return simcore._sense(cart, track, SimConfig())
 
     assert sense().detections == [] and len(made) == 1
     assert not made[0][:simcore.CONTROL_ROI[0]].any()  # only the control band
@@ -488,14 +493,14 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     cart.mission = returning
     assert sense().detections == [] and len(made) == 2
     line, found = simcore._table(track, start, (float,) * 6, (cart.card,), NoiseParams(),
-                                 CameraModel(), math.inf, None)
+                                 math.inf, None)
     assert list(found) == want and len(made) == 2
     assert not any(isinstance(v, np.ndarray) for v in (line, *line, found, *found))
 
 
 @pytest.mark.parametrize("noise", (NoiseParams(), NoiseParams(sigma=4.0),
                                    NoiseParams(sigma=4.0, k1=0.05)))
-def test_a_turn_tick_makes_no_frame_but_draws_its_noise(track, templates, monkeypatch, noise):
+def test_a_turn_tick_makes_no_frame_but_draws_its_noise(track, monkeypatch, noise):
     called = []
     for layer in ("clean_bits", "render", "adaptive_binarize", "undistort_bits",
                   "line_centroid", "detect_in_binary"):
@@ -508,7 +513,7 @@ def test_a_turn_tick_makes_no_frame_but_draws_its_noise(track, templates, monkey
     simcore._table.cache_clear()
     for i in range(3):
         cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1], start[2] + 0.1 * i))
-        sensors = simcore._sense(cart, track, cam, SimConfig(noise=noise), templates)
+        sensors = simcore._sense(cart, track, SimConfig(noise=noise))
         assert sensors.line is None and sensors.detections == []
         # the frame the tick would have rendered, from a twin noise stream
         render(track, cart.vehicle.pose, cam, noise, rng=twin, cards=(cart.card,))
@@ -536,7 +541,7 @@ def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkey
         cart.mission = mission
         cart.gate_x = None
         before = len(frames), len(ranges)
-        sensors = simcore._sense(cart, track, CameraModel(), SimConfig(), templates)
+        sensors = simcore._sense(cart, track, SimConfig())
         return len(frames) - before[0], ranges[before[1]:], sensors.detections
 
     simcore._table.cache_clear()  # earlier tests fill it
@@ -559,12 +564,18 @@ def test_clean_bits_leave_every_trace_byte_as_the_render_chain(track, monkeypatc
     simcore._table.cache_clear()  # or the runs would look their frames up
     fast = trace_to_csv(run_scenario(track, config))
     made = set(frames)
-    monkeypatch.setattr(simcore, "clean_bits", lambda *args: None)
+
+    def render_chain(track, pose, brightness, cards, rows):
+        frame = render(track, pose, CameraModel(), NoiseParams(brightness=brightness),
+                       cards=cards)
+        return undistort_bits(adaptive_binarize(frame), 0.0)
+
+    monkeypatch.setattr(simcore, "clean_bits", render_chain)
     simcore._table.cache_clear()
     assert trace_to_csv(run_scenario(track, config)) == fast
     assert ("clean_bits" in made) == (k1 == 0.0)
-    # at +150 the control band alone never decides, so band ticks render
-    assert ("render" in made) == (k1 != 0.0 or brightness == 150.0)
+    # a clean run renders nothing, even at +150 where the band never decides
+    assert ("render" in made) == (k1 != 0.0)
 
 
 def test_render_work_arrays_stay_cached_across_clean_and_noisy_runs(track):

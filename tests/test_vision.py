@@ -886,13 +886,15 @@ def test_clean_bits_equal_the_render_chain(track, values, types, brightness, car
     rows = CONTROL_ROI if band else None
     want = _clean_chain(track, pose, CameraModel(), brightness, cards)
     got = clean_bits(track, pose, brightness, cards, rows)
+    assert got.shape == want.shape
     if rows is None:
-        assert got is not None and np.array_equal(got, want)
-    elif got is not None:
+        assert np.array_equal(got, want)
+    else:
         r0, r1 = rows
-        assert got.shape == want.shape
         assert np.array_equal(got[r0:r1], want[r0:r1])
-        assert not got[:r0].any() and not got[r1:].any()
+        # blank outside the band, or the whole frame when the band did not decide
+        blank = not got[:r0].any() and not got[r1:].any()
+        assert blank or np.array_equal(got, want)
 
 
 def test_clean_bits_reach_the_fallback_and_the_blank_frame(track, cam):
@@ -902,13 +904,15 @@ def test_clean_bits_reach_the_fallback_and_the_blank_frame(track, cam):
     r0, r1 = CONTROL_ROI
     line = _clean_chain(track, ON_LINE, cam, -30.0, ())
     assert line[r0:r1].any() and np.array_equal(bits(-30.0, CONTROL_ROI)[r0:r1], line[r0:r1])
-    # ink 180 on 255: the frame reads the line, but the band alone cannot tell
-    assert _clean_chain(track, ON_LINE, cam, 150.0, ()).any()
-    assert bits(150.0, CONTROL_ROI) is None
+    # ink 180 on 255: the frame reads the line, but the band alone cannot
+    # tell, so the whole frame is sampled
+    bright = _clean_chain(track, ON_LINE, cam, 150.0, ())
+    assert bright[:r0].any() and bright[r0:r1].any()
+    assert np.array_equal(bits(150.0, CONTROL_ROI), bright)
     # ink and background both clip to 255: nothing falls under the threshold
     assert not _clean_chain(track, ON_LINE, cam, 230.0, ()).any()
     assert not bits(230.0, None).any()
-    assert bits(230.0, CONTROL_ROI) is None
+    assert not bits(230.0, CONTROL_ROI).any()
 
 
 def test_vision_stages_pass_plain_arrays(track):
@@ -1200,7 +1204,7 @@ CACHES = {
                       lambda n: [(10 + i, 60, 12, 20, 120, 160) for i in range(n)]),
     "default_templates": (default_templates, lambda n: [()] * n),
     "sensor_table": (simcore._table, lambda n: [(EMPTY_MAP, (0.0, 0.01 * i, 0.0), (float,) * 3,
-                                                 (), NoiseParams(), CameraModel(), None, None)
+                                                 (), NoiseParams(), None, None)
                                                 for i in range(n)]),
 }
 
