@@ -12,22 +12,24 @@ A tick with a latched junction turn makes no frame: the mission is not
 stepped and the drive follows the turn, so nothing would read it. It only
 advances the cart's noise stream by the draw that frame's render would
 take (``render.skip_noise``). Any other tick reads its frame for the line
-fix and the placards nearer than the reading range, each exactly:
+fix and the placards nearer than the reading range, each exactly. Every
+frame is seen from the pose's x and y as NumPy float64 (``_reading``), so
+the first tick, from the Python floats of the start pose, samples the
+ground in the precision of every later one.
 
 - Lookup. Without pixel noise that reading is a function of the track, the
-  pose (values and types: render works in the pose's precision), the cards,
-  the brightness, the lens, the range and the tracking gate. One table of
-  the last 1,024 such readings, shared by every cart and run, answers a
-  repeated one: a still cart, or a run on an approach an earlier run took.
-  It keeps no frames. A noisy frame draws from the cart's noise stream, so
-  with noise every tick makes a new one.
-- Clean bits (``render.clean_bits``), without noise or distortion. The
+  pose values, the cards, the brightness, the lens, the range and the
+  tracking gate. One table of the last 1,024 such readings, shared by every
+  cart and run, answers a repeated one: a still cart, or a run on an
+  approach an earlier run took. It keeps no frames. A noisy frame draws
+  from the cart's noise stream, so with noise every tick makes a new one.
+- Clean bits (``render.clean_bits``), without noise, through any lens. The
   frame has two levels, so its mean follows from the ink count and the
-  bits are the ink or nothing. A tick that reads placards gets the whole
-  frame; any other tick gets only the control band, which the line
-  centroid reads, when a lower bound on the frame mean already decides it,
-  and the whole frame otherwise.
-- Render, binarize, undistort: noisy or distorted frames only.
+  bits are the ink or nothing. Without distortion, a tick that reads no
+  placards gets only the control band, which the line centroid reads, when
+  a lower bound on the frame mean already decides it; every other tick
+  gets the whole frame.
+- Render and binarize: noisy frames only. Every frame is then undistorted.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .vision.camera import WIDTH, CameraModel
 from .vision.glyphs import default_templates
 from .vision.pipeline import (DigitDetection, adaptive_binarize, detect_in_binary, line_centroid,
                               undistort_bits)
-from .vision.render import NoiseParams, clean_bits, render, scene_types, skip_noise
+from .vision.render import NoiseParams, clean_bits, render, skip_noise
 
 PAYLOAD_GRAMS = 200.0
 REFERENCE_DT = 0.02  # tick length GAINS are quoted at
@@ -250,11 +252,8 @@ class _Cart:
 
 
 def _wrap_angle(a: float) -> float:
-    while a > math.pi:
-        a -= 2 * math.pi
-    while a < -math.pi:
-        a += 2 * math.pi
-    return a
+    # exact, and in one step however many turns a holds
+    return math.remainder(a, 2 * math.pi)
 
 
 def _make_card(digit: int, start: tuple[float, float, float]) -> PlacardEntry:
@@ -457,9 +456,9 @@ def _sense(cart: _Cart, track: TrackMap, config: SimConfig) -> SensorBundle:
     window = None
     if cart.gate_x is not None:
         window = (int(cart.gate_x) - GATE_HALF_PX, int(cart.gate_x) + GATE_HALF_PX + 1)
-    types = scene_types(pose, cards) if config.noise.sigma == 0 else None
-    if types is not None:
-        line, detections = _table(track, pose, types, cards, config.noise, reach, window)
+    # a pose that is not finite is looked up nowhere: NaN equals nothing
+    if config.noise.sigma == 0 and all(map(math.isfinite, pose)):
+        line, detections = _table(track, pose, cards, config.noise, reach, window)
     else:
         line, detections = _reading(track, pose, cards, config.noise, reach, window, cart.rng)
     cart.gate_x = line[0] if line is not None else None
@@ -474,13 +473,17 @@ def _reading(track: TrackMap, pose: tuple[float, float, float], cards: tuple[Pla
              ) -> tuple[tuple[float, float] | None, tuple[DigitDetection, ...]]:
     """The line fix in the gate window and the placards nearer than reach
     (none when reach is None) of the frame seen from pose."""
-    if noise.sigma == 0 and noise.k1 == 0:
+    # the one place the frame's precision is set: render samples the ground
+    # in its pose's precision (NEP 50), and every engine frame is float64
+    pose = (np.float64(pose[0]), np.float64(pose[1]), pose[2])
+    if noise.sigma == 0:
         # a tick that reads no placards needs only the control band
-        binary = clean_bits(track, pose, noise.brightness, cards,
-                            None if reach is not None else CONTROL_ROI)
+        bits = clean_bits(track, pose, noise.brightness, noise.k1, cards,
+                          None if reach is not None else CONTROL_ROI)
     else:
-        frame = render(track, pose, CameraModel(noise.k1), noise, rng=rng, cards=cards)
-        binary = undistort_bits(adaptive_binarize(frame), noise.k1)
+        bits = adaptive_binarize(render(track, pose, CameraModel(noise.k1), noise, rng=rng,
+                                        cards=cards))
+    binary = undistort_bits(bits, noise.k1)
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if reach is None:
         return line, ()
@@ -488,11 +491,9 @@ def _reading(track: TrackMap, pose: tuple[float, float, float], cards: tuple[Pla
 
 
 @lru_cache(maxsize=1024)
-def _table(track: TrackMap, pose: tuple[float, float, float], types: tuple[type, ...],
-           cards: tuple[PlacardEntry, ...], noise: NoiseParams, reach: float | None,
-           window: tuple[int, int] | None):
-    """_reading of a noise-free frame, for the last 1,024 keys; ``types`` is
-    only part of the key."""
+def _table(track: TrackMap, pose: tuple[float, float, float], cards: tuple[PlacardEntry, ...],
+           noise: NoiseParams, reach: float | None, window: tuple[int, int] | None):
+    """_reading of a noise-free frame, for the last 1,024 keys."""
     return _reading(track, pose, cards, noise, reach, window, None)
 
 

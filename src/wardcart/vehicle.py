@@ -83,10 +83,8 @@ def apply_motor(state: VehicleState, duty_left: float, duty_right: float,
         x += w * v * math.cos(th)
         y += w * v * math.sin(th)
 
-    # x and y stay NumPy float64: render computes world coordinates in the
-    # pose's precision, and every trace depends on those being float64. Built
-    # by the constructor: dataclasses.replace costs several µs a tick
-    return VehicleState((np.float64(x), np.float64(y), th1), (v1_l, v1_r), state.loaded)
+    # built by the constructor: dataclasses.replace costs several µs a tick
+    return VehicleState((x, y, th1), (v1_l, v1_r), state.loaded)
 
 
 def set_payload(state: VehicleState, grams: float) -> VehicleState:

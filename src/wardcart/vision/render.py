@@ -32,6 +32,7 @@ BACKGROUND_LEVEL = 200.0
 INK_LEVEL = 30.0
 LINE_HALF_WIDTH = 0.010  # meters; 2 cm wide guide tape
 STRIP_CELLS = 128  # length of one painted piece of a segment, in WORLD_CELLs
+FAR_POSE = 1e6     # meters; a pose farther out on either axis sees no map ink
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def _ink(track: TrackMap, pose: tuple[float, float, float], gx: np.ndarray,
     # wx = px + gx * cos_h - gy * sin_h and wy = py + gx * sin_h + gy * cos_h,
     # in those expressions' steps and dtypes. Under NumPy 2 promotion (NEP 50)
     # the dtype follows the pose: float64 for NumPy-scalar px, py (every pose
-    # apply_motor returns) and float32, that of the grid, for Python floats
+    # the engine reads) and float32, that of the grid, for Python floats
     wx = _scratch(gx.shape, np.result_type(px, gx), "x")
     wy = _scratch(gx.shape, np.result_type(py, gx), "y")
     np.add(px, np.multiply(gx, cos_h, out=wx), out=wx)
@@ -182,34 +183,31 @@ def _ink(track: TrackMap, pose: tuple[float, float, float], gx: np.ndarray,
     np.add(py, np.multiply(gx, sin_h, out=wy), out=wy)
     np.add(wy, np.multiply(gy, cos_h, out=_scratch(gx.shape, wy.dtype, "term")), out=wy)
 
-    ink = world_ink(track).sample(wx, wy)
+    # the raster lies within 51 m of the origin and no ground point is
+    # farther than 1e4 m from the cart, so a pose past FAR_POSE (or NaN)
+    # sees no map ink, and its cell indices would not fit in int32
+    if abs(px) <= FAR_POSE and abs(py) <= FAR_POSE:
+        ink = world_ink(track).sample(wx, wy)
+    else:
+        ink = np.zeros(gx.shape, dtype=bool)
     for card in cards:
         _stamp_glyph(ink, wx, wy, card)
     return ink
-
-
-def scene_types(pose: tuple[float, float, float],
-                cards: Sequence[PlacardEntry]) -> tuple[type, ...] | None:
-    """The types of a scene's coordinates, or None when a pose value is not
-    finite. 1.0 and np.float64(1.0) are one cache key but sample in float32
-    and float64 (NEP 50), so a frame cache keys on these types too. A pose
-    that is not finite is cached nowhere: NaN equals nothing, and its
-    cell-index cast warns on every sample."""
-    if not all(map(math.isfinite, pose)):
-        return None
-    return tuple(map(type, pose)) + tuple(type(v) for c in cards
-                                          for v in (c.x, c.y, c.up_angle))
 
 
 def _scene_ink(track: TrackMap, pose: tuple[float, float, float], k1: float,
                cards: Sequence[PlacardEntry]) -> np.ndarray:
     """The ink mask of the frame render draws, read-only when it comes from
     the memo. Every exposure of one scene has the same ink, so the corpus
-    sweep samples it once per scene instead of once per brightness and sigma."""
+    sweep samples it once per scene instead of once per brightness and sigma.
+    1.0 and np.float64(1.0) are one memo key but sample in float32 and
+    float64 (NEP 50), so the memo keys on the coordinates' types too. A pose
+    that is not finite is memoized nowhere: NaN equals nothing."""
     pose, cards = tuple(pose), tuple(cards)
-    types = scene_types(pose, cards)
-    if types is None:
+    if not all(map(math.isfinite, pose)):
         return _ink(track, pose, *ground_grid(k1), cards)
+    types = tuple(map(type, pose)) + tuple(type(v) for c in cards
+                                           for v in (c.x, c.y, c.up_angle))
     return _memo_ink(track, pose, k1, cards, types)
 
 
@@ -272,26 +270,28 @@ def skip_noise(noise: NoiseParams, rng: np.random.Generator) -> None:
 
 
 def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: float,
-               cards: Sequence[PlacardEntry], rows: tuple[int, int] | None) -> np.ndarray:
-    """``adaptive_binarize(render(...))`` of a noise-free frame without
-    distortion, without building the frame: the (HEIGHT, WIDTH) bool bits.
+               k1: float, cards: Sequence[PlacardEntry],
+               rows: tuple[int, int] | None) -> np.ndarray:
+    """``adaptive_binarize(render(...))`` of a noise-free frame through a lens
+    of distortion k1, without building the frame: the (HEIGHT, WIDTH) bool
+    bits, still distorted.
 
-    With ``rows=None`` the whole frame is sampled. Its pixel sum is an
-    integer far below 2**53, so the mean taken from the ink count equals
-    ``pixels.mean()``. Since ink is never lighter than the background, the
-    bits are the ink where the ink level falls under the threshold and
-    nothing otherwise.
+    With ``rows=None``, or with any k1 but 0, the whole frame is sampled.
+    Its pixel sum is an integer far below 2**53, so the mean taken from the
+    ink count equals ``pixels.mean()``. Since ink is never lighter than the
+    background, the bits are the ink where the ink level falls under the
+    threshold and nothing otherwise.
 
-    With ``rows=(r0, r1)`` those rows are sampled first. Counting every
-    unsampled pixel as ink bounds the frame mean from below; when the ink
-    level falls under the threshold of that bound it falls under the true
-    one too, the sampled rows are exact and the other rows come back false.
-    Otherwise the band cannot be decided alone, and the whole frame is
-    sampled and returned.
+    With ``rows=(r0, r1)`` and k1 = 0, where undistortion moves no pixel,
+    those rows are sampled first. Counting every unsampled pixel as ink
+    bounds the frame mean from below; when the ink level falls under the
+    threshold of that bound it falls under the true one too, the sampled
+    rows are exact and the other rows come back false. Otherwise the band
+    cannot be decided alone, and the whole frame is sampled and returned.
     """
-    gx, gy = ground_grid(0.0)
+    gx, gy = ground_grid(k1)
     ink_u8, back_u8 = map(int, _levels(brightness))
-    r0, r1 = rows if rows is not None else (0, len(gx))
+    r0, r1 = rows if rows is not None and k1 == 0 else (0, len(gx))
     while True:
         ink = _ink(track, pose, gx[r0:r1], gy[r0:r1], cards)
         count = int(np.count_nonzero(ink))

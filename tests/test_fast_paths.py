@@ -4,7 +4,8 @@ simcore._sense skips the frame of a turn tick, looks a noise-free reading up
 in its table, takes clean bits or only the control band, and detects
 placards only out to the reading range. Each shortcut claims the trace bytes
 of the plain chain: render, binarize and undistort every tick, then detect
-the whole frame.
+the whole frame. The engine sees every frame from the pose's x and y as
+np.float64, and so does the reference.
 """
 
 import itertools
@@ -28,12 +29,18 @@ from wardcart.vision.pipeline import (adaptive_binarize, detect_in_binary, line_
 from wardcart.vision.render import NoiseParams, render
 
 
+def float64_pose(pose):
+    """pose with x and y as np.float64, the precision of every engine frame."""
+    return (np.float64(pose[0]), np.float64(pose[1]), pose[2])
+
+
 def reference_sense(cart, track, config):
     """_sense without a shortcut, turn ticks included: a whole rendered frame
     every tick, fully detected, with the same tracking gate."""
     cam, templates = CameraModel(distortion_k1=config.noise.k1), default_templates()
     cards = (cart.card,) if cart.card is not None else ()
-    frame = render(track, cart.vehicle.pose, cam, config.noise, rng=cart.rng, cards=cards)
+    frame = render(track, float64_pose(cart.vehicle.pose), cam, config.noise, rng=cart.rng,
+                   cards=cards)
     binary = undistort_bits(adaptive_binarize(frame), cam.distortion_k1)
     turning = cart.turn is not None
     if turning:
@@ -152,12 +159,16 @@ READING = {None: MissionState(phase=MissionPhase.RETURNING),
 
 def _reference_reading(track, pose, card, noise, reach, window):
     cam = CameraModel(distortion_k1=noise.k1)
-    frame = render(track, pose, cam, noise, cards=(card,) if card is not None else ())
+    frame = render(track, float64_pose(pose), cam, noise,
+                   cards=(card,) if card is not None else ())
     binary = undistort_bits(adaptive_binarize(frame), noise.k1)
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if reach is None:
         return line, []
     return line, [d for d in detect_in_binary(binary, default_templates()) if d.range_z < reach]
+
+
+TYPE_SENSITIVE = (0.01088630715916037, 1.7597459177440231, 1.5373643062170363)
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,32 +178,54 @@ def _reference_reading(track, pose, card, noise, reach, window):
        card=st.none() | st.integers(1, 8),
        gate=st.none() | st.floats(0.0, WIDTH - 1.0))
 @example(x=-0.0, y=0.9, heading=math.pi / 2, brightness=0.0, card=2, gate=80.0)
-# about one pose in a hundred reads differently in float32 and in float64
-@example(x=0.01088630715916037, y=1.7597459177440231, heading=1.5373643062170363,
+# about one pose in a hundred reads differently in float32 and in float64:
+# both value types of it give the float64 reading
+@example(x=TYPE_SENSITIVE[0], y=TYPE_SENSITIVE[1], heading=TYPE_SENSITIVE[2],
          brightness=0.0, card=None, gate=None)
 def test_a_table_reading_is_the_reference_reading(track, x, y, heading, brightness, card, gate):
-    """Every variant of one drawn pose that the key must tell apart: the
-    pose's float and np.float64 types, k1 0 and 0.05, the three reading
-    ranges and the gate window or none. Each first lookup equals the plain
-    chain, and a second lookup equals the first."""
+    """Every variant of one drawn pose that the key must tell apart: k1 0
+    and 0.05, the three reading ranges and the gate window or none. Each
+    first lookup equals the plain chain, and a second lookup equals the
+    first. The pose's float and np.float64 forms are one key: they give one
+    reading and make one table entry."""
     simcore._table.cache_clear()
     values = (x, y, heading)
     shown = simcore._make_card(card, values) if card is not None else None
-    variants = list(itertools.product((float, np.float64), (0.0, 0.05), READING, (None, gate)))
+    variants = list(itertools.product((0.0, 0.05), READING, (None, gate)))
     first = {}
-    for lookup in range(2):
-        for kind, k1, reach, gate_x in variants:
+    for _, kind in itertools.product(range(2), (float, np.float64)):
+        for k1, reach, gate_x in variants:
+            key = (k1, reach, gate_x)
             pose, noise = tuple(map(kind, values)), NoiseParams(brightness=brightness, k1=k1)
             cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), pose,
                                  np.random.default_rng(0))
             cart.card, cart.mission, cart.gate_x = shown, READING[reach], gate_x
             sensed = simcore._sense(cart, track, SimConfig(noise=noise))
-            got, key = (sensed.line, sensed.detections), (kind, k1, reach, gate_x)
-            if lookup == 0:
+            got = (sensed.line, sensed.detections)
+            if key not in first:
                 window = None
                 if gate_x is not None:
                     window = (int(gate_x) - GATE_HALF_PX, int(gate_x) + GATE_HALF_PX + 1)
                 assert got == _reference_reading(track, pose, shown, noise, reach, window), key
                 first[key] = got
             else:
-                assert got == first[key], key
+                assert got == first[key], (kind, key)
+    assert simcore._table.cache_info().currsize == len(first)
+
+
+def test_both_value_types_of_a_pose_read_in_float64(track):
+    """From an empty table each time, _sense gives one reading of a pose as
+    Python floats and as np.float64, and that is the float64 frame's."""
+    noise = NoiseParams()
+    float32_frame = render(track, TYPE_SENSITIVE, CameraModel(), noise)
+    assert (line_centroid(adaptive_binarize(float32_frame), CONTROL_ROI)
+            != _reference_reading(track, TYPE_SENSITIVE, None, noise, None, None)[0])
+    lines = []
+    for kind in (float, np.float64):
+        simcore._table.cache_clear()
+        pose = tuple(map(kind, TYPE_SENSITIVE))
+        cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), pose, np.random.default_rng(0))
+        cart.mission = READING[None]
+        lines.append(simcore._sense(cart, track, SimConfig(noise=noise)).line)
+    assert lines[0] == lines[1] == _reference_reading(track, TYPE_SENSITIVE, None, noise,
+                                                      None, None)[0]

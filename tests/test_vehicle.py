@@ -39,7 +39,8 @@ def rk4_oracle(state, duties, dt, steps=4000):
 
 def quadrature_reference(state, duties, dt):
     """apply_motor's quadrature evaluated node by node over NumPy-scalar
-    nodes; the table-driven apply_motor must match it in value and type."""
+    nodes; the table-driven apply_motor must match it in value, and in type
+    with x and y as the plain floats apply_motor returns."""
     def displacement(target, dev, tau, t):
         return target * t + dev * tau * (1.0 - math.exp(-t / tau))
 
@@ -68,19 +69,17 @@ def quadrature_reference(state, duties, dt):
             th = heading(t)
             x += w * v * math.cos(th)
             y += w * v * math.sin(th)
-    return (x, y, heading(dt)), (vt_l + dev_l * decay, vt_r + dev_r * decay)
+    return (float(x), float(y), heading(dt)), (vt_l + dev_l * decay, vt_r + dev_r * decay)
 
 
 @pytest.mark.parametrize("dt", [0.02, 0.3])
-def test_pose_position_is_numpy_float64(dt):
-    # the renderer computes world coordinates in the pose's precision
-    # (NumPy 2 promotion), so a Python-float pose would render differently
-    state = VehicleState(pose=(0.5, -0.25, 1.0))
+def test_pose_is_plain_floats(dt):
+    # the engine sets the frame's precision itself (simcore._reading), so the
+    # pose carries no NumPy scalar, from a NumPy pose too
+    state = VehicleState(pose=(np.float64(0.5), np.float64(-0.25), 1.0))
     for duties in ((0.8, 0.6), (0.0, 0.0)):
         state = apply_motor(state, *duties, dt)
-        assert type(state.pose[0]) is np.float64
-        assert type(state.pose[1]) is np.float64
-        assert type(state.pose[2]) is float
+        assert list(map(type, state.pose)) == [float, float, float]
 
 
 @pytest.mark.parametrize("dt", [0.02, 0.05, 0.3])
@@ -88,8 +87,9 @@ def test_states_equal_the_per_node_reference_loop(dt):
     rng = np.random.default_rng(round(dt * 1000))
     state = VehicleState(pose=(0.3, -0.2, 0.9))
     for i in range(3000):
-        if i % 500 == 0:  # also start from a Python-float pose now and then
-            state = VehicleState(pose=tuple(float(v) for v in state.pose),
+        if i % 500 == 0:  # also start from a NumPy-scalar x and y now and then
+            x, y, th = state.pose
+            state = VehicleState(pose=(np.float64(x), np.float64(y), th),
                                  wheel_speed=state.wheel_speed)
         duties = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         pose, wheels = quadrature_reference(state, duties, dt)

@@ -841,11 +841,19 @@ def test_scene_ink_memo_tells_coordinate_types_apart(track, pair, flip):
 
 def test_a_non_finite_pose_is_sampled_every_call(track):
     _memo_ink.cache_clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the NaN cell index cast
-        for pose in [(math.nan, 0.3, 0.0)] * 2 + [(0.0, math.inf, 0.0)] * 2:
-            render(track, pose, CameraModel())
+    # such a pose sees no map ink, so no cell index cast warns
+    for pose in [(math.nan, 0.3, 0.0)] * 2 + [(0.0, math.inf, 0.0)] * 2:
+        assert not _rendered_ink(track, pose).any()
     assert _memo_ink.cache_info().currsize == 0 and _memo_ink.cache_info().hits == 0
+
+
+@pytest.mark.parametrize("far", [1e7, -1e300])
+def test_a_pose_past_the_far_bound_sees_no_map_ink(track, far):
+    # its cell indices would not fit in int32; a card beside it still shows
+    pose = (np.float64(far), np.float64(0.4), math.pi / 2)
+    card = PlacardEntry(2, pose[0], 0.66, math.pi / 2)
+    assert not _rendered_ink(track, pose).any()
+    assert _rendered_ink(track, pose, (card,)).any()
 
 
 def test_memoized_ink_is_read_only(track):
@@ -860,8 +868,9 @@ def _pose(values, types):
 
 
 def _clean_chain(track, pose, cam, brightness, cards):
+    """The bits of the noise-free frame, still distorted, as clean_bits gives them."""
     frame = render(track, pose, cam, NoiseParams(brightness=brightness), cards=cards)
-    return undistort_bits(adaptive_binarize(frame), 0.0)
+    return adaptive_binarize(frame)
 
 
 ON_LINE = (0.0, 0.5, math.pi / 2)
@@ -872,22 +881,25 @@ PYTHON_FLOATS = (float, float, float)
 @given(values=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.3, 4.3),
                         st.floats(-math.pi, math.pi)),
        types=st.tuples(*[st.sampled_from((float, np.float64))] * 3),
-       brightness=st.floats(-250, 250), card=st.booleans(), band=st.booleans())
-@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=150.0, card=False, band=True)
-@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=230.0, card=True, band=False)
-@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=230.0, card=False, band=True)
-@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=200.0, card=True, band=True)
-def test_clean_bits_equal_the_render_chain(track, values, types, brightness, card, band):
+       brightness=st.floats(-250, 250), k1=st.sampled_from((0.0, 0.0, 0.05, 0.1)),
+       card=st.booleans(), band=st.booleans())
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=150.0, k1=0.0, card=False, band=True)
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=230.0, k1=0.0, card=True, band=False)
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=230.0, k1=0.0, card=False, band=True)
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=200.0, k1=0.0, card=True, band=True)
+# through a distorted lens the band is ignored: undistortion moves its rows
+@example(values=ON_LINE, types=PYTHON_FLOATS, brightness=0.0, k1=0.1, card=True, band=True)
+def test_clean_bits_equal_the_render_chain(track, values, types, brightness, k1, card, band):
     pose = _pose(values, types)
     x, y, heading = values
     cards = (PlacardEntry(3, x + 0.22 * math.cos(heading) - 0.10 * math.sin(heading),
                           y + 0.22 * math.sin(heading) + 0.10 * math.cos(heading),
                           heading),) if card else ()
     rows = CONTROL_ROI if band else None
-    want = _clean_chain(track, pose, CameraModel(), brightness, cards)
-    got = clean_bits(track, pose, brightness, cards, rows)
+    want = _clean_chain(track, pose, CameraModel(k1), brightness, cards)
+    got = clean_bits(track, pose, brightness, k1, cards, rows)
     assert got.shape == want.shape
-    if rows is None:
+    if rows is None or k1 != 0:
         assert np.array_equal(got, want)
     else:
         r0, r1 = rows
@@ -899,7 +911,7 @@ def test_clean_bits_equal_the_render_chain(track, values, types, brightness, car
 
 def test_clean_bits_reach_the_fallback_and_the_blank_frame(track, cam):
     def bits(brightness, rows):
-        return clean_bits(track, ON_LINE, brightness, (), rows)
+        return clean_bits(track, ON_LINE, brightness, 0.0, (), rows)
 
     r0, r1 = CONTROL_ROI
     line = _clean_chain(track, ON_LINE, cam, -30.0, ())
@@ -921,21 +933,22 @@ def test_vision_stages_pass_plain_arrays(track):
     pixels = render(track, ON_LINE, cam, NoiseParams(k1=0.05))
     bits = adaptive_binarize(pixels)
     stages = [(pixels, np.uint8), (bits, bool), (undistort_bits(bits, 0.05), bool),
-              (clean_bits(track, ON_LINE, 0.0, (), None), bool)]
+              (clean_bits(track, ON_LINE, 0.0, 0.0, (), None), bool),
+              (clean_bits(track, ON_LINE, 0.0, 0.05, (), CONTROL_ROI), bool)]
     for got, dtype in stages:
         assert type(got) is np.ndarray and got.dtype == dtype and got.shape == shape
-    band = clean_bits(track, ON_LINE, 0.0, (), CONTROL_ROI)
+    band = clean_bits(track, ON_LINE, 0.0, 0.0, (), CONTROL_ROI)
     assert type(band) is np.ndarray and band.dtype == bool and band.shape == shape
     r0, r1 = CONTROL_ROI
     assert band[r0:r1].any() and not band[:r0].any() and not band[r1:].any()
 
 
 def test_clean_bits_are_a_fresh_array(track):
-    first = clean_bits(track, ON_LINE, 0.0, (), CONTROL_ROI)
+    first = clean_bits(track, ON_LINE, 0.0, 0.0, (), CONTROL_ROI)
     kept = first.copy()
-    for rows in (CONTROL_ROI, None):
-        clean_bits(track, (0.3, 1.0, 0.0), 0.0, (), rows)
-        clean_bits(track, _pose(ON_LINE, (np.float64,) * 3), 0.0, (), rows)
+    for rows, k1 in itertools.product((CONTROL_ROI, None), (0.0, 0.05)):
+        clean_bits(track, (0.3, 1.0, 0.0), 0.0, k1, (), rows)
+        clean_bits(track, _pose(ON_LINE, (np.float64,) * 3), 0.0, k1, (), rows)
     assert np.array_equal(first, kept)
 
 
@@ -1203,8 +1216,8 @@ CACHES = {
     "rectify_table": (pipeline._rectify_table,
                       lambda n: [(10 + i, 60, 12, 20, 120, 160) for i in range(n)]),
     "default_templates": (default_templates, lambda n: [()] * n),
-    "sensor_table": (simcore._table, lambda n: [(EMPTY_MAP, (0.0, 0.01 * i, 0.0), (float,) * 3,
-                                                 (), NoiseParams(), None, None)
+    "sensor_table": (simcore._table, lambda n: [(EMPTY_MAP, (0.0, 0.01 * i, 0.0), (),
+                                                 NoiseParams(), None, None)
                                                 for i in range(n)]),
 }
 
