@@ -114,7 +114,9 @@ def _report_summary(report: TraceReport) -> str:
         reason = f" ({report.fault_reasons[i]})" if report.fault_reasons[i] else ""
         bits.append(f"cart{i}: {outcome.value}{reason}")
     bits.append(f"ticks={report.completion_ticks}")
-    bits.append(f"max_line_deviation={report.max_line_deviation:.3f}m")
+    deviation = report.max_line_deviation
+    # a cart that leaves the map can stray by any distance, up to 1e308 m
+    bits.append(f"max_line_deviation={deviation:{'.3f' if deviation < 1e6 else '.3e'}}m")
     return "  ".join(bits)
 
 

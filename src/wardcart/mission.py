@@ -48,6 +48,9 @@ HALT_PHASES = frozenset({
     MissionPhase.AWAIT_UNLOAD, MissionPhase.PAUSED_AT_POINT, MissionPhase.DONE,
     MissionPhase.FAULT,
 })
+# phases at the ward: the step reads the payload switch and no frame, and
+# the cart leaves them only through the AROUND turn
+WARD_PHASES = frozenset({MissionPhase.AT_WARD, MissionPhase.AWAIT_UNLOAD})
 
 
 class Role(Enum):
@@ -154,15 +157,16 @@ def check_junction(target: int, detections: list[DigitDetection], planned: Actio
     return f"target {target} placard suggests {seen.value}, route says {planned.value}"
 
 
-def reading_range(state: MissionState, cfg: MissionConfig, loaded: bool) -> float | None:
+def reading_range(state: MissionState, cfg: MissionConfig, loaded: bool,
+                  inbox: list[Message]) -> float | None:
     """How far the next mission_step reads placards, or None when it reads none.
 
     The step reads only detections with range_z below the returned range:
     every one while the target card is confirmed, and those within
     DECISION_RANGE when a planned turn or straight is checked at the next
     junction. AwaitLoad starts Outbound, and checks the leg's first step, in
-    the step the payload arrives. PausedAtPoint can resume in the step a
-    Proceed arrives, so it always counts as about to check its next step.
+    the step the payload arrives. PausedAtPoint does the same in the step
+    whose inbox, the messages that step reads, holds a Proceed.
     """
     if state.phase is MissionPhase.AWAIT_TARGET:
         return math.inf
@@ -170,7 +174,9 @@ def reading_range(state: MissionState, cfg: MissionConfig, loaded: bool) -> floa
         if state.target is None or not loaded:
             return None
         actions, cursor = [s.action for s in cfg.routes[state.target]], 0
-    elif state.phase in (MissionPhase.OUTBOUND, MissionPhase.PAUSED_AT_POINT):
+    elif state.phase is MissionPhase.OUTBOUND or (
+            state.phase is MissionPhase.PAUSED_AT_POINT
+            and any(m.kind is MessageKind.PROCEED for m in inbox)):
         actions, cursor = state.leg_actions, state.cursor
     else:
         return None

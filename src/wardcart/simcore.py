@@ -8,11 +8,15 @@ follow from the mission phase. Cart 1 always steps before cart 2 and
 messages sent in a tick are deliverable from the next tick on, so a (map,
 config) pair fully determines the byte-level trace.
 
-A tick with a latched junction turn makes no frame: the mission is not
-stepped and the drive follows the turn, so nothing would read it. It only
-advances the cart's noise stream by the draw that frame's render would
-take (``render.skip_noise``). Any other tick reads its frame for the line
-fix and the placards nearer than the reading range, each exactly. Every
+A tick makes only the sensing its mission step reads. A tick with a
+latched junction turn makes no frame: the mission is not stepped and the
+drive follows the turn. Nor does a tick at the ward (``WARD_PHASES``): its
+step reads only the payload switch, and the cart leaves through the AROUND
+turn, which resets the tracking gate. Such a tick only advances the cart's
+noise stream by the draw that frame's render would take
+(``render.skip_noise``). Any other tick reads its frame for the line fix
+and the placards nearer than the reading range, each exactly; a paused
+follower reads placards only in the tick a Proceed reaches it. Every
 frame is seen from the pose's x and y as NumPy float64 (``_reading``), so
 the first tick, from the Python floats of the start pose, samples the
 ground in the precision of every later one.
@@ -45,8 +49,8 @@ from .arena import (PlacardEntry, TrackMap, nearest_centerline_distance, pause_d
                     project_offsets, reverse_route, route_to, segments)
 from .comms import Link, Message
 from .controller import PidGains, PidState, pid_step, steer
-from .mission import (PROCEED_RETRY_TICKS, Intent, MissionConfig, MissionPhase, MissionState,
-                      Role, SensorBundle, mission_step, reading_range)
+from .mission import (PROCEED_RETRY_TICKS, WARD_PHASES, Intent, MissionConfig, MissionPhase,
+                      MissionState, Role, SensorBundle, mission_step, reading_range)
 from .prng import GENERATOR_IDS, derive_seed
 from .vehicle import MOTOR_TIME_CONSTANT, TRACK_WIDTH, VehicleState, apply_motor, set_payload
 from .vision.camera import WIDTH, CameraModel
@@ -275,8 +279,7 @@ def _start_pose(track: TrackMap, ward: int) -> tuple[float, float, float]:
 
 def _leds(phase: MissionPhase) -> tuple[bool, bool]:
     """(red, yellow): red at the ward, yellow while paused for the lead cart."""
-    return (phase in (MissionPhase.AT_WARD, MissionPhase.AWAIT_UNLOAD),
-            phase is MissionPhase.PAUSED_AT_POINT)
+    return phase in WARD_PHASES, phase is MissionPhase.PAUSED_AT_POINT
 
 
 def _empty_sensors(cart: _Cart) -> SensorBundle:
@@ -321,12 +324,12 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
 
             _apply_schedule(cart, carts, tick, config, log)
 
+            cart.pending_inbox.extend(inbox)
             if cart.mission.phase in (MissionPhase.DONE, MissionPhase.FAULT):
                 sensors = _empty_sensors(cart)
             else:
-                sensors = _sense(cart, track, config)
+                sensors = _sense(cart, track, config, cart.pending_inbox)
 
-            cart.pending_inbox.extend(inbox)
             if cart.turn is None:
                 intent, outbox, cart.mission = mission_step(
                     cart.mission, cart.mission_cfg, sensors, cart.pending_inbox, tick)
@@ -444,15 +447,21 @@ def _apply_schedule(cart: _Cart, carts: list[_Cart], tick: int, config: SimConfi
             log(tick, cart.idx, "payload=off")
 
 
-def _sense(cart: _Cart, track: TrackMap, config: SimConfig) -> SensorBundle:
-    if cart.turn is not None:
-        # nothing reads a turn tick's frame, but its draw keeps the noise in step
+def _sense(cart: _Cart, track: TrackMap, config: SimConfig,
+           inbox: list[Message]) -> SensorBundle:
+    """The sensors of a tick whose mission step reads inbox: only what that
+    step reads, plus the line fix that the tracking gate carries on."""
+    if cart.turn is not None or cart.mission.phase in WARD_PHASES:
+        # nothing reads this frame: a turn tick steps no mission, and a step
+        # at the ward reads neither line nor placards and leaves only through
+        # the AROUND turn, which resets the tracking gate. The frame's draw
+        # keeps the noise in step
         skip_noise(config.noise, cart.rng)
         return _empty_sensors(cart)
     pose = cart.vehicle.pose
     cards = (cart.card,) if cart.card is not None else ()
     # the mission reads only the placards nearer than its reading range
-    reach = reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
+    reach = reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded, inbox)
     window = None
     if cart.gate_x is not None:
         window = (int(cart.gate_x) - GATE_HALF_PX, int(cart.gate_x) + GATE_HALF_PX + 1)

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wardcart import cli
+from wardcart.arena import default_map
 from wardcart.cli import ScenarioError, _apply_overrides, build_parser, load_scenario, main
-from wardcart.simcore import CONFIG_KEYS, run_scenario
+from wardcart.simcore import CONFIG_KEYS, SimConfig, run_scenario
 from wardcart.vision.pipeline import detect_placards
 
 from test_simcore import scalar_deviation
@@ -73,6 +75,26 @@ def test_run_writes_trace_and_exits_zero(tmp_path, ward2_scn, capsys):
     assert code == 0
     assert trace.exists()
     assert "delivered_and_returned" in out
+
+
+@pytest.mark.parametrize("deviation,shown", [
+    (0.0, "0.000"), (0.0194, "0.019"), (999_999.25, "999999.250"), (1e6, "1.000e+06"),
+    (2.5e300, "2.500e+300"), (float("inf"), "inf")])
+def test_the_summary_prints_a_line_deviation_of_any_size_short(deviation, shown):
+    report = run_scenario(default_map(), SimConfig(max_ticks=1))
+    summary = cli._report_summary(replace(report, line_deviations=(deviation,)))
+    assert f"  max_line_deviation={shown}m" in summary
+
+
+def test_a_run_that_leaves_the_map_prints_a_short_summary(tmp_path, capsys):
+    # the cart leaves the map in its first moving tick, and its line
+    # deviation is about 2.4e297 m
+    scn = tmp_path / "huge_dt.scn"
+    scn.write_text("map = builtin:default\nward = 2\ndt = 1e300\nmax_ticks = 200\n")
+    assert main(["run", str(scn)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"cart0: \w+ .* max_line_deviation=\d\.\d{3}e\+\d{3}m", summary)
+    assert len(summary) < 100
 
 
 def test_missing_scenario_exits_two(tmp_path, capsys):

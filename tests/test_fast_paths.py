@@ -1,11 +1,12 @@
 """The engine's frame shortcuts against a reference with none.
 
-simcore._sense skips the frame of a turn tick, looks a noise-free reading up
-in its table, takes clean bits or only the control band, and detects
-placards only out to the reading range. Each shortcut claims the trace bytes
-of the plain chain: render, binarize and undistort every tick, then detect
-the whole frame. The engine sees every frame from the pose's x and y as
-np.float64, and so does the reference.
+simcore._sense skips the frame of a turn tick and of a tick at the ward,
+looks a noise-free reading up in its table, takes clean bits or only the
+control band, and detects placards only out to the reading range, which a
+paused follower has only in the tick a Proceed reaches it. Each shortcut
+claims the trace bytes of the plain chain: render, binarize and undistort
+every tick, then detect the whole frame. The engine sees every frame from
+the pose's x and y as np.float64, and so does the reference.
 """
 
 import itertools
@@ -19,8 +20,7 @@ from hypothesis import strategies as st
 
 from wardcart import simcore
 from wardcart.arena import Action, default_map, load_map
-from wardcart.mission import (DECISION_RANGE, MissionPhase, MissionState, Role, SensorBundle,
-                              reading_range)
+from wardcart.mission import DECISION_RANGE, MissionPhase, MissionState, Role, SensorBundle
 from wardcart.simcore import CONTROL_ROI, GATE_HALF_PX, SimConfig, run_scenario, trace_to_csv
 from wardcart.vision.camera import WIDTH, CameraModel
 from wardcart.vision.glyphs import default_templates
@@ -34,9 +34,11 @@ def float64_pose(pose):
     return (np.float64(pose[0]), np.float64(pose[1]), pose[2])
 
 
-def reference_sense(cart, track, config):
-    """_sense without a shortcut, turn ticks included: a whole rendered frame
-    every tick, fully detected, with the same tracking gate."""
+def reference_sense(cart, track, config, inbox):
+    """_sense without a shortcut, turn and ward ticks included: a whole
+    rendered frame every tick, fully detected, with the same tracking gate.
+    Every detection is passed on, for any phase and inbox: a step ignores
+    the ones beyond its reading range."""
     cam, templates = CameraModel(distortion_k1=config.noise.k1), default_templates()
     cards = (cart.card,) if cart.card is not None else ()
     frame = render(track, float64_pose(cart.vehicle.pose), cam, config.noise, rng=cart.rng,
@@ -49,14 +51,10 @@ def reference_sense(cart, track, config):
     if cart.gate_x is not None:
         window = (int(cart.gate_x) - GATE_HALF_PX, int(cart.gate_x) + GATE_HALF_PX + 1)
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
-    reach = None
     if not turning:
         cart.gate_x = line[0] if line is not None else None
-        reach = reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
-    detections = []
-    if reach is not None:
-        detections = [d for d in detect_in_binary(binary, templates) if d.range_z < reach]
-    return SensorBundle(line=line, detections=detections, loaded=cart.vehicle.loaded,
+    return SensorBundle(line=line, detections=detect_in_binary(binary, templates),
+                        loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)
 
 
@@ -92,11 +90,19 @@ CASES = {
     "bright": (default_map(), SimConfig(wards=(2,), noise=NoiseParams(brightness=150.0))),
     "five_edges_twocart": (FIVE_EDGES, SimConfig(carts=2, wards=(3, 6),
                                                  noise=NoiseParams(k1=0.1))),
+    # the follower pauses while the leader waits to unload, and resumes with
+    # the first Proceed; each cart then waits at its ward while its link
+    # drops messages. The leader's noise stream shows out of step from tick
+    # 649 on, when a tick at the ward draws none
+    "noisy_lossy_twocart": (default_map(), SimConfig(
+        carts=2, wards=(1, 1), seed=4, link_drop=0.5, max_ticks=660,
+        noise=NoiseParams(brightness=-30.0, sigma=8.0, k1=0.05))),
 }
 
 
 # a run that shares each case's approach from the pharmacy, so that the case
-# starts on a table that already holds readings of it
+# starts on a table that already holds readings of it; a noisy tick looks
+# nothing up, so one noisy case is warmed
 WARM_UPS = {
     "ward5_clean": SimConfig(wards=(4,)),
     "twocart_drop": SimConfig(wards=(3,)),
@@ -134,7 +140,7 @@ def test_the_engine_leaves_the_bytes_of_the_reference(monkeypatch, case):
     _assert_the_reference_bytes(monkeypatch, track, config, run_scenario(track, config))
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(WARM_UPS))
 def test_a_warm_table_leaves_the_bytes_of_the_reference(monkeypatch, case):
     track, config = CASES[case]
     simcore._table.cache_clear()
@@ -200,7 +206,7 @@ def test_a_table_reading_is_the_reference_reading(track, x, y, heading, brightne
             cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), pose,
                                  np.random.default_rng(0))
             cart.card, cart.mission, cart.gate_x = shown, READING[reach], gate_x
-            sensed = simcore._sense(cart, track, SimConfig(noise=noise))
+            sensed = simcore._sense(cart, track, SimConfig(noise=noise), [])
             got = (sensed.line, sensed.detections)
             if key not in first:
                 window = None
@@ -226,6 +232,6 @@ def test_both_value_types_of_a_pose_read_in_float64(track):
         pose = tuple(map(kind, TYPE_SENSITIVE))
         cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), pose, np.random.default_rng(0))
         cart.mission = READING[None]
-        lines.append(simcore._sense(cart, track, SimConfig(noise=noise)).line)
+        lines.append(simcore._sense(cart, track, SimConfig(noise=noise), []).line)
     assert lines[0] == lines[1] == _reference_reading(track, TYPE_SENSITIVE, None, noise,
                                                       None, None)[0]

@@ -442,7 +442,7 @@ def test_phases_outside_detection_phases_never_read_detections(track, role):
         MissionPhase.AWAIT_TARGET, MissionPhase.AWAIT_LOAD, MissionPhase.OUTBOUND,
         MissionPhase.PAUSED_AT_POINT}
     for state, snsr in cases:
-        assert reading_range(state, cfg, snsr.loaded) is None
+        assert reading_range(state, cfg, snsr.loaded, []) is None
         step(state, cfg, snsr, tick=100)
 
 
@@ -459,9 +459,9 @@ def test_await_load_reads_detections_when_loaded(track):
     # the same step; before the payload nothing is read
     cfg = make_config(track)
     state = MissionState(phase=MissionPhase.AWAIT_LOAD, target=2)
-    assert reading_range(state, cfg, False) is None
+    assert reading_range(state, cfg, False, []) is None
     step(state, cfg, unreadable(loaded=False))
-    assert reading_range(state, cfg, True) == DECISION_RANGE
+    assert reading_range(state, cfg, True, []) == DECISION_RANGE
     with pytest.raises(DetectionsRead):
         step(state, cfg, unreadable(loaded=True))
 
@@ -470,13 +470,14 @@ def test_paused_at_point_reads_detections_once_proceed_arrives(track):
     cfg, state = follower_outbound(track)
     _, _, state = step(state, cfg, sensors(loaded=True, odo=cfg.pause_distance))
     assert state.phase is MissionPhase.PAUSED_AT_POINT
-    # a Proceed can arrive in the step's own inbox, so the range stays set
-    assert reading_range(state, cfg, True) == DECISION_RANGE
     # still waiting: nothing read
+    assert reading_range(state, cfg, True, []) is None
     step(state, cfg, unreadable(loaded=True, odo=cfg.pause_distance))
+    # a Proceed in the step's own inbox resumes it, and the range is set
+    proceed = [Message(MessageKind.PROCEED, 0, 0)]
+    assert reading_range(state, cfg, True, proceed) == DECISION_RANGE
     with pytest.raises(DetectionsRead):
-        step(state, cfg, unreadable(loaded=True, odo=cfg.pause_distance),
-             inbox=[Message(MessageKind.PROCEED, 0, 0)])
+        step(state, cfg, unreadable(loaded=True, odo=cfg.pause_distance), inbox=proceed)
     state.proceed_received = True
     with pytest.raises(DetectionsRead):
         step(state, cfg, unreadable(loaded=True, odo=cfg.pause_distance))
@@ -484,12 +485,12 @@ def test_paused_at_point_reads_detections_once_proceed_arrives(track):
 
 def test_await_target_and_outbound_read_detections(track):
     cfg = make_config(track)
-    assert reading_range(MissionState(), cfg, False) == math.inf
+    assert reading_range(MissionState(), cfg, False, []) == math.inf
     with pytest.raises(DetectionsRead):
         step(MissionState(), cfg, unreadable())
     _, _, state = step(MissionState(phase=MissionPhase.AWAIT_LOAD, target=2), cfg,
                        sensors(loaded=True))
-    assert reading_range(state, cfg, True) == DECISION_RANGE
+    assert reading_range(state, cfg, True, []) == DECISION_RANGE
     with pytest.raises(DetectionsRead):
         step(state, cfg, unreadable(loaded=True, odo=0.5))
 
@@ -533,7 +534,9 @@ def reading_cases(track):
         (solo, outbound(2, 1.0), True, 1.5, [], None),  # and here it fires
         (solo, past_end, True, 3.0, [], None),
         (follower, outbound(4, 0.5), True, 0.8, [], DECISION_RANGE),
-        (follower, paused, True, follower.pause_distance, [], DECISION_RANGE),
+        (follower, paused, True, follower.pause_distance, [], None),
+        (follower, paused, True, follower.pause_distance, [Message(MessageKind.ACK, 0, 0)],
+         None),  # only a Proceed resumes it
         (follower, paused, True, follower.pause_distance, proceed, DECISION_RANGE),
     ]
     for cfg in (solo, leader):
@@ -565,7 +568,7 @@ def test_reading_range_is_what_the_mission_step_reads(track):
     acts the same on a detection list as on its part nearer than the range."""
     seen = set()
     for cfg, state, loaded, odo, inbox, expected in reading_cases(track):
-        reach = reading_range(state, cfg, loaded)
+        reach = reading_range(state, cfg, loaded, inbox)
         assert reach == expected, (state.phase, state.target, state.cursor)
         seen.add((state.phase, reach is None))
         if reach is None:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from wardcart import simcore
 from wardcart.arena import (Action, load_map, nearest_centerline_distance, route_progress,
                             route_to)
-from wardcart.mission import (DECISION_RANGE, PROCEED_RETRY_TICKS, Intent, MissionPhase,
-                              MissionState, Role, mission_step, reading_range)
+from wardcart.comms import Message, MessageKind
+from wardcart.mission import (DECISION_RANGE, PROCEED_RETRY_TICKS, WARD_PHASES, Intent,
+                              MissionPhase, MissionState, Role, mission_step, reading_range)
 from wardcart.simcore import (BASE_DUTY, CONFIG_KEYS, GAINS, CartOutcome, PoseSample,
                               SimConfig, TraceReport, _deviation_of, _header, config_from_keys,
                               render_svg, run_scenario, trace_to_csv)
@@ -330,11 +331,12 @@ def _count_frames(monkeypatch) -> list[str]:
     return frames
 
 
-def _reach(cart):
-    """The range the cart's next mission step reads placards to, or None."""
+def _reach(cart, inbox):
+    """The range the cart's next mission step, which reads inbox, reads
+    placards to, or None."""
     if cart.turn is not None:
         return None
-    return reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded)
+    return reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded, inbox)
 
 
 def test_detection_runs_only_when_the_mission_can_read_it(track, templates, monkeypatch):
@@ -345,10 +347,11 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, templates, monk
     sensed = []
     sense = simcore._sense
 
-    def spy_sense(cart, track, config):
-        pose, card, phase, reach = cart.vehicle.pose, cart.card, cart.mission.phase, _reach(cart)
+    def spy_sense(cart, track, config, inbox):
+        pose, card, phase = cart.vehicle.pose, cart.card, cart.mission.phase
+        reach = _reach(cart, inbox)
         readable = reach is not None
-        sensors = sense(cart, track, config)
+        sensors = sense(cart, track, config, inbox)
         if readable:
             frame = render(track, pose, CameraModel(config.noise.k1), config.noise,
                            cards=(card,) if card is not None else ())
@@ -374,16 +377,17 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, templates, monk
 
 def _readable_ticks_and_calls(track, monkeypatch, config, layer):
     """(cart-ticks the mission can read placards on, calls of simcore.<layer>,
-    cart-ticks sensed, of them those with a latched turn, phases seen) over
-    one run."""
-    readable, turning, calls, phases = [], [], [], set()
+    cart-ticks sensed, of them those with a latched turn, those at the ward,
+    phases seen) over one run."""
+    readable, turning, at_ward, calls, phases = [], [], [], [], set()
     sense, original = simcore._sense, getattr(simcore, layer)
 
-    def spy_sense(cart, *args):
+    def spy_sense(cart, track, config, inbox):
         phases.add(cart.mission.phase)
-        readable.append(_reach(cart) is not None)
+        readable.append(_reach(cart, inbox) is not None)
         turning.append(cart.turn is not None)
-        return sense(cart, *args)
+        at_ward.append(cart.mission.phase in WARD_PHASES)
+        return sense(cart, track, config, inbox)
 
     def spy_layer(*args, **kwargs):
         calls.append(1)
@@ -392,25 +396,57 @@ def _readable_ticks_and_calls(track, monkeypatch, config, layer):
     monkeypatch.setattr(simcore, "_sense", spy_sense)
     monkeypatch.setattr(simcore, layer, spy_layer)
     run_scenario(track, config)
-    return sum(readable), len(calls), len(readable), sum(turning), phases
+    return sum(readable), len(calls), len(readable), sum(turning), sum(at_ward), phases
 
 
 def test_a_paused_follower_is_not_read_again(track, monkeypatch):
     config = SimConfig(carts=2, wards=(1, 2), seed=5, link_drop=0.5)
-    readable, calls, _, _, phases = _readable_ticks_and_calls(
+    readable, calls, _, _, _, phases = _readable_ticks_and_calls(
         track, monkeypatch, config, "detect_in_binary")
     assert MissionPhase.PAUSED_AT_POINT in phases
     assert calls < readable
 
 
+def test_a_paused_follower_fixes_the_line_alone_until_a_proceed_reaches_it(track,
+                                                                          monkeypatch):
+    """A paused tick without a Proceed detects nothing and makes at most a
+    band-only frame, because the tracking gate still needs the line; the
+    tick a Proceed reaches makes a whole frame and reads it to
+    DECISION_RANGE."""
+    work, paused = [], []
+    sense, bits, detect = simcore._sense, simcore.clean_bits, simcore.detect_in_binary
+
+    def spy_sense(cart, track, config, inbox):
+        before = len(work)
+        sensors = sense(cart, track, config, inbox)
+        if cart.mission.phase is MissionPhase.PAUSED_AT_POINT:
+            proceed = any(m.kind is MessageKind.PROCEED for m in inbox)
+            paused.append((proceed, work[before:]))
+        return sensors
+
+    monkeypatch.setattr(simcore, "_sense", spy_sense)
+    monkeypatch.setattr(simcore, "clean_bits",
+                        lambda *a: work.append(("clean_bits", a[-1])) or bits(*a))
+    monkeypatch.setattr(simcore, "detect_in_binary", lambda binary, t, reach: work.append(
+        ("detect_in_binary", reach)) or detect(binary, t, reach))
+    simcore._table.cache_clear()  # earlier tests fill it
+    report = run_scenario(track, SimConfig(carts=2, wards=(1, 2), seed=5, link_drop=0.5))
+    assert report.outcomes == (CartOutcome.DELIVERED_AND_RETURNED,) * 2
+    *waiting, (proceed, resumed) = paused
+    assert len(waiting) > 50 and not any(p for p, _ in waiting)
+    assert all(made in ([], [("clean_bits", simcore.CONTROL_ROI)]) for _, made in waiting)
+    assert any(made for _, made in waiting)  # the cart creeps to a halt
+    assert proceed and resumed == [("clean_bits", None), ("detect_in_binary", DECISION_RANGE)]
+
+
 def test_a_noisy_run_renders_every_sensed_tick(track, monkeypatch):
     config = SimConfig(wards=(1,), seed=2, max_ticks=400, noise=NoiseParams(sigma=4.0))
     frames = _count_frames(monkeypatch)
-    _, _, sensed, turning, phases = _readable_ticks_and_calls(
+    _, _, sensed, turning, at_ward, phases = _readable_ticks_and_calls(
         track, monkeypatch, config, "detect_in_binary")
     assert MissionPhase.AWAIT_LOAD in phases  # the cart stood still at the pharmacy
-    assert turning > 0  # and a turn tick makes no frame
-    assert frames == ["render"] * (sensed - turning)
+    assert turning > 0 and at_ward > 0  # and a turn tick or one at the ward makes no frame
+    assert frames == ["render"] * (sensed - turning - at_ward)
 
 
 def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
@@ -427,7 +463,7 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     def step(config=clean, gate=None):
         cart.gate_x = gate  # the tracking gate is part of the key too
         before = len(frames), len(detects)
-        sensors = simcore._sense(cart, track, config)
+        sensors = simcore._sense(cart, track, config, [])
         return len(frames) - before[0], len(detects) - before[1], sensors
 
     assert step()[:2] == (1, 1)
@@ -478,7 +514,7 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
 
     def sense():
         cart.gate_x = None
-        return simcore._sense(cart, track, SimConfig())
+        return simcore._sense(cart, track, SimConfig(), [])
 
     assert sense().detections == [] and len(made) == 1
     assert not made[0][:simcore.CONTROL_ROI[0]].any()  # only the control band
@@ -497,9 +533,10 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
     assert not any(isinstance(v, np.ndarray) for v in (line, *line, found, *found))
 
 
-@pytest.mark.parametrize("noise", (NoiseParams(), NoiseParams(sigma=4.0),
-                                   NoiseParams(sigma=4.0, k1=0.05)))
-def test_a_turn_tick_makes_no_frame_but_draws_its_noise(track, monkeypatch, noise):
+def _assert_no_frame_but_its_noise(track, monkeypatch, noise, unread, inbox):
+    """Three ticks of a cart that unread(cart) set up, whose steps read
+    inbox, make no frame, look nothing up and supply nothing, but draw the
+    noise their frames would."""
     called = []
     for layer in ("clean_bits", "render", "adaptive_binarize", "undistort_bits",
                   "line_centroid", "detect_in_binary"):
@@ -507,18 +544,41 @@ def test_a_turn_tick_makes_no_frame_but_draws_its_noise(track, monkeypatch, nois
     start = simcore._start_pose(track, 2)
     cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(7))
     cart.card = simcore._make_card(2, start)
-    cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
+    unread(cart)
     cam, twin = CameraModel(distortion_k1=noise.k1), np.random.default_rng(7)
     simcore._table.cache_clear()
     for i in range(3):
         cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1], start[2] + 0.1 * i))
-        sensors = simcore._sense(cart, track, SimConfig(noise=noise))
+        sensors = simcore._sense(cart, track, SimConfig(noise=noise), inbox)
         assert sensors.line is None and sensors.detections == []
         # the frame the tick would have rendered, from a twin noise stream
         render(track, cart.vehicle.pose, cam, noise, rng=twin, cards=(cart.card,))
     assert called == [] and cart.gate_x is None
     assert simcore._table.cache_info()[:2] == (0, 0)  # nor looks one up
     assert cart.rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("noise", (NoiseParams(), NoiseParams(sigma=4.0),
+                                   NoiseParams(sigma=4.0, k1=0.05)))
+def test_a_turn_tick_makes_no_frame_but_draws_its_noise(track, monkeypatch, noise):
+    def turning(cart):
+        cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
+
+    _assert_no_frame_but_its_noise(track, monkeypatch, noise, turning, [])
+
+
+@pytest.mark.parametrize("phase", sorted(WARD_PHASES, key=lambda p: p.value))
+@pytest.mark.parametrize("noise", (NoiseParams(), NoiseParams(sigma=8.0),
+                                   NoiseParams(sigma=8.0, k1=0.05)))
+def test_a_tick_at_the_ward_makes_no_frame_but_draws_its_noise(track, monkeypatch, noise,
+                                                               phase):
+    """Its step reads only the payload switch, even with a Proceed in its
+    inbox, as a follower waiting to unload can have."""
+    def at_ward(cart):
+        cart.mission = MissionState(phase=phase)
+
+    _assert_no_frame_but_its_noise(track, monkeypatch, noise, at_ward,
+                                   [Message(MessageKind.PROCEED, 0, 0)])
 
 
 def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkeypatch):
@@ -540,7 +600,7 @@ def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkey
         cart.mission = mission
         cart.gate_x = None
         before = len(frames), len(ranges)
-        sensors = simcore._sense(cart, track, SimConfig())
+        sensors = simcore._sense(cart, track, SimConfig(), [])
         return len(frames) - before[0], ranges[before[1]:], sensors.detections
 
     simcore._table.cache_clear()  # earlier tests fill it
