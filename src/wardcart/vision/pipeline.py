@@ -20,7 +20,7 @@ import numpy as np
 
 from ..arena import GLYPH_HEIGHT
 from .camera import FOCAL_PX, CameraModel, check_k1
-from .glyphs import GRID_N
+from .glyphs import GRID_N, default_templates
 
 MIN_AREA = 9                # pixels; smaller blobs are never scored
 ACCEPT_THRESHOLD = 0.85     # a match must score at least this
@@ -255,10 +255,13 @@ def match_digit(mask: np.ndarray, templates: np.ndarray) -> tuple[int, float] | 
 # --------------------------------------------------------------------------
 # placard detection
 
-# a card seen again under other light or noise (a corpus scene's six
-# exposures, a noisy cart standing still) keeps its box, and a frame has at
-# most two candidate blobs in any perfbench workload: four entries hit as
-# often as sixteen
+# a card seen again under other light or noise (a corpus scene's exposures
+# whose ink differs, a noisy cart standing still) keeps its box, and a frame
+# has at most two candidate blobs in any perfbench workload: one to sixteen
+# entries hit equally often. Per seed-1 round, 771 of 901 corpus
+# rectifications hit (the detection memo takes the exposures with equal
+# ink), 8 of 198 in ward_sweep, 16 of 485 in noisy_far, 2 of 154 in
+# twocart_lossy
 @lru_cache(maxsize=4)
 def _rectify_table(x0: int, y0: int, width: int, height: int, frame_h: int,
                    frame_w: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -309,10 +312,27 @@ def detect_placards(pixels: np.ndarray, cam: CameraModel,
     Range is estimated from the apparent blob height through the pinhole
     relation with the known glyph height; it is coarse but monotone, which
     is all the junction gating needs. Detections come back sorted by
-    image x.
+    image x, in a new list on every call. With the ``default_templates()``
+    stack, a frame whose bits and lens match one of the last two read is
+    not read again.
     """
-    bits = undistort_bits(adaptive_binarize(pixels), cam.distortion_k1)
-    return detect_in_binary(bits, templates)
+    bits = adaptive_binarize(pixels)
+    if templates is not default_templates():
+        return detect_in_binary(undistort_bits(bits, cam.distortion_k1), templates)
+    return list(_read_default(np.packbits(bits).tobytes(), bits.shape, cam.distortion_k1))
+
+
+# a corpus card scene's exposures come in a row and most binarize to the
+# same ink, so two entries hit as often as any more (one misses 40% more);
+# the engine calls detect_in_binary itself and never builds this key
+@lru_cache(maxsize=2)
+def _read_default(packed: bytes, shape: tuple[int, ...],
+                  k1: float) -> tuple[DigitDetection, ...]:
+    """detect_placards with the default templates, for binarized bits given
+    packed; the detections are frozen, so the tuple is shared by every hit."""
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                         count=math.prod(shape)).reshape(shape).view(bool)
+    return tuple(detect_in_binary(undistort_bits(bits, k1), default_templates()))
 
 
 def detect_in_binary(bits: np.ndarray, templates: np.ndarray,

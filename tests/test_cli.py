@@ -15,7 +15,8 @@ from wardcart import cli
 from wardcart.arena import default_map
 from wardcart.cli import ScenarioError, _apply_overrides, build_parser, load_scenario, main
 from wardcart.simcore import CONFIG_KEYS, SimConfig, run_scenario
-from wardcart.vision.pipeline import detect_placards
+from wardcart.vision import pipeline
+from wardcart.vision.pipeline import detect_in_binary, detect_placards
 
 from test_simcore import scalar_deviation
 
@@ -197,6 +198,22 @@ def test_corpus_lines_are_unchanged():
     assert counts == (960, 955, 0, 0, 5, 0)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "37a4077db1cd4101a9a49cb6d45e868e4fbcec5dd2fd3cb922d6ca11f2cacfc8"
+
+
+def test_corpus_reads_each_clean_scene_once(monkeypatch):
+    # a scene's three unclipped exposures binarize to the same ink, so the
+    # detection memo reads the bits of 120 scenes for 360 frames
+    reads = []
+
+    def spy(*args):
+        reads.append(args)
+        return detect_in_binary(*args)
+
+    pipeline._read_default.cache_clear()
+    monkeypatch.setattr(pipeline, "detect_in_binary", spy)
+    counts = cli.run_corpus([0.0], [-30.0, 0.0, 30.0], [0.0])
+    assert counts.total == 360 and counts.misread == 0
+    assert len(reads) == 120
 
 
 def test_vision_corpus_reports_unread_and_misread(tmp_path, capsys, monkeypatch):

@@ -647,6 +647,63 @@ def test_range_estimate_is_monotone_in_distance(cam, templates):
     assert ranges[0] < ranges[1] < ranges[2]
 
 
+def _card_frame(digit, x, y, k1=0.0):
+    cam = CameraModel(distortion_k1=k1)
+    card = PlacardEntry(digit, x, y, math.pi / 2)
+    return render(EMPTY_MAP, (0.0, 0.0, math.pi / 2), cam, NoiseParams(k1=k1),
+                  cards=(card,))
+
+
+def _staged(frame, k1, templates):
+    return detect_in_binary(undistort_bits(adaptive_binarize(frame), k1), templates)
+
+
+@pytest.mark.parametrize("k1", [0.0, 0.05])
+def test_detect_placards_equals_the_stages_on_every_call(templates, k1):
+    pipeline._read_default.cache_clear()
+    cam = CameraModel(distortion_k1=k1)
+    a, b = _card_frame(5, -0.10, 0.24, k1), _card_frame(2, 0.05, 0.26, k1)
+    for frame in (a, b, a):
+        got = detect_placards(frame, cam, templates)
+        assert got and _typed_fields(got) == _typed_fields(_staged(frame, k1, templates))
+    info = pipeline._read_default.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
+def test_equal_bits_under_two_lenses_share_no_entry(templates):
+    # off the axis, where the lens moves the card's pixels
+    pipeline._read_default.cache_clear()
+    frame = _card_frame(7, -0.24, 0.24)
+    wants = [_staged(frame, k1, templates) for k1 in (0.0, 0.05)]
+    assert wants[0] and _typed_fields(wants[0]) != _typed_fields(wants[1])
+    for k1, want in zip((0.0, 0.05), wants):
+        got = detect_placards(frame, CameraModel(distortion_k1=k1), templates)
+        assert _typed_fields(got) == _typed_fields(want)
+    assert pipeline._read_default.cache_info().misses == 2
+
+
+def test_another_template_stack_skips_the_memo(cam, templates):
+    frame = _card_frame(1, -0.10, 0.24)
+    assert [d.digit for d in detect_placards(frame, cam, templates)] == [1]
+    copy = templates.copy()
+    swapped = templates[[1, 0, *range(2, 8)]]  # digits 1 and 2 trade templates
+    before = pipeline._read_default.cache_info()
+    assert _typed_fields(detect_placards(frame, cam, copy)) == \
+        _typed_fields(_staged(frame, 0.0, templates))
+    assert [d.digit for d in detect_placards(frame, cam, swapped)] == [2]
+    assert pipeline._read_default.cache_info() == before
+
+
+def test_a_returned_detection_list_is_the_callers_own(cam, templates):
+    frame = _card_frame(4, -0.10, 0.24)
+    first = detect_placards(frame, cam, templates)
+    want = _typed_fields(first)
+    first.clear()
+    first.append(None)
+    again = detect_placards(frame, cam, templates)
+    assert again is not first and _typed_fields(again) == want
+
+
 def _stamp(bits, grid, y, x):
     """OR a grid into bits with its top-left corner at (y, x), clipped."""
     h, w = bits.shape
@@ -1215,6 +1272,8 @@ CACHES = {
                                                  (float,) * 3) for i in range(n)]),
     "rectify_table": (pipeline._rectify_table,
                       lambda n: [(10 + i, 60, 12, 20, 120, 160) for i in range(n)]),
+    "read_default": (pipeline._read_default, lambda n: [(bytes([i]), (1, 8), 0.0)
+                                                        for i in range(n)]),
     "default_templates": (default_templates, lambda n: [()] * n),
     "sensor_table": (simcore._table, lambda n: [(EMPTY_MAP, (0.0, 0.01 * i, 0.0), (),
                                                  NoiseParams(), None, None)
