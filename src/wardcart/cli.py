@@ -224,7 +224,6 @@ def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
     best-scoring detection is the right digit.
     """
     track = load_map(CORPUS_MAP_TEXT)
-    templates = default_templates()
     pose = (0.0, 0.0, math.pi / 2)
     card_gx, card_gy = 0.26, 0.0  # straight ahead, cart frame
     u0, v0 = CameraModel.pixels_from_ground(np.array([card_gx]), np.array([card_gy]))
@@ -238,7 +237,7 @@ def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
         rng = np.random.default_rng(derive_seed(seed, f"corpus/{idx}"))
         frame = render(track, pose, cam, NoiseParams(brightness, sigma, k1),
                        rng=rng, cards=(card,))
-        dets = detect_placards(frame, cam, templates)
+        dets = detect_placards(frame, cam, default_templates())
         predicted = max(dets, key=lambda d: d.score).digit if dets else None
         score = max((d.score for d in dets), default=0.0)
         hit = predicted == digit

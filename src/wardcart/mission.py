@@ -73,7 +73,7 @@ class Intent(Enum):
 class SensorBundle:
     """One tick of simulated serial traffic from the camera and switches."""
     line: tuple[float, float] | None  # (x px, confidence)
-    detections: list[DigitDetection]
+    detections: tuple[DigitDetection, ...]
     loaded: bool
     odometry_distance: float
 
@@ -122,7 +122,7 @@ def _copy(state: MissionState) -> MissionState:
 
 
 def _confirm_update(digit: int, streak: int,
-                    detections: list[DigitDetection]) -> tuple[int, int]:
+                    detections: tuple[DigitDetection, ...]) -> tuple[int, int]:
     if not detections:
         return 0, 0
     nearest = min(detections, key=lambda d: (d.range_z, d.image_x, d.digit))
@@ -131,7 +131,8 @@ def _confirm_update(digit: int, streak: int,
     return nearest.digit, 1
 
 
-def check_junction(target: int, detections: list[DigitDetection], planned: Action) -> str | None:
+def check_junction(target: int, detections: tuple[DigitDetection, ...],
+                   planned: Action) -> str | None:
     """Check the planned action at the upcoming junction against vision.
 
     The nearest target placard within DECISION_RANGE shows the side the

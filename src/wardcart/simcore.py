@@ -54,7 +54,6 @@ from .mission import (PROCEED_RETRY_TICKS, WARD_PHASES, Intent, MissionConfig, M
 from .prng import GENERATOR_IDS, derive_seed
 from .vehicle import MOTOR_TIME_CONSTANT, TRACK_WIDTH, VehicleState, apply_motor, set_payload
 from .vision.camera import WIDTH, CameraModel
-from .vision.glyphs import default_templates
 from .vision.pipeline import (DigitDetection, adaptive_binarize, detect_in_binary, line_centroid,
                               undistort_bits)
 from .vision.render import NoiseParams, clean_bits, render, skip_noise
@@ -283,7 +282,7 @@ def _leds(phase: MissionPhase) -> tuple[bool, bool]:
 
 
 def _empty_sensors(cart: _Cart) -> SensorBundle:
-    return SensorBundle(line=None, detections=[], loaded=cart.vehicle.loaded,
+    return SensorBundle(line=None, detections=(), loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)
 
 
@@ -471,8 +470,7 @@ def _sense(cart: _Cart, track: TrackMap, config: SimConfig,
     else:
         line, detections = _reading(track, pose, cards, config.noise, reach, window, cart.rng)
     cart.gate_x = line[0] if line is not None else None
-    return SensorBundle(line=line, detections=list(detections),
-                        loaded=cart.vehicle.loaded,
+    return SensorBundle(line=line, detections=detections, loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)
 
 
@@ -496,7 +494,7 @@ def _reading(track: TrackMap, pose: tuple[float, float, float], cards: tuple[Pla
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if reach is None:
         return line, ()
-    return line, tuple(detect_in_binary(binary, default_templates(), reach))
+    return line, detect_in_binary(binary, reach)
 
 
 @lru_cache(maxsize=1024)

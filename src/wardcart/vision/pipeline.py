@@ -6,8 +6,10 @@ bits, True for ink. Connected components are labeled over row runs under
 8-connectivity, so diagonal contact joins blobs: each run points at the
 first run it touches in the row above, pointer jumping carries every run to
 the top of its chain, and only the few runs that touch two or more runs
-above are merged in Python. Glyph masks are resampled by one matrix product
-per axis.
+above are merged in Python. A blob is matched against the one template
+stack, ``default_templates()``, in the normal form of ``glyphs``. A frame's
+detections are one tuple of frozen ``DigitDetection``s, sorted by image x,
+which every reader shares as it is.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from ..arena import GLYPH_HEIGHT
 from .camera import FOCAL_PX, CameraModel, check_k1
-from .glyphs import GRID_N, default_templates
+from .glyphs import default_templates, normalize_mask
 
 MIN_AREA = 9                # pixels; smaller blobs are never scored
 ACCEPT_THRESHOLD = 0.85     # a match must score at least this
@@ -34,7 +36,6 @@ _CAND_MIN_W, _CAND_MAX_W = 3, 80
 _CAND_MAX_ASPECT = 3.4
 _CAND_MIN_FILL, _CAND_MAX_FILL = 0.10, 0.95
 _RECTIFY_GRID = 48
-_SUPERSAMPLE = 3
 _EXACT_SUM_PIXELS = (2 ** 32 - 1) // 255  # a uint8 frame's uint32 sum cannot wrap
 
 
@@ -42,7 +43,6 @@ _EXACT_SUM_PIXELS = (2 ** 32 - 1) // 255  # a uint8 frame's uint32 sum cannot wr
 class DigitDetection:
     digit: int
     image_x: float
-    image_y: float
     range_z: float
     score: float
 
@@ -191,55 +191,16 @@ def _label_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 # --------------------------------------------------------------------------
 # template matching
 
-# one entry per crop side: a rectified blob's side is at most _RECTIFY_GRID,
-# and every grid is GRID_N
-@lru_cache(maxsize=_RECTIFY_GRID)
-def _axis_weights(length: int, n: int) -> np.ndarray:
-    """(n, length) float32: how many of output cell i's supersamples along
-    one axis read input pixel j."""
-    ss = _SUPERSAMPLE
-    src = np.minimum(((np.arange(n * ss) + 0.5) * length / (n * ss)).astype(np.int64),
-                     length - 1)
-    weights = np.zeros((n, length), dtype=np.float32)
-    np.add.at(weights, (np.arange(n * ss) // ss, src), 1.0)
-    weights.flags.writeable = False
-    return weights
-
-
-def normalize_mask(mask: np.ndarray, n: int = GRID_N) -> np.ndarray:
-    """Stretch a mask's tight bounding box onto an n x n grid.
-
-    Cropping to the ink removes translation; stretching both axes removes
-    the residual aspect error a perspective blob carries. Templates go
-    through the same transform, so comparisons stay consistent. Resampling
-    is a 3x supersampled box filter (majority vote per output cell), which
-    keeps thin strokes stable under small scale changes.
-    """
-    ink_rows = mask.any(axis=1)
-    if not ink_rows.any():
-        return np.zeros((n, n), dtype=bool)
-    ink_cols = mask.any(axis=0)
-    y0, y1 = int(ink_rows.argmax()), len(ink_rows) - int(ink_rows[::-1].argmax())
-    x0, x1 = int(ink_cols.argmax()), len(ink_cols) - int(ink_cols[::-1].argmax())
-    crop = mask[y0:y1, x0:x1].astype(np.float32)
-    # ink among each cell's 3 x 3 samples: at most 9, exact in float32
-    votes = _axis_weights(y1 - y0, n) @ crop @ _axis_weights(x1 - x0, n).T
-    ss = _SUPERSAMPLE
-    return votes * 2 >= ss * ss
-
-
-def match_digit(mask: np.ndarray, templates: np.ndarray) -> tuple[int, float] | None:
+def match_digit(mask: np.ndarray) -> tuple[int, float] | None:
     """Best-scoring digit for a glyph mask, or None when ambiguous or poor.
 
-    ``templates`` is the stack of normalized templates that
-    ``default_templates()`` returns, digit d at index d - 1. Score is
-    1 - hamming/N^2 between the centered, aspect-normalized mask and each
-    template. The winner must clear ACCEPT_THRESHOLD and beat the runner-up
-    by MATCH_MARGIN.
+    Score is 1 - hamming/N^2 between the centered, aspect-normalized mask
+    and each template of ``default_templates()``. The winner must clear
+    ACCEPT_THRESHOLD and beat the runner-up by MATCH_MARGIN.
     """
     norm = normalize_mask(mask)
     cells = norm.size
-    misses = np.logical_xor(norm, templates).sum(axis=(1, 2)).tolist()
+    misses = np.logical_xor(norm, default_templates()).sum(axis=(1, 2)).tolist()
     best_digit, best, second = 0, -1.0, -1.0
     for digit, miss in enumerate(misses, start=1):
         score = 1.0 - miss / cells
@@ -306,20 +267,20 @@ def _rectify_on_ground(bits: np.ndarray, x0: int, y0: int, width: int,
 
 
 def detect_placards(pixels: np.ndarray, cam: CameraModel,
-                    templates: np.ndarray) -> list[DigitDetection]:
+                    templates: np.ndarray) -> tuple[DigitDetection, ...]:
     """Full pipeline: binarize, undistort, blobs, rectify, match.
 
     Range is estimated from the apparent blob height through the pinhole
     relation with the known glyph height; it is coarse but monotone, which
-    is all the junction gating needs. Detections come back sorted by
-    image x, in a new list on every call. With the ``default_templates()``
-    stack, a frame whose bits and lens match one of the last two read is
-    not read again.
+    is all the junction gating needs. A frame whose bits and lens match one
+    of the last two read is not read again, and gets the same tuple.
+    ``templates`` must be ``default_templates()``; any other stack is a
+    ValueError.
     """
-    bits = adaptive_binarize(pixels)
     if templates is not default_templates():
-        return detect_in_binary(undistort_bits(bits, cam.distortion_k1), templates)
-    return list(_read_default(np.packbits(bits).tobytes(), bits.shape, cam.distortion_k1))
+        raise ValueError("detect_placards reads with default_templates() only")
+    bits = adaptive_binarize(pixels)
+    return _read_default(np.packbits(bits).tobytes(), bits.shape, cam.distortion_k1)
 
 
 # a corpus card scene's exposures come in a row and most binarize to the
@@ -328,23 +289,23 @@ def detect_placards(pixels: np.ndarray, cam: CameraModel,
 @lru_cache(maxsize=2)
 def _read_default(packed: bytes, shape: tuple[int, ...],
                   k1: float) -> tuple[DigitDetection, ...]:
-    """detect_placards with the default templates, for binarized bits given
-    packed; the detections are frozen, so the tuple is shared by every hit."""
+    """detect_placards for binarized bits given packed; the detections are
+    frozen, so every hit shares the tuple."""
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
                          count=math.prod(shape)).reshape(shape).view(bool)
-    return tuple(detect_in_binary(undistort_bits(bits, k1), default_templates()))
+    return detect_in_binary(undistort_bits(bits, k1))
 
 
-def detect_in_binary(bits: np.ndarray, templates: np.ndarray,
-                     max_range: float = math.inf) -> list[DigitDetection]:
-    """Detection stage over an already binarized and undistorted frame.
+def detect_in_binary(bits: np.ndarray, max_range: float = math.inf) -> tuple[DigitDetection, ...]:
+    """Detection stage over an already binarized and undistorted frame:
+    the detections sorted by image x.
 
     Only placards with range_z below max_range are read: a farther blob is
     dropped before it is rectified or matched.
     """
     h, w = bits.shape
     if h == 0 or w == 0 or not bits.any():
-        return []
+        return ()
     run_row, run_s, run_e, label = _label_runs(bits)
     run_len = run_e - run_s
     areas = np.bincount(label, weights=run_len)
@@ -377,7 +338,7 @@ def detect_in_binary(bits: np.ndarray, templates: np.ndarray,
         rectified = _rectify_on_ground(bits, x0, y0, width, height)
         if rectified is None:
             continue
-        scored = match_digit(rectified, templates)
+        scored = match_digit(rectified)
         if scored is None:
             continue
         digit, score = scored
@@ -385,7 +346,5 @@ def detect_in_binary(bits: np.ndarray, templates: np.ndarray,
         # twice the x sum is an integer, so halving it is exact
         detections.append(DigitDetection(digit=digit,
                                          image_x=int(cnt @ (s + e - 1)) / 2.0 / area,
-                                         image_y=int(cnt @ run_row[members]) / area,
                                          range_z=range_z, score=score))
-    detections.sort(key=lambda d: d.image_x)
-    return detections
+    return tuple(sorted(detections, key=lambda d: d.image_x))

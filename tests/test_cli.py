@@ -223,9 +223,9 @@ def test_vision_corpus_reports_unread_and_misread(tmp_path, capsys, monkeypatch)
     def doctored(frame, cam, templates):
         dets = detect_placards(frame, cam, templates)
         if dets and dets[0].digit == 3:
-            return dets + [replace(dets[0], digit=8, score=0.5)]
+            return dets + (replace(dets[0], digit=8, score=0.5),)
         if dets and dets[0].digit == 5:
-            return []
+            return ()
         return dets
 
     monkeypatch.setattr(cli, "CORPUS_SHIFTS_X", (0,))

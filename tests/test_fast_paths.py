@@ -23,7 +23,6 @@ from wardcart.arena import Action, default_map, load_map
 from wardcart.mission import DECISION_RANGE, MissionPhase, MissionState, Role, SensorBundle
 from wardcart.simcore import CONTROL_ROI, GATE_HALF_PX, SimConfig, run_scenario, trace_to_csv
 from wardcart.vision.camera import WIDTH, CameraModel
-from wardcart.vision.glyphs import default_templates
 from wardcart.vision.pipeline import (adaptive_binarize, detect_in_binary, line_centroid,
                                       undistort_bits)
 from wardcart.vision.render import NoiseParams, render
@@ -39,7 +38,7 @@ def reference_sense(cart, track, config, inbox):
     rendered frame every tick, fully detected, with the same tracking gate.
     Every detection is passed on, for any phase and inbox: a step ignores
     the ones beyond its reading range."""
-    cam, templates = CameraModel(distortion_k1=config.noise.k1), default_templates()
+    cam = CameraModel(distortion_k1=config.noise.k1)
     cards = (cart.card,) if cart.card is not None else ()
     frame = render(track, float64_pose(cart.vehicle.pose), cam, config.noise, rng=cart.rng,
                    cards=cards)
@@ -53,7 +52,7 @@ def reference_sense(cart, track, config, inbox):
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if not turning:
         cart.gate_x = line[0] if line is not None else None
-    return SensorBundle(line=line, detections=detect_in_binary(binary, templates),
+    return SensorBundle(line=line, detections=detect_in_binary(binary),
                         loaded=cart.vehicle.loaded,
                         odometry_distance=cart.odometry)
 
@@ -170,8 +169,8 @@ def _reference_reading(track, pose, card, noise, reach, window):
     binary = undistort_bits(adaptive_binarize(frame), noise.k1)
     line = line_centroid(binary, CONTROL_ROI, col_window=window)
     if reach is None:
-        return line, []
-    return line, [d for d in detect_in_binary(binary, default_templates()) if d.range_z < reach]
+        return line, ()
+    return line, tuple(d for d in detect_in_binary(binary) if d.range_z < reach)
 
 
 TYPE_SENSITIVE = (0.01088630715916037, 1.7597459177440231, 1.5373643062170363)

@@ -13,12 +13,12 @@ from wardcart.mission import (CONFIRM_FRAMES, CONTRADICTION_LIMIT, DECISION_RANG
 from wardcart.vision.pipeline import DigitDetection
 
 
-def det(digit, x=80.0, z=0.2, score=0.95, y=50.0):
-    return DigitDetection(digit=digit, image_x=x, image_y=y, range_z=z, score=score)
+def det(digit, x=80.0, z=0.2, score=0.95):
+    return DigitDetection(digit=digit, image_x=x, range_z=z, score=score)
 
 
 def sensors(line=(80.0, 1.0), detections=(), loaded=False, odo=0.0):
-    return SensorBundle(line=line, detections=list(detections), loaded=loaded,
+    return SensorBundle(line=line, detections=tuple(detections), loaded=loaded,
                         odometry_distance=odo)
 
 

@@ -339,7 +339,7 @@ def _reach(cart, inbox):
     return reading_range(cart.mission, cart.mission_cfg, cart.vehicle.loaded, inbox)
 
 
-def test_detection_runs_only_when_the_mission_can_read_it(track, templates, monkeypatch):
+def test_detection_runs_only_when_the_mission_can_read_it(track, monkeypatch):
     """On a cart-tick with no latched turn and a reading range, _sense
     supplies the detections of that tick's frame nearer than the range,
     whether it rendered the frame or reused last tick's; on every other tick
@@ -356,10 +356,10 @@ def test_detection_runs_only_when_the_mission_can_read_it(track, templates, monk
             frame = render(track, pose, CameraModel(config.noise.k1), config.noise,
                            cards=(card,) if card is not None else ())
             binary = undistort_bits(adaptive_binarize(frame), config.noise.k1)
-            assert sensors.detections == [d for d in detect_in_binary(binary, templates)
-                                          if d.range_z < reach]
+            assert sensors.detections == tuple(d for d in detect_in_binary(binary)
+                                               if d.range_z < reach)
         else:
-            assert sensors.detections == []
+            assert sensors.detections == ()
         sensed.append((readable, phase, bool(sensors.detections)))
         return sensors
 
@@ -427,8 +427,8 @@ def test_a_paused_follower_fixes_the_line_alone_until_a_proceed_reaches_it(track
     monkeypatch.setattr(simcore, "_sense", spy_sense)
     monkeypatch.setattr(simcore, "clean_bits",
                         lambda *a: work.append(("clean_bits", a[-1])) or bits(*a))
-    monkeypatch.setattr(simcore, "detect_in_binary", lambda binary, t, reach: work.append(
-        ("detect_in_binary", reach)) or detect(binary, t, reach))
+    monkeypatch.setattr(simcore, "detect_in_binary", lambda binary, reach: work.append(
+        ("detect_in_binary", reach)) or detect(binary, reach))
     simcore._table.cache_clear()  # earlier tests fill it
     report = run_scenario(track, SimConfig(carts=2, wards=(1, 2), seed=5, link_drop=0.5))
     assert report.outcomes == (CartOutcome.DELIVERED_AND_RETURNED,) * 2
@@ -484,7 +484,7 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     # a turn tick supplies no placards and makes no frame, even after a
     # move; the first tick after it makes and reads a new one
     cart.turn = simcore._Turn(direction=Intent.LEFT, target=math.pi / 2)
-    assert step()[:2] == (0, 0) and step()[2].detections == []
+    assert step()[:2] == (0, 0) and step()[2].detections == ()
     cart.vehicle = replace(cart.vehicle, pose=(start[0] + 2e-9, start[1], start[2]))
     assert step()[:2] == (0, 0)
     cart.turn = None
@@ -500,8 +500,7 @@ def test_a_frame_is_reused_only_when_noise_free_and_pose_and_card_are_the_same(
     assert step()[:2] == (1, 1)
 
 
-def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates,
-                                                               monkeypatch):
+def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, monkeypatch):
     made = []
     bits = simcore.clean_bits
     monkeypatch.setattr(simcore, "clean_bits", lambda *a: made.append(bits(*a)) or made[-1])
@@ -516,20 +515,20 @@ def test_a_still_cart_reads_a_whole_frame_after_a_band_only_one(track, templates
         cart.gate_x = None
         return simcore._sense(cart, track, SimConfig(), [])
 
-    assert sense().detections == [] and len(made) == 1
+    assert sense().detections == () and len(made) == 1
     assert not made[0][:simcore.CONTROL_ROI[0]].any()  # only the control band
     cart.mission = MissionState()  # the same pose, now on a tick that reads placards
     whole = undistort_bits(adaptive_binarize(render(track, start, CameraModel(), NoiseParams(),
                                                     cards=(cart.card,))), 0.0)
-    want = detect_in_binary(whole, templates)
+    want = detect_in_binary(whole)
     assert [d.digit for d in want] == [2]
     assert sense().detections == want and len(made) == 2
     assert np.array_equal(made[1], whole)
     # both readings are looked up again, and the table keeps no frame
     cart.mission = returning
-    assert sense().detections == [] and len(made) == 2
+    assert sense().detections == () and len(made) == 2
     line, found = simcore._table(track, start, (cart.card,), NoiseParams(), math.inf, None)
-    assert list(found) == want and len(made) == 2
+    assert found == want and len(made) == 2
     assert not any(isinstance(v, np.ndarray) for v in (line, *line, found, *found))
 
 
@@ -550,7 +549,7 @@ def _assert_no_frame_but_its_noise(track, monkeypatch, noise, unread, inbox):
     for i in range(3):
         cart.vehicle = replace(cart.vehicle, pose=(start[0], start[1], start[2] + 0.1 * i))
         sensors = simcore._sense(cart, track, SimConfig(noise=noise), inbox)
-        assert sensors.line is None and sensors.detections == []
+        assert sensors.line is None and sensors.detections == ()
         # the frame the tick would have rendered, from a twin noise stream
         render(track, cart.vehicle.pose, cam, noise, rng=twin, cards=(cart.card,))
     assert called == [] and cart.gate_x is None
@@ -581,11 +580,11 @@ def test_a_tick_at_the_ward_makes_no_frame_but_draws_its_noise(track, monkeypatc
                                    [Message(MessageKind.PROCEED, 0, 0)])
 
 
-def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkeypatch):
+def test_a_still_cart_reads_again_when_its_range_widens(track, monkeypatch):
     frames, ranges = _count_frames(monkeypatch), []
     detect = simcore.detect_in_binary
     monkeypatch.setattr(simcore, "detect_in_binary",
-                        lambda binary, t, reach: ranges.append(reach) or detect(binary, t, reach))
+                        lambda binary, reach: ranges.append(reach) or detect(binary, reach))
     start = simcore._start_pose(track, 2)
     cart = simcore._Cart(0, SimpleNamespace(role=Role.SOLO), start, np.random.default_rng(0))
     cart.card = simcore._make_card(2, start)  # read at 0.42 m: beyond DECISION_RANGE
@@ -593,7 +592,7 @@ def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkey
                                leg_actions=(Action.RIGHT, Action.STOP), leg_triggers=(1.0, 1.5))
     unloaded = MissionState(phase=MissionPhase.AWAIT_LOAD, target=2)
     frame = render(track, start, CameraModel(), NoiseParams(), cards=(cart.card,))
-    everything = detect_in_binary(adaptive_binarize(frame), templates)
+    everything = detect_in_binary(adaptive_binarize(frame))
     assert [(d.digit, d.range_z > DECISION_RANGE) for d in everything] == [(2, True)]
 
     def sense(mission):
@@ -604,11 +603,11 @@ def test_a_still_cart_reads_again_when_its_range_widens(track, templates, monkey
         return len(frames) - before[0], ranges[before[1]:], sensors.detections
 
     simcore._table.cache_clear()  # earlier tests fill it
-    assert sense(at_junction) == (1, [DECISION_RANGE], [])
-    assert sense(unloaded) == (1, [], [])  # a band-only frame
+    assert sense(at_junction) == (1, [DECISION_RANGE], ())
+    assert sense(unloaded) == (1, [], ())  # a band-only frame
     assert sense(MissionState()) == (1, [math.inf], everything)  # a new frame, read farther
-    assert sense(at_junction) == (0, [], [])
-    assert sense(unloaded) == (0, [], [])
+    assert sense(at_junction) == (0, [], ())
+    assert sense(unloaded) == (0, [], ())
     assert sense(MissionState()) == (0, [], everything)
 
 

@@ -18,14 +18,15 @@ import wardcart
 from wardcart import simcore, vehicle
 from wardcart.arena import (GLYPH_HEIGHT, RASTER_BUDGET, WORLD_CELL, PlacardEntry, default_map,
                             load_map, raster_box)
+from wardcart.mission import MissionPhase, MissionState, Role
 from wardcart.vision import camera, pipeline
 from wardcart.vision.camera import CameraModel, ground_grid, undistorted_radius
-from wardcart.vision.glyphs import GRID_N, default_templates, glyph_grid
+from wardcart.vision.glyphs import (_SUPERSAMPLE, GRID_N, _axis_weights, default_templates,
+                                    glyph_grid, normalize_mask)
 from wardcart.vision.pipeline import (DigitDetection, _label_runs,
                                       adaptive_binarize, detect_in_binary,
                                       detect_placards, line_centroid,
-                                      match_digit, normalize_mask,
-                                      undistort_bits)
+                                      match_digit, undistort_bits)
 from wardcart.simcore import CONTROL_ROI
 from wardcart.vision.render import (LINE_HALF_WIDTH, NoiseParams, _glyph_ink, _ink,
                                     _levels, _memo_ink, _scene_ink, _scratch, _WorldInk,
@@ -155,10 +156,10 @@ def reference_blob_of(members, run_row, run_s, run_e):
     return RefBlob(x0, y0, bw, bh, area, sum_x / area, sum_y / area)
 
 
-def reference_detect_in_binary(bits, templates):
+def reference_detect_in_binary(bits):
     h, w = bits.shape
     if h == 0 or w == 0 or not bits.any():
-        return []
+        return ()
     run_row, run_s, run_e, groups = reference_label_runs(bits)
     detections = []
     for members in groups:
@@ -183,26 +184,25 @@ def reference_detect_in_binary(bits, templates):
         rectified = pipeline._rectify_on_ground(bits, *blob[:4])
         if rectified is None:
             continue
-        scored = match_digit(rectified, templates)
+        scored = match_digit(rectified)
         if scored is None:
             continue
         digit, score = scored
         range_z = pipeline.GLYPH_HEIGHT * camera.FOCAL_PX / blob.height
         detections.append(DigitDetection(digit=digit, image_x=blob.centroid_x,
-                                         image_y=blob.centroid_y,
                                          range_z=range_z, score=score))
-    detections.sort(key=lambda d: d.image_x)
-    return detections
+    return tuple(sorted(detections, key=lambda d: d.image_x))
 
 
-def reference_normalize_mask(mask, n=GRID_N):
+def reference_normalize_mask(mask):
     """3x supersampled majority vote by index gathers, as before the matmul."""
+    n = GRID_N
     ys, xs = np.nonzero(mask)
     if len(ys) == 0:
         return np.zeros((n, n), dtype=bool)
     crop = mask[ys.min():ys.max() + 1, xs.min():xs.max() + 1]
     bh, bw = crop.shape
-    ss = pipeline._SUPERSAMPLE
+    ss = _SUPERSAMPLE
     rows = np.minimum(((np.arange(n * ss) + 0.5) * bh / (n * ss)).astype(np.int64), bh - 1)
     cols = np.minimum(((np.arange(n * ss) + 0.5) * bw / (n * ss)).astype(np.int64), bw - 1)
     fine = crop[rows][:, cols].astype(np.uint8)
@@ -547,15 +547,15 @@ def test_contours_match_flood_fill_oracle(bits):
 
 # -------------------------------------------------------------- matching
 
-def test_exact_template_match_scores_one(templates):
+def test_exact_template_match_scores_one():
     for digit in range(1, 9):
-        got = match_digit(glyph_grid(digit), templates)
+        got = match_digit(glyph_grid(digit))
         assert got is not None
         assert got[0] == digit
         assert got[1] == pytest.approx(1.0)
 
 
-def test_all_foreground_blob_rejected(templates):
+def test_all_foreground_blob_rejected():
     solid = np.ones((GRID_N, GRID_N), dtype=bool)
     # oracle: compute all eight scores directly; none reaches the bar
     scores = sorted(
@@ -563,14 +563,14 @@ def test_all_foreground_blob_rejected(templates):
                               normalize_mask(glyph_grid(d))).sum() / GRID_N ** 2)
         for d in range(1, 9))
     assert scores[-1] < 0.85
-    assert match_digit(solid, templates) is None
+    assert match_digit(solid) is None
 
 
-def test_shifted_glyph_still_matches(templates):
+def test_shifted_glyph_still_matches():
     field = np.zeros((24, 24), dtype=bool)
     field[4:20, 4:20] = glyph_grid(1)
     shifted = np.roll(field, (1, 1), axis=(0, 1))
-    got = match_digit(shifted, templates)
+    got = match_digit(shifted)
     assert got is not None and got[0] == 1
     assert got[1] >= 0.85
 
@@ -597,19 +597,19 @@ def test_normalize_mask_centers_and_is_translation_invariant():
 @settings(max_examples=150, deadline=None)
 @given(shape=st.tuples(st.integers(1, 60), st.integers(1, 60)),
        density=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]),
-       seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([GRID_N, 5]))
-def test_normalize_mask_equals_the_supersample_reference(shape, density, seed, n):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_normalize_mask_equals_the_supersample_reference(shape, density, seed):
     mask = np.random.default_rng(seed).random(shape) < density
-    got = normalize_mask(mask, n)
-    assert got.dtype == bool and got.shape == (n, n)
-    assert np.array_equal(got, reference_normalize_mask(mask, n))
+    got = normalize_mask(mask)
+    assert got.dtype == bool and got.shape == (GRID_N, GRID_N)
+    assert np.array_equal(got, reference_normalize_mask(mask))
 
 
 # -------------------------------------------------------------- detector
 
 def test_detect_placards_empty_scene(cam, templates):
     frame = render(EMPTY_MAP, (0.0, 0.0, math.pi / 2), cam, NoiseParams())
-    assert detect_placards(frame, cam, templates) == []
+    assert detect_placards(frame, cam, templates) == ()
     # and the frame really is blank
     assert not adaptive_binarize(frame).any()
 
@@ -654,8 +654,8 @@ def _card_frame(digit, x, y, k1=0.0):
                   cards=(card,))
 
 
-def _staged(frame, k1, templates):
-    return detect_in_binary(undistort_bits(adaptive_binarize(frame), k1), templates)
+def _staged(frame, k1):
+    return detect_in_binary(undistort_bits(adaptive_binarize(frame), k1))
 
 
 @pytest.mark.parametrize("k1", [0.0, 0.05])
@@ -665,7 +665,7 @@ def test_detect_placards_equals_the_stages_on_every_call(templates, k1):
     a, b = _card_frame(5, -0.10, 0.24, k1), _card_frame(2, 0.05, 0.26, k1)
     for frame in (a, b, a):
         got = detect_placards(frame, cam, templates)
-        assert got and _typed_fields(got) == _typed_fields(_staged(frame, k1, templates))
+        assert got and _typed_fields(got) == _typed_fields(_staged(frame, k1))
     info = pipeline._read_default.cache_info()
     assert (info.hits, info.misses) == (1, 2)
 
@@ -674,7 +674,7 @@ def test_equal_bits_under_two_lenses_share_no_entry(templates):
     # off the axis, where the lens moves the card's pixels
     pipeline._read_default.cache_clear()
     frame = _card_frame(7, -0.24, 0.24)
-    wants = [_staged(frame, k1, templates) for k1 in (0.0, 0.05)]
+    wants = [_staged(frame, k1) for k1 in (0.0, 0.05)]
     assert wants[0] and _typed_fields(wants[0]) != _typed_fields(wants[1])
     for k1, want in zip((0.0, 0.05), wants):
         got = detect_placards(frame, CameraModel(distortion_k1=k1), templates)
@@ -682,26 +682,43 @@ def test_equal_bits_under_two_lenses_share_no_entry(templates):
     assert pipeline._read_default.cache_info().misses == 2
 
 
-def test_another_template_stack_skips_the_memo(cam, templates):
+def test_detect_placards_refuses_another_template_stack(cam, templates):
     frame = _card_frame(1, -0.10, 0.24)
-    assert [d.digit for d in detect_placards(frame, cam, templates)] == [1]
     copy = templates.copy()
     swapped = templates[[1, 0, *range(2, 8)]]  # digits 1 and 2 trade templates
+    assert copy.flags.writeable and np.array_equal(copy, templates)
     before = pipeline._read_default.cache_info()
-    assert _typed_fields(detect_placards(frame, cam, copy)) == \
-        _typed_fields(_staged(frame, 0.0, templates))
-    assert [d.digit for d in detect_placards(frame, cam, swapped)] == [2]
-    assert pipeline._read_default.cache_info() == before
+    for stack in (copy, swapped):
+        with pytest.raises(ValueError):
+            detect_placards(frame, cam, stack)
+        assert pipeline._read_default.cache_info() == before
 
 
-def test_a_returned_detection_list_is_the_callers_own(cam, templates):
+def test_detections_are_one_tuple_from_blob_to_mission(track, cam, templates):
+    """The detector's tuple is what the memo keeps, what a hit gives and
+    what the engine hands the mission."""
     frame = _card_frame(4, -0.10, 0.24)
+    assert detect_in_binary(np.zeros((120, 160), dtype=bool)) == ()
+    staged = _staged(frame, 0.0)
+    assert type(staged) is tuple and [d.digit for d in staged] == [4]
     first = detect_placards(frame, cam, templates)
-    want = _typed_fields(first)
-    first.clear()
-    first.append(None)
-    again = detect_placards(frame, cam, templates)
-    assert again is not first and _typed_fields(again) == want
+    assert type(first) is tuple and first == staged
+    assert detect_placards(frame, cam, templates) is first
+    start = simcore._start_pose(track, 2)
+    cart = simcore._Cart(0, types.SimpleNamespace(role=Role.SOLO), start,
+                         np.random.default_rng(0))
+    cart.card = simcore._make_card(2, start)
+    # a read of a noise-free frame, of a noisy one, a tick that reads no
+    # placards and one at the ward
+    for phase, noise in ((MissionPhase.AWAIT_TARGET, NoiseParams()),
+                         (MissionPhase.AWAIT_TARGET, NoiseParams(sigma=4.0)),
+                         (MissionPhase.RETURNING, NoiseParams()),
+                         (MissionPhase.AT_WARD, NoiseParams())):
+        cart.mission, cart.gate_x = MissionState(phase=phase), None
+        sensed = simcore._sense(cart, track, simcore.SimConfig(noise=noise), [])
+        assert type(sensed.detections) is tuple
+        reads = phase is MissionPhase.AWAIT_TARGET
+        assert [d.digit for d in sensed.detections] == ([2] if reads else [])
 
 
 def _stamp(bits, grid, y, x):
@@ -749,11 +766,11 @@ DETECTOR_FRAMES = dict(
          speck_seed=0, speck_density=0.0)
 @example(line=None, glyphs=[(7, 1, 2, 90, 60), (3, 1, 1, 90, 100), (8, 1, 3, 88, 10)],
          speck_seed=1, speck_density=0.002)
-def test_detect_in_binary_equals_the_reference_detector(cam, templates, line, glyphs,
-                                                       speck_seed, speck_density):
+def test_detect_in_binary_equals_the_reference_detector(line, glyphs, speck_seed,
+                                                       speck_density):
     bits = _detector_frame(line, glyphs, speck_seed, speck_density)
-    got = detect_in_binary(bits, templates)
-    want = reference_detect_in_binary(bits, templates)
+    got = detect_in_binary(bits)
+    want = reference_detect_in_binary(bits)
     assert _typed_fields(got) == _typed_fields(want)
 
 
@@ -763,16 +780,15 @@ def test_detect_in_binary_equals_the_reference_detector(cam, templates, line, gl
 @example(max_range=0.35, line=None,
          glyphs=[(7, 1, 2, 90, 60), (3, 1, 1, 90, 100), (8, 1, 3, 88, 10)],
          speck_seed=1, speck_density=0.002)
-def test_detect_in_binary_reads_only_placards_within_its_range(templates, max_range, line,
-                                                              glyphs, speck_seed,
-                                                              speck_density):
+def test_detect_in_binary_reads_only_placards_within_its_range(max_range, line, glyphs,
+                                                              speck_seed, speck_density):
     bits = _detector_frame(line, glyphs, speck_seed, speck_density)
-    everything = detect_in_binary(bits, templates)
+    everything = detect_in_binary(bits)
     ranges = [max_range, math.inf]
     ranges += [r for d in everything for r in (d.range_z, math.nextafter(d.range_z, math.inf))]
     for reach in ranges:
         want = [d for d in everything if d.range_z < reach]
-        assert _typed_fields(detect_in_binary(bits, templates, reach)) == _typed_fields(want)
+        assert _typed_fields(detect_in_binary(bits, reach)) == _typed_fields(want)
 
 
 # ---------------------------------------------------------------- render
@@ -1263,7 +1279,7 @@ CACHES = {
     "ground_grid": (ground_grid, lambda n: [(0.01 * i,) for i in range(n)]),
     "undistort_map": (pipeline._undistort_map,
                       lambda n: [(160, 120, 0.01 * i) for i in range(n)]),
-    "axis_weights": (pipeline._axis_weights, lambda n: [(1 + i, GRID_N) for i in range(n)]),
+    "axis_weights": (_axis_weights, lambda n: [(1 + i,) for i in range(n)]),
     "quadrature": (vehicle._quadrature, lambda n: [(0.01 * (1 + i),) for i in range(n)]),
     "render_scratch": (_scratch, lambda n: [((1 + i,), np.dtype(np.float32), "x")
                                             for i in range(n)]),
