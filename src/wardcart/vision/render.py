@@ -6,9 +6,10 @@ distortion model the disturbances a real venue adds (lighting, reflection,
 lens geometry).
 
 The static map ink (lines and placards) is rasterized once into a fine
-world-space bitmap (2 mm cells), so a frame render is a rotate-translate
-plus one gather. Free-standing digit cards change during a mission and are
-sampled analytically per frame. A frame of the same scene as one of the
+world-space bitmap (2 mm cells), so a frame render is one affine map from
+pixel to raster cell plus one gather; world coordinates only near a card.
+Free-standing digit cards change during a mission and are sampled
+analytically per frame. A frame of the same scene as one of the
 last few (track, pose, lens and cards) reuses its ink; the noise is drawn
 anew on every frame.
 """
@@ -100,13 +101,35 @@ class _WorldInk:
         ink = _glyph_ink(xs, ys, entry)
         self.grid[iy0:iy1, ix0:ix1] |= ink
 
-    def sample(self, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-        ix = _scratch(wx.shape, np.dtype(np.int32), "x")
-        iy = _scratch(wy.shape, np.dtype(np.int32), "y")
-        for w, origin, index in ((wx, self.x0, ix), (wy, self.y0, iy)):
-            # index = int32((w - origin) / WORLD_CELL), in that expression's steps
-            work = np.subtract(w, origin, out=_scratch(w.shape, w.dtype, "term"))
-            np.copyto(index, np.divide(work, WORLD_CELL, out=work), casting="unsafe")
+    def cells(self, pose: tuple[float, float, float], X: np.ndarray,
+              Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The raster cell coordinates (qx, qy) of the ground points X cells
+        ahead of and Y cells left of the cart at pose: one affine map,
+        qx = X cos - Y sin + (px - x0) / WORLD_CELL and qy likewise. Under
+        NumPy 2 promotion (NEP 50) they are float64 for NumPy-scalar px, py
+        (every pose the engine reads) and float32, that of X and Y, for
+        Python floats. Work arrays, valid until the next frame."""
+        px, py, heading = pose
+        cos_h, sin_h = math.cos(heading), math.sin(heading)
+        qx = _scratch(X.shape, np.result_type(px, X), "x")
+        qy = _scratch(X.shape, np.result_type(py, X), "y")
+        # the offsets are Python floats: a pose near the largest float gets
+        # an infinite one, not an overflow warning, and sees no map ink
+        np.multiply(X, cos_h, out=qx)
+        np.subtract(qx, np.multiply(Y, sin_h, out=_scratch(X.shape, qx.dtype, "term")), out=qx)
+        np.add(qx, (float(px) - self.x0) / WORLD_CELL, out=qx)
+        np.multiply(X, sin_h, out=qy)
+        np.add(qy, np.multiply(Y, cos_h, out=_scratch(X.shape, qy.dtype, "term")), out=qy)
+        np.add(qy, (float(py) - self.y0) / WORLD_CELL, out=qy)
+        return qx, qy
+
+    def sample(self, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+        """The map ink at cell coordinates (qx, qy), a cell off the raster
+        read as background; the cast truncates, as int32(q) does."""
+        ix = _scratch(qx.shape, np.dtype(np.int32), "x")
+        iy = _scratch(qy.shape, np.dtype(np.int32), "y")
+        np.copyto(ix, qx, casting="unsafe")
+        np.copyto(iy, qy, casting="unsafe")
         # the method, not np.clip: the same ufunc behind one Python wrapper
         # fewer, about 1 µs a call
         ix.clip(self._lo, self._hi_x, out=ix)
@@ -136,18 +159,31 @@ def _glyph_ink(wx: np.ndarray, wy: np.ndarray, entry: PlacardEntry) -> np.ndarra
     return inside & grid[rows, cols]
 
 
-def _stamp_glyph(ink: np.ndarray, wx: np.ndarray, wy: np.ndarray,
+def _stamp_glyph(ink: np.ndarray, qx: np.ndarray, qy: np.ndarray, raster: _WorldInk,
+                 pose: tuple[float, float, float], gx: np.ndarray, gy: np.ndarray,
                  entry: PlacardEntry) -> None:
-    """OR a glyph into the ink mask, touching only pixels near the glyph."""
-    half = GLYPH_HEIGHT / 2.0
-    near = ((np.abs(wx - entry.x) <= half * 1.5)
-            & (np.abs(wy - entry.y) <= half * 1.5))
-    idx = np.nonzero(near.ravel())[0]
+    """OR a glyph into the ink mask, touching only pixels near the glyph.
+
+    A glyph reaches at most sqrt(2) * half from its center, so the pixels
+    whose cell coordinates lie in the 1.5 * half box around it are all the
+    glyph can cover, with about 2.6 cells to spare for the rounding of the
+    affine map. Only their world coordinates are computed, from their
+    ground points (gx, gy), in the steps and dtypes the whole frame's once
+    were, so the glyph's ink is the same bits."""
+    box = GLYPH_HEIGHT / 2.0 * 1.5 / WORLD_CELL
+    cx, cy = (entry.x - raster.x0) / WORLD_CELL, (entry.y - raster.y0) / WORLD_CELL
+    # bounds on each side, not |q - c|: no float temporaries of frame size
+    near = (qx >= cx - box) & (qx <= cx + box) & (qy >= cy - box) & (qy <= cy + box)
+    idx = np.flatnonzero(near)
     if idx.size == 0:
         return
-    sub = _glyph_ink(wx.ravel()[idx], wy.ravel()[idx], entry)
-    flat = ink.ravel()
-    flat[idx[sub]] = True
+    px, py, heading = pose
+    cos_h, sin_h = math.cos(heading), math.sin(heading)
+    gx, gy = gx.ravel()[idx], gy.ravel()[idx]
+    # float32 products; the sums are float64 for NumPy-scalar px, py and
+    # float32 for Python floats (NEP 50), as in _WorldInk.cells
+    sub = _glyph_ink(px + gx * cos_h - gy * sin_h, py + gx * sin_h + gy * cos_h, entry)
+    ink.ravel()[idx[sub]] = True
 
 
 @lru_cache(maxsize=32)
@@ -155,8 +191,11 @@ def _scratch(shape: tuple[int, ...], dtype: np.dtype, role: str) -> np.ndarray:
     """A work array that every frame of one shape reuses. Per-frame
     temporaries instead make the allocator trim the heap and fault it back
     in on the next frame, about a third of a tick when it happens. Room for
-    every (shape, dtype, role) the engine uses: both frame shapes, both pose
-    precisions and the noise branch."""
+    every (shape, dtype, role) the engine and the corpus use, 17 of 32: per
+    frame shape (whole and the control band) and pose precision (float64
+    and float32), the cell coordinates "x" and "y" and the product "term",
+    plus the int32 cell indices "x" and "y" per shape, and the whole
+    frame's noise draw "pixels"."""
     return np.empty(shape, dtype)
 
 
@@ -166,32 +205,36 @@ def world_ink(track: TrackMap) -> _WorldInk:
     return _WorldInk(track)
 
 
-def _ink(track: TrackMap, pose: tuple[float, float, float], gx: np.ndarray,
-         gy: np.ndarray, cards: Sequence[PlacardEntry]) -> np.ndarray:
-    """A fresh ink mask of the ground points (gx, gy) of the cart frame,
-    seen from pose: the map's ink sampled, then the cards stamped on."""
-    px, py, heading = pose
-    cos_h, sin_h = math.cos(heading), math.sin(heading)
-    # wx = px + gx * cos_h - gy * sin_h and wy = py + gx * sin_h + gy * cos_h,
-    # in those expressions' steps and dtypes. Under NumPy 2 promotion (NEP 50)
-    # the dtype follows the pose: float64 for NumPy-scalar px, py (every pose
-    # the engine reads) and float32, that of the grid, for Python floats
-    wx = _scratch(gx.shape, np.result_type(px, gx), "x")
-    wy = _scratch(gx.shape, np.result_type(py, gx), "y")
-    np.add(px, np.multiply(gx, cos_h, out=wx), out=wx)
-    np.subtract(wx, np.multiply(gy, sin_h, out=_scratch(gx.shape, wx.dtype, "term")), out=wx)
-    np.add(py, np.multiply(gx, sin_h, out=wy), out=wy)
-    np.add(wy, np.multiply(gy, cos_h, out=_scratch(gx.shape, wy.dtype, "term")), out=wy)
+@lru_cache(maxsize=8)
+def _cell_grid(k1: float) -> tuple[np.ndarray, np.ndarray]:
+    """ground_grid(k1) in WORLD_CELL units, in its float32: the cells each
+    pixel's ground point lies ahead of (X) and left of (Y) the cart. Cached
+    per k1; the arrays are shared and read-only."""
+    X, Y = (g * (1.0 / WORLD_CELL) for g in ground_grid(k1))
+    X.flags.writeable = Y.flags.writeable = False
+    return X, Y
 
+
+def _ink(track: TrackMap, pose: tuple[float, float, float], k1: float, rows: slice,
+         cards: Sequence[PlacardEntry]) -> np.ndarray:
+    """A fresh ink mask of the pixel rows ``rows`` of the frame through a
+    lens of distortion k1, seen from pose: the map's ink sampled, then the
+    cards stamped on."""
+    raster = world_ink(track)
+    X, Y = _cell_grid(k1)
+    qx, qy = raster.cells(pose, X[rows], Y[rows])
+    px, py, heading = pose
     # the raster lies within 51 m of the origin and no ground point is
-    # farther than 1e4 m from the cart, so a pose past FAR_POSE (or NaN)
-    # sees no map ink, and its cell indices would not fit in int32
-    if abs(px) <= FAR_POSE and abs(py) <= FAR_POSE:
-        ink = world_ink(track).sample(wx, wy)
+    # farther than 1e4 m from the cart, so a pose past FAR_POSE (or with a
+    # NaN) sees no map ink, and its cell indices would not fit in int32
+    if abs(px) <= FAR_POSE and abs(py) <= FAR_POSE and not math.isnan(heading):
+        ink = raster.sample(qx, qy)
     else:
-        ink = np.zeros(gx.shape, dtype=bool)
-    for card in cards:
-        _stamp_glyph(ink, wx, wy, card)
+        ink = np.zeros(qx.shape, dtype=bool)
+    if cards:
+        gx, gy = ground_grid(k1)
+        for card in cards:
+            _stamp_glyph(ink, qx, qy, raster, pose, gx[rows], gy[rows], card)
     return ink
 
 
@@ -205,7 +248,7 @@ def _scene_ink(track: TrackMap, pose: tuple[float, float, float], k1: float,
     that is not finite is memoized nowhere: NaN equals nothing."""
     pose, cards = tuple(pose), tuple(cards)
     if not all(map(math.isfinite, pose)):
-        return _ink(track, pose, *ground_grid(k1), cards)
+        return _ink(track, pose, k1, slice(None), cards)
     types = tuple(map(type, pose)) + tuple(type(v) for c in cards
                                            for v in (c.x, c.y, c.up_angle))
     return _memo_ink(track, pose, k1, cards, types)
@@ -215,7 +258,7 @@ def _scene_ink(track: TrackMap, pose: tuple[float, float, float], k1: float,
 def _memo_ink(track: TrackMap, pose: tuple[float, float, float], k1: float,
               cards: tuple[PlacardEntry, ...], types: tuple[type, ...]) -> np.ndarray:
     """_scene_ink's memo of the last few scenes; ``types`` is only part of the key."""
-    ink = _ink(track, pose, *ground_grid(k1), cards)
+    ink = _ink(track, pose, k1, slice(None), cards)
     ink.flags.writeable = False
     return ink
 
@@ -289,22 +332,22 @@ def clean_bits(track: TrackMap, pose: tuple[float, float, float], brightness: fl
     rows are exact and the other rows come back false. Otherwise the band
     cannot be decided alone, and the whole frame is sampled and returned.
     """
-    gx, gy = ground_grid(k1)
+    pixels = HEIGHT * WIDTH
     ink_u8, back_u8 = map(int, _levels(brightness))
-    r0, r1 = rows if rows is not None and k1 == 0 else (0, len(gx))
+    r0, r1 = rows if rows is not None and k1 == 0 else (0, HEIGHT)
     while True:
-        ink = _ink(track, pose, gx[r0:r1], gy[r0:r1], cards)
+        ink = _ink(track, pose, k1, slice(r0, r1), cards)
         count = int(np.count_nonzero(ink))
-        unsampled = gx.size - ink.size  # read as ink: a lower bound on the sum
+        unsampled = pixels - ink.size  # read as ink: a lower bound on the sum
         total = (count + unsampled) * ink_u8 + (ink.size - count) * back_u8
-        dark = ink_u8 < total / gx.size - BINARIZE_MARGIN
+        dark = ink_u8 < total / pixels - BINARIZE_MARGIN
         if dark or not unsampled:
             break
-        r0, r1 = 0, len(gx)  # the band alone does not decide
+        r0, r1 = 0, HEIGHT  # the band alone does not decide
     if not unsampled:
         if not dark:
             ink.fill(False)
         return ink
-    bits = np.zeros(gx.shape, dtype=bool)
+    bits = np.zeros((HEIGHT, WIDTH), dtype=bool)
     bits[r0:r1] = ink
     return bits

@@ -28,8 +28,8 @@ from wardcart.vision.pipeline import (DigitDetection, _label_runs,
                                       detect_placards, line_centroid,
                                       match_digit, undistort_bits)
 from wardcart.simcore import CONTROL_ROI
-from wardcart.vision.render import (LINE_HALF_WIDTH, NoiseParams, _glyph_ink, _ink,
-                                    _levels, _memo_ink, _scene_ink, _scratch, _WorldInk,
+from wardcart.vision.render import (LINE_HALF_WIDTH, NoiseParams, _cell_grid, _glyph_ink,
+                                    _ink, _levels, _memo_ink, _scene_ink, _scratch, _WorldInk,
                                     clean_bits, render, world_ink)
 
 EMPTY_MAP = load_map("node p 0 0\npharmacy p\nwidth 0.30\n")
@@ -882,12 +882,19 @@ def _rendered_ink(track, pose, cards=()):
 
 def _type_twins(track):
     """(map, [Python-float scene, np.float64 scene]) of equal values whose
-    ink differs: float32 world coordinates put a row of the pose's frame,
-    and one pixel of the card, on the other side of a cell edge."""
+    ink differs: float32 cell coordinates put a row of the pose's frame, and
+    float32 world coordinates one pixel of the card, on the other side of a
+    cell edge."""
     gx, gy = ground_grid(0.0)
-    # heading 0 at k1 = 0: wx = px + gx, and gx is constant along a row;
-    # x = 0.010 is the right edge of the guide line's ink
-    pose = (0.010 - float(gx[60, 80]) - 1e-9, 0.3, 0.0)
+    # heading 0 at k1 = 0: qx = X + (px - x0) / WORLD_CELL, and X is constant
+    # along a row; cell n starts at x = 0.010, the right edge of the guide
+    # line's ink. On a row where n - X is a float32 the float32 sum lands on
+    # n, and the float64 one 2**-30 below it, in cell n - 1
+    X, _ = _cell_grid(0.0)
+    x0 = world_ink(track).x0
+    n = round((0.010 - x0) / WORLD_CELL)
+    ahead = next(float(x) for x in X[:, 0] if np.float32(n - float(x)) == n - float(x))
+    pose = (x0 + (n - ahead - 2.0 ** -30) * WORLD_CELL, 0.3, 0.0)
     twins = [(pose, ()), (tuple(map(np.float64, pose)), ())]
     # a glyph column edge 1e-9 m from a pixel's world x, on a map without lines
     x, y = -float(gy[40, 80]) + GLYPH_HEIGHT * (0.5 - 7 / 16) + 1e-9, float(gx[40, 80])
@@ -902,8 +909,7 @@ def _type_twins(track):
 def test_scene_ink_memo_tells_coordinate_types_apart(track, pair, flip):
     track, scenes = _type_twins(track)[pair]
     scenes = scenes[::-1] if flip else scenes
-    gx, gy = ground_grid(0.0)
-    direct = [_ink(track, pose, gx, gy, cards) for pose, cards in scenes]
+    direct = [_ink(track, pose, 0.0, slice(None), cards) for pose, cards in scenes]
     assert scenes[0] == scenes[1] and not np.array_equal(*direct)  # the case is live
     _memo_ink.cache_clear()
     for _ in range(2):  # the second pass is served by the memo
@@ -1025,6 +1031,27 @@ def test_clean_bits_are_a_fresh_array(track):
     assert np.array_equal(first, kept)
 
 
+def test_a_second_pass_of_every_frame_kind_misses_no_work_array_or_grid(track):
+    # an evicted work array costs a heap trim and its fault-back (see
+    # _scratch). A pass makes clean whole and band frames and noisy renders,
+    # from engine (float64) and corpus (Python-float) poses, through both
+    # lenses, with a card and without
+    engine = _pose(ON_LINE, (np.float64,) * 3)
+    card = (_card(ON_LINE, 3, 0.25, 0.0, 0.0),)
+
+    def one_pass():
+        _memo_ink.cache_clear()  # or the renders would reuse the first pass's ink
+        for k1, cards, pose in itertools.product((0.0, 0.05), ((), card), (engine, ON_LINE)):
+            clean_bits(track, pose, 0.0, k1, cards, None)
+            clean_bits(track, pose, 0.0, k1, cards, CONTROL_ROI)
+            render(track, pose, CameraModel(k1), NoiseParams(-30.0, 8.0, k1),
+                   rng=np.random.default_rng(1), cards=cards)
+        return _scratch.cache_info().misses, _cell_grid.cache_info().misses
+
+    warm = one_pass()
+    assert one_pass() == warm
+
+
 @settings(max_examples=30, deadline=None)
 @given(k1=st.floats(-0.3, 0.3), seed=st.integers(0, 2 ** 32 - 1),
        shape=st.tuples(st.integers(2, 40), st.integers(2, 40)))
@@ -1048,17 +1075,104 @@ def test_undistort_bits_equal_the_two_index_gather(k1, seed, shape):
     assert np.array_equal(undistort_bits(bits, k1), want)
 
 
-def same_as_masked_sample(ink, wx, wy):
-    with np.errstate(invalid="ignore"):  # 1e9 overflows the int32 cast
-        return np.array_equal(ink.sample(wx, wy), masked_sample(ink, wx, wy))
+def reference_world(pose, gx, gy):
+    """World coordinates of the whole frame as the engine once computed
+    them: px + gx * cos_h - gy * sin_h and py + gx * sin_h + gy * cos_h, in
+    those steps, in float64 for NumPy-scalar px, py and float32 for Python
+    floats."""
+    px, py, heading = pose
+    cos_h, sin_h = math.cos(heading), math.sin(heading)
+    wx = np.empty(gx.shape, np.result_type(px, gx))
+    wy = np.empty(gx.shape, np.result_type(py, gx))
+    np.add(px, np.multiply(gx, cos_h, out=wx), out=wx)
+    np.subtract(wx, np.multiply(gy, sin_h, out=np.empty_like(wx)), out=wx)
+    np.add(py, np.multiply(gx, sin_h, out=wy), out=wy)
+    np.add(wy, np.multiply(gy, cos_h, out=np.empty_like(wy)), out=wy)
+    return wx, wy
 
 
-def masked_sample(ink, wx, wy):
-    """Reference world-ink lookup: cells off the raster read as background."""
-    ix = ((wx - ink.x0) / WORLD_CELL).astype(np.int32)
-    iy = ((wy - ink.y0) / WORLD_CELL).astype(np.int32)
+def reference_stamp(ink, wx, wy, entry):
+    """OR a glyph into the ink mask from world coordinates of the whole
+    frame: the pixels in the 1.5 * half box around the card, in metres."""
+    half = GLYPH_HEIGHT / 2.0
+    near = ((np.abs(wx - entry.x) <= half * 1.5)
+            & (np.abs(wy - entry.y) <= half * 1.5))
+    idx = np.nonzero(near.ravel())[0]
+    if idx.size == 0:
+        return
+    sub = _glyph_ink(wx.ravel()[idx], wy.ravel()[idx], entry)
+    flat = ink.ravel()
+    flat[idx[sub]] = True
+
+
+def assert_cards_stamp_the_reference_bits(track, pose, k1, rows, cards):
+    want = _ink(track, pose, k1, slice(None), ())
+    wx, wy = reference_world(pose, *ground_grid(k1))
+    for card in cards:
+        reference_stamp(want, wx, wy, card)
+    got = _ink(track, pose, k1, rows, cards)
+    assert np.array_equal(got, want[rows])
+    return got
+
+
+def _card(start, digit, ahead, left, turn):
+    x, y, heading = map(float, start)
+    return PlacardEntry(digit, x + ahead * math.cos(heading) - left * math.sin(heading),
+                        y + ahead * math.sin(heading) + left * math.cos(heading),
+                        heading + turn)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.tuples(st.floats(-0.7, 0.7), st.floats(-0.3, 4.3),
+                        st.floats(-math.pi, math.pi)),
+       kind=st.sampled_from((float, np.float64)), k1=st.sampled_from((0.0, 0.05)),
+       band=st.booleans(),
+       cards=st.lists(st.tuples(st.integers(1, 8), st.floats(-0.05, 0.6), st.floats(-0.5, 0.5),
+                                st.floats(-math.pi, math.pi)), min_size=1, max_size=2))
+# digit 7 inks its corner cell: turned by 45 degrees, its ink reaches
+# sqrt(2) * half along an axis, past a box of 1.3 * half
+@example(values=ON_LINE, kind=float, k1=0.0, band=False, cards=[(7, 0.25, 0.0, math.pi / 4)])
+@example(values=ON_LINE, kind=np.float64, k1=0.05, band=False,
+         cards=[(7, 0.25, 0.0, -3 * math.pi / 4)])
+# boxes across the frame's near edge, its side and the control band's top row
+@example(values=ON_LINE, kind=np.float64, k1=0.0, band=False, cards=[(4, 0.0, 0.0, 0.0)])
+@example(values=ON_LINE, kind=float, k1=0.05, band=False, cards=[(2, 0.2, 0.25, 0.3)])
+@example(values=ON_LINE, kind=np.float64, k1=0.0, band=True, cards=[(5, 0.12, 0.05, 0.0)])
+def test_cards_stamp_the_bits_of_world_coordinates_of_the_whole_frame(track, values, kind, k1,
+                                                                      band, cards):
+    pose = tuple(map(kind, values))
+    entries = tuple(_card(pose, *card) for card in cards)
+    rows = slice(*CONTROL_ROI) if band and k1 == 0 else slice(None)
+    assert_cards_stamp_the_reference_bits(track, pose, k1, rows, entries)
+
+
+# a RuntimeWarning fails the test, as everywhere in the suite (pyproject.toml)
+@pytest.mark.parametrize("pose", [(np.float64(1e7), np.float64(0.4), math.pi / 2),
+                                  (np.float64(-1e300), np.float64(0.4), math.pi / 2),
+                                  # its offset from the raster, in cells, overflows
+                                  (np.float64(1e306), np.float64(0.4), math.pi / 2),
+                                  (math.nan, 0.4, math.pi / 2),
+                                  (np.float64(math.nan), np.float64(0.4), math.pi / 2),
+                                  (0.0, 0.4, math.nan)],
+                         ids=["far", "farther", "farthest", "nan_x", "numpy_nan_x", "nan_heading"])
+def test_cards_beside_a_far_or_nan_pose_stamp_the_same_bits(track, pose):
+    card = PlacardEntry(2, float(pose[0]) - 0.02, 0.66, math.pi / 2 + 0.3)
+    got = assert_cards_stamp_the_reference_bits(track, pose, 0.0, slice(None), (card,))
+    assert got.any() == all(map(math.isfinite, pose))
+
+
+def same_as_masked_sample(ink, qx, qy):
+    with np.errstate(invalid="ignore"):  # 5e11 cells overflow the int32 cast
+        return np.array_equal(ink.sample(qx, qy), masked_sample(ink, qx, qy))
+
+
+def masked_sample(ink, qx, qy):
+    """Reference world-ink lookup at cell coordinates: cells off the raster
+    read as background."""
+    ix = qx.astype(np.int32)
+    iy = qy.astype(np.int32)
     valid = (ix >= 0) & (ix < ink.nx) & (iy >= 0) & (iy < ink.ny)
-    out = np.zeros(wx.shape, dtype=bool)
+    out = np.zeros(qx.shape, dtype=bool)
     out[valid] = ink.grid[iy[valid], ix[valid]]
     return out
 
@@ -1079,19 +1193,46 @@ def _speckled_ink():
 SPECKLED = _speckled_ink()
 
 
+def _raster_pose(ink, fx, fy, heading):
+    # fractions of the raster; outside [0, 1] the view leaves the raster
+    return (ink.x0 + fx * ink.nx * WORLD_CELL, ink.y0 + fy * ink.ny * WORLD_CELL, heading)
+
+
 @settings(max_examples=60, deadline=None)
 @given(fx=st.floats(-0.3, 1.3), fy=st.floats(-0.3, 1.3),
        heading=st.floats(-math.pi, math.pi), k1=st.sampled_from(SAMPLE_K1))
 def test_ink_sample_matches_masked_reference_at_any_pose(fx, fy, heading, k1):
     ink = SPECKLED
-    # fractions of the raster; outside [0, 1] the view leaves the raster
-    px = ink.x0 + fx * ink.nx * WORLD_CELL
-    py = ink.y0 + fy * ink.ny * WORLD_CELL
+    qx, qy = ink.cells(_raster_pose(ink, fx, fy, heading), *_cell_grid(k1))
+    assert same_as_masked_sample(ink, qx, qy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fx=st.floats(-0.3, 1.3), fy=st.floats(-0.3, 1.3),
+       heading=st.floats(-math.pi, math.pi), k1=st.sampled_from(SAMPLE_K1))
+def test_cell_map_index_equals_the_world_coordinate_index(fx, fy, heading, k1):
+    # the index of the world coordinates of an engine pose (float64, from
+    # float32 products), int32((px + gx cos - gy sin - x0) / WORLD_CELL).
+    # The affine map rounds in another order, so the two may part where
+    # that quotient lies within a rounding error of a cell edge. A ground
+    # point 10 km out (a ray that misses the ground) has float32 products
+    # a quarter cell apart; it lies far off the raster in both
+    ink = SPECKLED
+    pose = tuple(map(np.float64, _raster_pose(ink, fx, fy, heading)))
+    px, py, _ = pose
+    qx, qy = ink.cells(pose, *_cell_grid(k1))
     gx, gy = ground_grid(k1)
     c, s = math.cos(heading), math.sin(heading)
-    wx = px + gx * c - gy * s
-    wy = py + gx * s + gy * c
-    assert same_as_masked_sample(ink, wx, wy)
+    for q, w, origin, cells in ((qx, px + gx * c - gy * s, ink.x0, ink.nx),
+                                (qy, py + gx * s + gy * c, ink.y0, ink.ny)):
+        assert q.dtype == w.dtype == np.float64
+        quotient = (w - origin) / WORLD_CELL
+        near = (quotient > -2) & (quotient < cells + 1)
+        clear = np.abs(quotient - np.rint(quotient)) > 1e-3
+        assert np.array_equal(q[near & clear].astype(np.int32),
+                              quotient[near & clear].astype(np.int32))
+        # a cell off the raster, which reads as background
+        assert ((q[~near] <= -1) | (q[~near] >= cells)).all()
 
 
 def _edge_coords(lo, extent):
@@ -1109,7 +1250,8 @@ def test_ink_sample_matches_masked_reference_at_raster_edges(data, dtype):
                           elements=_edge_coords(ink.x0, ink.nx * WORLD_CELL))).astype(dtype)
     wy = data.draw(arrays(np.float64, (3, 5),
                           elements=_edge_coords(ink.y0, ink.ny * WORLD_CELL))).astype(dtype)
-    assert same_as_masked_sample(ink, wx, wy)
+    # the cell coordinates of world points, in the points' dtype
+    assert same_as_masked_sample(ink, (wx - ink.x0) / WORLD_CELL, (wy - ink.y0) / WORLD_CELL)
 
 
 def reference_ink(ink, track):
@@ -1203,7 +1345,8 @@ def test_painting_a_long_diagonal_takes_memory_for_its_ink_only():
     raster = (nx + 2) * (ny + 2)
     assert peak < raster + 4 * 2 ** 20
     # ink at both ends and halfway, none off the line
-    at = ink.sample(np.array([0.0, 7.5, 15.0, 7.5]), np.array([0.0, 7.5, 15.0, 0.0]))
+    at = ink.sample((np.array([0.0, 7.5, 15.0, 7.5]) - ink.x0) / WORLD_CELL,
+                    (np.array([0.0, 7.5, 15.0, 0.0]) - ink.y0) / WORLD_CELL)
     assert at.tolist() == [True, True, True, False]
 
 
@@ -1277,6 +1420,7 @@ def _maps(n):
 CACHES = {
     "world_ink": (world_ink, _maps),
     "ground_grid": (ground_grid, lambda n: [(0.01 * i,) for i in range(n)]),
+    "cell_grid": (_cell_grid, lambda n: [(0.01 * i,) for i in range(n)]),
     "undistort_map": (pipeline._undistort_map,
                       lambda n: [(160, 120, 0.01 * i) for i in range(n)]),
     "axis_weights": (_axis_weights, lambda n: [(1 + i,) for i in range(n)]),
