@@ -11,6 +11,7 @@ import math
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -196,17 +197,6 @@ def _parse_list(raw: str, what: str) -> list[float]:
         raise ScenarioError(f"bad {what} list: {raw!r}") from None
 
 
-def corpus_grid(k1s: list[float], brightnesses: list[float], sigmas: list[float]):
-    """All (digit, shift_x, shift_y, k1, brightness, sigma) combinations."""
-    for digit in range(1, 9):
-        for sx in CORPUS_SHIFTS_X:
-            for sy in CORPUS_SHIFTS_Y:
-                for k1 in k1s:
-                    for brightness in brightnesses:
-                        for sigma in sigmas:
-                            yield digit, sx, sy, k1, brightness, sigma
-
-
 class CorpusTally(NamedTuple):
     total: int
     correct: int
@@ -230,28 +220,31 @@ def run_corpus(k1s, brightnesses, sigmas, seed: int = 0,
 
     total = correct = clean_total = clean_correct = unread = misread = 0
     idx = 0
-    for digit, sx, sy, k1, brightness, sigma in corpus_grid(k1s, brightnesses, sigmas):
+    # a card is placed once per digit and shift, then seen through every
+    # lens and noise setting; idx counts the frames in that order
+    for digit, sx, sy in product(range(1, 9), CORPUS_SHIFTS_X, CORPUS_SHIFTS_Y):
         gx, gy = CameraModel.ground_from_pixels(u0 + sx, v0 + sy)
-        cam = CameraModel(distortion_k1=k1)
         card = PlacardEntry(digit, float(-gy[0]), float(gx[0]), math.pi / 2)
-        rng = np.random.default_rng(derive_seed(seed, f"corpus/{idx}"))
-        frame = render(track, pose, cam, NoiseParams(brightness, sigma, k1),
-                       rng=rng, cards=(card,))
-        dets = detect_placards(frame, cam, default_templates())
-        predicted = max(dets, key=lambda d: d.score).digit if dets else None
-        score = max((d.score for d in dets), default=0.0)
-        hit = predicted == digit
-        total += 1
-        correct += hit
-        unread += not dets
-        misread += any(d.digit != digit for d in dets)
-        if k1 == 0 and brightness == 0 and sigma == 0:
-            clean_total += 1
-            clean_correct += hit
-        if out_lines is not None:
-            out_lines.append(f"{digit},{predicted if predicted is not None else 'none'},"
-                             f"{score:.4f},{k1},{brightness},{sigma}")
-        idx += 1
+        for k1, brightness, sigma in product(k1s, brightnesses, sigmas):
+            cam = CameraModel(distortion_k1=k1)
+            rng = np.random.default_rng(derive_seed(seed, f"corpus/{idx}"))
+            frame = render(track, pose, cam, NoiseParams(brightness, sigma, k1),
+                           rng=rng, cards=(card,))
+            dets = detect_placards(frame, cam, default_templates())
+            predicted = max(dets, key=lambda d: d.score).digit if dets else None
+            score = max((d.score for d in dets), default=0.0)
+            hit = predicted == digit
+            total += 1
+            correct += hit
+            unread += not dets
+            misread += any(d.digit != digit for d in dets)
+            if k1 == 0 and brightness == 0 and sigma == 0:
+                clean_total += 1
+                clean_correct += hit
+            if out_lines is not None:
+                out_lines.append(f"{digit},{predicted if predicted is not None else 'none'},"
+                                 f"{score:.4f},{k1},{brightness},{sigma}")
+            idx += 1
     return CorpusTally(total, correct, clean_total, clean_correct, unread, misread)
 
 
@@ -262,10 +255,8 @@ def cmd_vision_corpus(args: argparse.Namespace) -> int:
     if not k1s or not brightnesses or not sigmas:
         raise ScenarioError("corpus grid is empty (every list needs a value)")
     try:
-        for k1 in k1s:
-            for brightness in brightnesses:
-                for sigma in sigmas:
-                    NoiseParams(brightness, sigma, k1)
+        for k1, brightness, sigma in product(k1s, brightnesses, sigmas):
+            NoiseParams(brightness, sigma, k1)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     if not 0 <= args.seed < 2 ** 64:  # derive_seed keeps 64 bits of it

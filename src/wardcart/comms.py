@@ -38,7 +38,8 @@ class Link:
     latency_ticks: int = 3
     drop_probability: float = 0.0
     rng_seed: int = 0
-    in_flight: list[tuple[int, Message]] = field(default_factory=list)  # (due tick, msg)
+    # (due tick, msg) pairs in send order; only send fills it
+    in_flight: list[tuple[int, Message]] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if self.latency_ticks < 0:

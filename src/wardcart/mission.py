@@ -42,12 +42,6 @@ class MissionPhase(Enum):
     FAULT = "fault"
 
 
-# phases in which the cart must hold still
-HALT_PHASES = frozenset({
-    MissionPhase.AWAIT_TARGET, MissionPhase.AWAIT_LOAD, MissionPhase.AT_WARD,
-    MissionPhase.AWAIT_UNLOAD, MissionPhase.PAUSED_AT_POINT, MissionPhase.DONE,
-    MissionPhase.FAULT,
-})
 # phases at the ward: the step reads the payload switch and no frame, and
 # the cart leaves them only through the AROUND turn
 WARD_PHASES = frozenset({MissionPhase.AT_WARD, MissionPhase.AWAIT_UNLOAD})
@@ -256,7 +250,8 @@ def _drive(st: MissionState, cfg: MissionConfig, sensors: SensorBundle) -> Inten
 def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
                  inbox: list[Message], now_tick: int
                  ) -> tuple[Intent, list[Message], MissionState]:
-    """One tick of the mission FSM. Returns (intent, outbox, new state)."""
+    """One tick of the mission FSM. Returns (intent, outbox, new state); the
+    intent is HALT unless the new phase is Outbound or Returning."""
     st = _copy(state)
     outbox: list[Message] = []
 
@@ -312,6 +307,4 @@ def mission_step(state: MissionState, cfg: MissionConfig, sensors: SensorBundle,
         st.out_seq += 1
         st.proceed_sent_tick = now_tick
 
-    if st.phase in HALT_PHASES:
-        intent = Intent.HALT
     return intent, outbox, st

@@ -12,14 +12,14 @@ A tick makes only the sensing its mission step reads. A tick with a
 latched junction turn makes no frame: the mission is not stepped and the
 drive follows the turn. Nor does a tick at the ward (``WARD_PHASES``): its
 step reads only the payload switch, and the cart leaves through the AROUND
-turn, which resets the tracking gate. Such a tick only advances the cart's
-noise stream by the draw that frame's render would take
-(``render.skip_noise``). Any other tick reads its frame for the line fix
-and the placards nearer than the reading range, each exactly; a paused
-follower reads placards only in the tick a Proceed reaches it. Every
-frame is seen from the pose's x and y as NumPy float64 (``_reading``), so
-the first tick, from the Python floats of the start pose, samples the
-ground in the precision of every later one.
+turn, which re-seeds the tracking gate at the frame center when it ends.
+Such a tick only advances the cart's noise stream by the draw that frame's
+render would take (``render.skip_noise``). Any other tick reads its frame
+for the line fix and the placards nearer than the reading range, each
+exactly; a paused follower reads placards only in the tick a Proceed
+reaches it. Every frame is seen from the pose's x and y as NumPy float64
+(``_reading``), so the first tick, from the Python floats of the start
+pose, samples the ground in the precision of every later one.
 
 - Lookup. Without pixel noise that reading is a function of the track, the
   pose values, the cards, the brightness, the lens, the range and the
@@ -338,7 +338,7 @@ def run_scenario(track: TrackMap, config: SimConfig) -> TraceReport:
                 intent = Intent.HALT  # engine owns the cart while a turn is latched;
                 # inbox messages wait in pending_inbox until it resumes
 
-            left, right = _drive_command(cart, intent, sensors, gains, config, tick, log)
+            left, right = _drive_command(cart, intent, sensors, gains, tick, log)
             prev_pose = cart.vehicle.pose
             cart.vehicle = apply_motor(cart.vehicle, left, right, config.dt)
             cart.odometry += math.hypot(cart.vehicle.pose[0] - prev_pose[0],
@@ -453,8 +453,8 @@ def _sense(cart: _Cart, track: TrackMap, config: SimConfig,
     if cart.turn is not None or cart.mission.phase in WARD_PHASES:
         # nothing reads this frame: a turn tick steps no mission, and a step
         # at the ward reads neither line nor placards and leaves only through
-        # the AROUND turn, which resets the tracking gate. The frame's draw
-        # keeps the noise in step
+        # the AROUND turn, which re-seeds the tracking gate when it ends. The
+        # frame's draw keeps the noise in step
         skip_noise(config.noise, cart.rng)
         return _empty_sensors(cart)
     pose = cart.vehicle.pose
@@ -505,7 +505,7 @@ def _table(track: TrackMap, pose: tuple[float, float, float], cards: tuple[Placa
 
 
 def _drive_command(cart: _Cart, intent: Intent, sensors: SensorBundle, gains: PidGains,
-                   config: SimConfig, tick: int, log) -> tuple[float, float]:
+                   tick: int, log) -> tuple[float, float]:
     if cart.turn is not None:
         return _turn_command(cart.turn)
 
@@ -524,7 +524,6 @@ def _drive_command(cart: _Cart, intent: Intent, sensors: SensorBundle, gains: Pi
                       target=math.pi if intent is Intent.AROUND else math.pi / 2,
                       prev_heading=cart.vehicle.pose[2])
     cart.pid = PidState()
-    cart.gate_x = None
     log(tick, cart.idx, f"turn={intent.value}")
     return _turn_command(cart.turn)
 

@@ -200,6 +200,17 @@ def test_corpus_lines_are_unchanged():
     assert digest == "37a4077db1cd4101a9a49cb6d45e868e4fbcec5dd2fd3cb922d6ca11f2cacfc8"
 
 
+def test_default_corpus_lines_are_unchanged():
+    # the grid of `wardcart vision-corpus` with its default lists, every frame
+    # in order and with its seed; the sha256 was computed before each card
+    # was placed once for all its exposures
+    lines = []
+    counts = cli.run_corpus([0.0, 0.05, 0.1], [-30.0, 0.0, 30.0], [0.0, 8.0], out_lines=lines)
+    assert counts == (2160, 2150, 120, 120, 10, 0)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "03906d827bb06a251e53cc4f685ef1cd46077b5c0e70feb5352b1c69495a5b7b"
+
+
 def test_corpus_reads_each_clean_scene_once(monkeypatch):
     # a scene's three unclipped exposures binarize to the same ink, so the
     # detection memo reads the bits of 120 scenes for 360 frames

@@ -90,6 +90,13 @@ def test_poll_delivers_each_kept_message_once_at_its_due_tick_in_send_order(
     assert link.in_flight == []
 
 
+def test_a_link_starts_with_nothing_in_flight():
+    # only send fills the queue, so a link cannot be built holding messages
+    with pytest.raises(TypeError):
+        Link(in_flight=[(3, msg(0))])
+    assert Link().in_flight == []
+
+
 def test_a_send_before_one_in_flight_is_rejected():
     link = Link(latency_ticks=2)
     link.send(msg(0), now_tick=5)

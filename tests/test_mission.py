@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 from dataclasses import fields
 
@@ -211,11 +212,19 @@ def test_contradictions_fault_after_limit(track):
 
 
 def test_halt_phases_never_move(track):
+    # every phase but Outbound and Returning, with the payload that keeps the
+    # cart there; the paused follower holds no Proceed
     cfg = make_config(track)
-    for phase in (MissionPhase.AWAIT_TARGET, MissionPhase.AT_WARD,
-                  MissionPhase.AWAIT_UNLOAD, MissionPhase.DONE, MissionPhase.FAULT):
+    follower, _ = follower_outbound(track)
+    cases = [(cfg, MissionPhase.AWAIT_TARGET, True), (cfg, MissionPhase.AWAIT_LOAD, False),
+             (follower, MissionPhase.PAUSED_AT_POINT, True), (cfg, MissionPhase.AT_WARD, True),
+             (cfg, MissionPhase.AWAIT_UNLOAD, True), (cfg, MissionPhase.DONE, True),
+             (cfg, MissionPhase.FAULT, True)]
+    assert {phase for _, phase, _ in cases} == set(MissionPhase) - {
+        MissionPhase.OUTBOUND, MissionPhase.RETURNING}
+    for config, phase, loaded in cases:
         state = MissionState(phase=phase, target=2, delivered=True)
-        intent, _, _ = step(state, cfg, sensors(loaded=True))
+        intent, _, _ = step(state, config, sensors(loaded=loaded, odo=follower.pause_distance))
         assert intent is Intent.HALT, phase
 
 
@@ -581,6 +590,38 @@ def test_reading_range_is_what_the_mission_step_reads(track):
             assert step(state, cfg, sensors(detections=near, loaded=loaded, odo=odo),
                         inbox=inbox, tick=100) == want
     assert {phase for phase, _ in seen} == set(MissionPhase)
+
+
+def test_a_step_halts_exactly_when_it_ends_outside_outbound_and_returning(track):
+    """Over every reading case, placard list and line fix, at odometries on
+    each leg trigger and the follower's pause point, and from a state one
+    lost-line tick and one contradiction short of a fault: the intent is
+    HALT exactly when the new phase is neither Outbound nor Returning."""
+    pause = make_config(track, role=Role.FOLLOWER, ward=4).pause_distance
+    moving = (MissionPhase.OUTBOUND, MissionPhase.RETURNING)
+    steps, halted = 0, set()
+    for cfg, state, loaded, odo, inbox, _ in reading_cases(track):
+        odometries = {odo, pause, pause - STOP_MARGIN}
+        for trigger in state.leg_triggers:
+            odometries.update(state.leg_odo_base + trigger - lead
+                              for lead in (0.0, TURN_LEAD, STOP_MARGIN))
+        near_fault = copy.copy(state)
+        near_fault.lost_line = cfg.lost_line_ticks
+        near_fault.contradictions = CONTRADICTION_LIMIT - 1
+        for start, dets, line, odometry in itertools.product(
+                (state, near_fault), placard_lists(state.target or 2), ((80.0, 1.0), None),
+                sorted(odometries)):
+            intent, _, new = step(start, cfg, sensors(line=line, detections=dets, loaded=loaded,
+                                                      odo=odometry), inbox=inbox, tick=100)
+            assert (intent is Intent.HALT) is (new.phase not in moving), (
+                start.phase, new.phase, intent, odometry)
+            if intent is Intent.HALT and start.phase in moving:
+                halted.add(new.phase)
+            steps += 1
+    # the drive halts the cart into every phase it can stop in
+    assert halted == {MissionPhase.PAUSED_AT_POINT, MissionPhase.AT_WARD, MissionPhase.DONE,
+                      MissionPhase.FAULT}
+    assert steps > 30000
 
 
 def test_the_junction_check_reads_nothing_at_a_stop():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import itertools
 import math
@@ -7,6 +8,7 @@ import types
 import warnings
 from collections import namedtuple
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1462,6 +1464,33 @@ def test_every_module_cache_is_a_row_of_caches():
     for name, cached in found.items():
         assert cached.cache_info().maxsize is not None, name
         assert any(cached is row for row in listed), f"{name} is not in CACHES"
+
+
+SRC = Path(wardcart.__file__).resolve().parent.parent
+# lru_cache functions whose parameter is only part of the cache key
+KEY_ONLY_PARAMETERS = {"wardcart.vision.render._scratch(role)",
+                       "wardcart.vision.render._memo_ink(types)"}
+
+
+def unread_parameters(path):
+    """``module.function(parameter)`` for each parameter of a function in
+    the module file at path that the function's body never names."""
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if p is not None]
+            named = {n.id for stmt in node.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name)}
+            yield from (f"{module}.{node.name}({p})" for p in params if p not in named)
+
+
+def test_every_function_reads_every_parameter():
+    # the allow-list must be found too, so an empty walk cannot pass
+    paths = sorted((SRC / "wardcart").rglob("*.py"))
+    unread = {name for path in paths for name in unread_parameters(path)}
+    assert unread == KEY_ONLY_PARAMETERS
 
 
 def test_default_templates_are_the_read_only_normalized_glyphs():
